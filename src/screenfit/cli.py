@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--seed",
         type=int,
-        help="master seed override: generator = seed, out-of-sample = seed + 1, split = seed + 2",
+        help=(
+            "master seed override: generator = seed, split = seed + 1; the "
+            "out-of-sample table is sample index 1 of the same generator"
+        ),
     )
 
     scorer = sub.add_parser("score", help="score a CSV with a saved model")

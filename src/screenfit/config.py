@@ -16,7 +16,7 @@ from the same generator structure with sample index 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ValidationError
@@ -57,8 +57,8 @@ class StepwiseConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     plan: StagePlan
-    split: SplitConfig
-    stepwise: StepwiseConfig
+    split: SplitConfig = field(default_factory=SplitConfig)
+    stepwise: StepwiseConfig = field(default_factory=StepwiseConfig)
     prune_cutoff: float = 0.40
     threshold: float = 0.5
     out_dir: str = "out"
@@ -85,83 +85,32 @@ class PipelineConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "plan": {
-                "retain_after_chi2": self.plan.retain_after_chi2,
-                "retain_after_t": self.plan.retain_after_t,
-                "retain_after_iv": self.plan.retain_after_iv,
-                "final_retain": self.plan.final_retain,
-                "iv_min": self.plan.iv_min,
-                "iv_max": self.plan.iv_max,
-                "occupancy_min": self.plan.occupancy_min,
-                "level_merge_alpha": self.plan.level_merge_alpha,
-                "iv_smoothing": self.plan.iv_smoothing,
-            },
-            "split": {"frac": self.split.frac, "seed": self.split.seed},
-            "stepwise": {
-                "p_enter": self.stepwise.p_enter,
-                "p_stay": self.stepwise.p_stay,
-                "max_terms": self.stepwise.max_terms,
-            },
-            "prune_cutoff": self.prune_cutoff,
-            "threshold": self.threshold,
-            "out_dir": self.out_dir,
-        }
-        if self.input is not None:
-            d["input"] = {"csv": self.input.csv, "schema": self.input.schema}
-        if self.synthetic is not None:
-            d["synthetic"] = self.synthetic.to_dict()
-        if self.out_of_sample is not None:
-            d["out_of_sample"] = {
-                "csv": self.out_of_sample.csv,
-                "schema": self.out_of_sample.schema,
-            }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        def section(name: str, builder, default=None):
-            if name not in d:
-                if default is not None:
-                    return default
-                raise ValidationError(f"config is missing the {name!r} section")
-            try:
-                return builder(d[name])
-            except ValidationError:
-                raise
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"config section {name!r}: {exc}") from exc
-
-        plan = section("plan", lambda p: StagePlan(**p))
-        split = section("split", lambda s: SplitConfig(**s), SplitConfig())
-        stepwise = section("stepwise", lambda s: StepwiseConfig(**s), StepwiseConfig())
-        input_cfg = (
-            InputConfig(**d["input"]) if "input" in d and d["input"] is not None else None
-        )
-        synthetic = (
-            SyntheticSpec.from_dict(d["synthetic"])
-            if "synthetic" in d and d["synthetic"] is not None
-            else None
-        )
-        oos = (
-            InputConfig(**d["out_of_sample"])
-            if d.get("out_of_sample") is not None
-            else None
-        )
+        """Build a config from its dict form; absent or null keys take their defaults."""
+        fields = {k: v for k, v in d.items() if v is not None}
+        for name, build in _SECTIONS.items():
+            if name in fields:
+                try:
+                    fields[name] = build(fields[name])
+                except (KeyError, TypeError) as exc:
+                    raise ValidationError(f"config section {name!r}: {exc}") from exc
         try:
-            return cls(
-                plan=plan,
-                split=split,
-                stepwise=stepwise,
-                prune_cutoff=d.get("prune_cutoff", 0.40),
-                threshold=d.get("threshold", 0.5),
-                out_dir=d.get("out_dir", "out"),
-                input=input_cfg,
-                synthetic=synthetic,
-                out_of_sample=oos,
-            )
+            return cls(**fields)
         except TypeError as exc:
             raise ValidationError(f"malformed config: {exc}") from exc
+
+
+_SECTIONS = {
+    "plan": lambda d: StagePlan(**d),
+    "split": lambda d: SplitConfig(**d),
+    "stepwise": lambda d: StepwiseConfig(**d),
+    "input": lambda d: InputConfig(**d),
+    "synthetic": SyntheticSpec.from_dict,
+    "out_of_sample": lambda d: InputConfig(**d),
+}
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -78,14 +78,7 @@ class Term:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Term":
-        return cls(
-            source=d["source"],
-            encoding=d["encoding"],
-            mean=d.get("mean"),
-            std=d.get("std"),
-            level=d.get("level"),
-            reference=d.get("reference"),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -202,13 +195,15 @@ def encode_design(
             elif term.encoding == FLAG:
                 columns.append(table.column(term.source).astype(float))
             else:
-                col = table.column(term.source)
-                columns.append(np.array([1.0 if v == term.level else 0.0 for v in col]))
+                levels = table.schema.column(term.source).levels
+                code = levels.index(term.level) if term.level in levels else -1
+                columns.append((table.codes(term.source) == code).astype(float))
         dummy_sources = {t.source: t for t in template if t.encoding == DUMMY}
         for source, term in dummy_sources.items():
             known = {t.level for t in template if t.source == source} | {term.reference}
-            unseen = sorted({v for v in table.column(source)} - known)
-            for lvl in unseen:
+            levels = table.schema.column(source).levels
+            present = np.flatnonzero(np.bincount(table.codes(source), minlength=len(levels)))
+            for lvl in sorted({levels[i] for i in present} - known):
                 warnings.append(
                     f"{source}: level {lvl!r} unseen in training; mapped to reference "
                     f"{term.reference!r}"
@@ -235,15 +230,13 @@ def encode_design(
                 terms_list.append(Term(source=v, encoding=FLAG))
                 columns.append(values)
             else:
-                col = table.column(v)
-                counts: dict[str, int] = {lvl: 0 for lvl in spec.levels}
-                for val in col:
-                    counts[val] += 1
+                codes = table.codes(v)
+                counts = dict(zip(spec.levels, np.bincount(codes, minlength=len(spec.levels))))
                 reference = min(spec.levels, key=lambda lvl: (-counts[lvl], lvl))
-                for lvl in spec.levels:
+                for code, lvl in enumerate(spec.levels):
                     if lvl == reference:
                         continue
-                    dummy = np.array([1.0 if val == lvl else 0.0 for val in col])
+                    dummy = (codes == code).astype(float)
                     if dummy.std() == 0.0:
                         warnings.append(
                             f"{v}={lvl}: constant dummy column dropped from the design"

@@ -46,9 +46,8 @@ from .logit import (
 from .screening import LevelMapping, apply_level_mapping, run_screening
 from .synthgen import generate, save_ground_truth
 from .table import (
-    ColumnKind,
     DataTable,
-    impute_median,
+    impute_numeric_columns,
     load_schema,
     load_table,
     save_schema,
@@ -73,20 +72,11 @@ def _write_json(obj: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def impute_numeric_columns(table: DataTable) -> DataTable:
-    """Median-impute every continuous and likelihood column that has gaps."""
-    for spec in table.schema.columns:
-        if spec.kind in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
-            if table.missing_mask(spec.name).any():
-                table = impute_median(table, spec.name)
-    return table
-
-
 def _apply_mappings(table: DataTable, mappings: dict[str, LevelMapping]) -> DataTable:
-    for name, mapping in sorted(mappings.items()):
-        if name in table.schema.names:
-            table = apply_level_mapping(table, mapping)
-    return table
+    names = set(table.schema.names)
+    return apply_level_mapping(
+        table, *(mapping for name, mapping in sorted(mappings.items()) if name in names)
+    )
 
 
 @dataclass

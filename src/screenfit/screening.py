@@ -216,51 +216,43 @@ def _likelihood_bin_labels() -> list[str]:
     return labels
 
 
+def _occupied(raw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the labels that occur in raw (label index per row, -1 = missing)
+    and index each row into the kept labels, missing rows staying -1."""
+    occupied = np.flatnonzero(np.bincount(raw[raw >= 0], minlength=len(labels)))
+    remap = np.full(len(labels) + 1, -1)
+    remap[occupied] = np.arange(len(occupied))
+    return labels[occupied], remap[raw]
+
+
 def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.ndarray]:
     """(labels, level-index per row) for a variable usable in level-wise stats.
 
     Binary columns yield levels "0"/"1"; categorical columns their string
-    levels; likelihood columns the seven equal-width bins over [1, 99].
-    Missing rows get index -1.  Returned labels cover only levels that
-    occur in the data (plus, for likelihood, all occupied bins).
+    levels in sorted order; likelihood columns the seven equal-width bins
+    over [1, 99].  Missing rows get index -1.  Returned labels cover only
+    levels that occur in the data.
     """
     spec = table.schema.column(variable)
     if spec.kind is ColumnKind.CONTINUOUS:
         raise ValidationError(
             f"{variable!r} is continuous; level-wise statistics need a discrete kind"
         )
-    if spec.kind is ColumnKind.LIKELIHOOD:
-        values = table.column(variable)
-        mask = np.isnan(values)
-        edges = _likelihood_bin_edges()
+    if spec.kind is ColumnKind.CATEGORICAL:
+        labels = sorted(spec.levels)
+        rank = np.array([labels.index(lvl) for lvl in spec.levels] + [-1])
+        return _occupied(rank[table.codes(variable)], np.array(labels, dtype=object))
+    values = table.column(variable)
+    if spec.kind is ColumnKind.BINARY:
+        raw = values
+        labels = np.array(["0", "1"], dtype=object)
+    else:
         # searchsorted puts x == edge into the left bin's right edge; shift
         # so bins are [lo, hi) with the last bin closed.
-        idx = np.searchsorted(edges, values, side="right") - 1
-        idx = np.clip(idx, 0, N_LIKELIHOOD_BINS - 1)
-        idx[mask] = -1
+        raw = np.searchsorted(_likelihood_bin_edges(), values, side="right") - 1
+        raw = np.clip(raw, 0, N_LIKELIHOOD_BINS - 1)
         labels = np.array(_likelihood_bin_labels(), dtype=object)
-        occupied = np.unique(idx[idx >= 0])
-        remap = -np.ones(N_LIKELIHOOD_BINS, dtype=int)
-        remap[occupied] = np.arange(len(occupied))
-        out = np.where(idx >= 0, remap[np.clip(idx, 0, None)], -1)
-        return labels[occupied], out
-    col = table.column(variable)
-    if spec.kind is ColumnKind.BINARY:
-        mask = np.isnan(col)
-        present = sorted(set(col[~mask].astype(int)))
-        labels = np.array([str(v) for v in present], dtype=object)
-        index = {v: i for i, v in enumerate(present)}
-        out = np.array(
-            [index[int(v)] if not np.isnan(v) else -1 for v in col], dtype=int
-        )
-        return labels, out
-    # categorical
-    mask = np.array([v is None for v in col], dtype=bool)
-    present = sorted({v for v in col if v is not None})
-    labels = np.array(present, dtype=object)
-    index = {v: i for i, v in enumerate(present)}
-    out = np.array([index[v] if v is not None else -1 for v in col], dtype=int)
-    return labels, out
+    return _occupied(np.where(np.isnan(values), -1, raw).astype(int), labels)
 
 
 def _level_class_counts(
@@ -482,28 +474,28 @@ def merge_levels(
     return mapping_from_groups()
 
 
-def apply_level_mapping(table: DataTable, mapping: LevelMapping) -> DataTable:
-    """Rewrite a categorical column through a level mapping, updating its spec.
+def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
+    """Rewrite categorical columns through level mappings, updating their specs.
 
-    Levels without an entry in the mapping are left as-is, so mappings
-    learned on one table can be applied to later tables that may carry
-    extra levels.
+    Every mapping is applied in one new table.  Levels without an entry
+    in a mapping are left as-is, so mappings learned on one table can be
+    applied to later tables that may carry extra levels.
     """
-    spec = table.schema.column(mapping.variable)
-    if spec.kind is not ColumnKind.CATEGORICAL:
-        raise ValidationError(f"{mapping.variable!r} is not categorical")
-    col = table.column(mapping.variable)
-    new_col = np.array(
-        [mapping.mapping.get(v, v) if v is not None else None for v in col],
-        dtype=object,
-    )
-    new_levels = tuple(sorted({mapping.mapping.get(v, v) for v in spec.levels}))
-    if len(new_levels) < 2:
-        raise ComputationError(
-            f"{mapping.variable!r}: merging collapsed the column to a single level"
-        )
-    new_spec = ColumnSpec(name=spec.name, kind=spec.kind, levels=new_levels)
-    return table.replace_column(mapping.variable, new_col, new_spec)
+    columns, specs = {}, []
+    for mapping in mappings:
+        spec = table.schema.column(mapping.variable)
+        if spec.kind is not ColumnKind.CATEGORICAL:
+            raise ValidationError(f"{mapping.variable!r} is not categorical")
+        merged = [mapping.mapping.get(lvl, lvl) for lvl in spec.levels]
+        new_levels = tuple(sorted(set(merged)))
+        if len(new_levels) < 2:
+            raise ComputationError(
+                f"{mapping.variable!r}: merging collapsed the column to a single level"
+            )
+        recode = np.array([new_levels.index(m) for m in merged] + [-1])
+        columns[spec.name] = recode[table.codes(spec.name)]
+        specs.append(ColumnSpec(name=spec.name, kind=spec.kind, levels=new_levels))
+    return table.replace_columns(columns, tuple(specs))
 
 
 def proportion_curve(
@@ -544,24 +536,6 @@ def proportion_curve(
             )
         )
     return points
-
-
-def export_proportion_curve(points: list[ProportionPoint], path) -> None:
-    """Write (level, count_signal, count_background, proportion) as CSV; undefined points get an empty proportion."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level", "count_signal", "count_background", "proportion"])
-        for p in points:
-            writer.writerow(
-                [
-                    p.level,
-                    p.count_signal,
-                    p.count_background,
-                    repr(p.proportion) if p.defined else "",
-                ]
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +649,12 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     for v in retained:
         if kind(v) is ColumnKind.CATEGORICAL:
             mapping = merge_levels(table, v, alpha=plan.level_merge_alpha)
-            report.level_mappings[v] = mapping
             if mapping.n_merged < 2:
                 report.warnings.append(
                     f"{v}: level merging collapsed the column to one level; dropped"
                 )
                 continue
+            report.level_mappings[v] = mapping
         final.append(v)
     if not final:
         raise ComputationError("final screening stage retained no variables")

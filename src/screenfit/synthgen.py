@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,34 +95,13 @@ class SyntheticSpec:
         return self.n_signal / self.n_records
 
     def to_dict(self) -> dict:
-        return {
-            "n_signal": self.n_signal,
-            "n_background": self.n_background,
-            "n_informative": self.n_informative,
-            "n_noise": self.n_noise,
-            "kind_mix": dict(self.kind_mix),
-            "beta_range": list(self.beta_range),
-            "missing_rate": self.missing_rate,
-            "seed": self.seed,
-            "n_correlated_pairs": self.n_correlated_pairs,
-            "correlated_r": self.correlated_r,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         try:
-            return cls(
-                n_signal=d["n_signal"],
-                n_background=d["n_background"],
-                n_informative=d["n_informative"],
-                n_noise=d["n_noise"],
-                kind_mix=dict(d["kind_mix"]),
-                beta_range=tuple(d.get("beta_range", (0.3, 1.5))),
-                missing_rate=d.get("missing_rate", 0.0),
-                seed=d.get("seed", 0),
-                n_correlated_pairs=d.get("n_correlated_pairs", 0),
-                correlated_r=d.get("correlated_r", 0.8),
-            )
+            beta_range = tuple(d.get("beta_range", cls.beta_range))
+            return cls(**d | {"kind_mix": dict(d["kind_mix"]), "beta_range": beta_range})
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed synthetic spec: {exc}") from exc
 
@@ -188,7 +167,7 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
         n_levels = int(structure.integers(3, len(CATEGORY_LABELS) + 1))
         levels = tuple(CATEGORY_LABELS[:n_levels])
         probs = structure.dirichlet(np.full(n_levels, 2.0))
-        columns[name] = records.choice(np.array(levels, dtype=object), size=n, p=probs)
+        columns[name] = records.choice(n_levels, size=n, p=probs)
         specs.append(ColumnSpec(name=name, kind=ColumnKind.CATEGORICAL, levels=levels))
         names_by_kind["categorical"].append(name)
     for i in range(counts["likelihood"]):
@@ -228,22 +207,15 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
             a, b = noise_cont[2 * p], noise_cont[2 * p + 1]
             columns[b] = r * columns[a] + math.sqrt(1.0 - r * r) * records.standard_normal(n)
 
-    # Latent score over standardized planted columns.
-    level_index = {
-        s.name: {lvl: float(j) for j, lvl in enumerate(s.levels)}
-        for s in specs
-        if s.kind is ColumnKind.CATEGORICAL
-    }
+    # Latent score over standardized planted columns; a categorical enters
+    # through its level codes.
     standardization: dict[str, tuple[float, float]] = {}
     latent = np.zeros(n)
     planted: dict[str, float] = {}
     lo, hi = spec.beta_range
     for name in planted_names:
         beta = float(structure.uniform(lo, hi)) * float(structure.choice([-1.0, 1.0]))
-        if name in level_index:
-            values = np.array([level_index[name][v] for v in columns[name]])
-        else:
-            values = columns[name].astype(float)
+        values = columns[name].astype(float)
         mean, std = float(values.mean()), float(values.std())
         if std == 0.0:
             raise ComputationError(

@@ -2,11 +2,14 @@
 
 A :class:`DataTable` owns one numpy array per column.  Numeric kinds
 (binary, likelihood-level, continuous) are stored as float64 with NaN as
-the missing marker; categorical columns are stored as object arrays of
-strings with None as the missing marker.  Tables are immutable after
-construction: every operation returns a new table (or the same object
-when nothing changed), and the backing arrays are marked read-only so
-they can be shared across threads.
+the missing marker.  A categorical column is stored as integer codes
+into its spec's declared level tuple, with -1 as the missing marker, so
+every stage works on categoricals with numpy expressions over the codes;
+only this module maps codes to level strings and back.  Tables are
+immutable after construction: every operation returns a new table (or
+the same object when nothing changed), and the backing arrays are marked
+read-only so they can be shared across threads and across tables -- a
+transform copies only the columns it changes.
 
 All randomness in this module (and in the rest of the package) comes
 from numpy's PCG64 generator seeded explicitly; the generator algorithm
@@ -22,6 +25,7 @@ name/kind/levels per column plus the target column name.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -53,7 +57,7 @@ class ColumnKind(str, Enum):
     CONTINUOUS = "continuous"
 
 
-NUMERIC_KINDS = (ColumnKind.BINARY, ColumnKind.LIKELIHOOD, ColumnKind.CONTINUOUS)
+IMPUTED_KINDS = (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD)
 
 
 @dataclass(frozen=True)
@@ -96,16 +100,16 @@ class TableSchema:
             raise ValidationError(f"target column {self.target!r} not in schema")
         if by_name[self.target].kind is not ColumnKind.BINARY:
             raise ValidationError(f"target column {self.target!r} must be binary")
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
     def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise ValidationError(f"no column named {name!r} in schema")
+        if name not in self._by_name:
+            raise ValidationError(f"no column named {name!r} in schema")
+        return self._by_name[name]
 
     @property
     def predictors(self) -> list[str]:
@@ -142,8 +146,57 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """A read-only array of the dtype: read-only input of that dtype is
+    shared as it is, anything else is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    return _freeze(np.array(values, dtype=dtype))
+
+
+def _level_codes(levels: tuple[str, ...], cells, missing: tuple) -> np.ndarray:
+    """Codes of cells into the levels: -1 for a missing marker, -2 for any
+    other value that is not a declared level."""
+    index = {lvl: i for i, lvl in enumerate(levels)} | dict.fromkeys(missing, -1)
+    return np.fromiter(
+        map(index.get, cells, itertools.repeat(-2)), dtype=np.intp, count=len(cells)
+    )
+
+
+def _stored(spec: ColumnSpec, values) -> np.ndarray:
+    """A column as the table stores it, read-only (see :class:`DataTable`)."""
+    if spec.kind is not ColumnKind.CATEGORICAL:
+        return _owned(values, np.float64)
+    cells = np.asarray(values)
+    if cells.dtype.kind in "iu":
+        codes = _owned(values, np.intp)
+    else:
+        codes = _freeze(_level_codes(spec.levels, cells, (None,)))
+    bad = np.flatnonzero((codes < -1) | (codes >= len(spec.levels)))
+    if len(bad):
+        raise ValidationError(
+            f"categorical column {spec.name!r}, row {bad[0]}: "
+            f"{cells[bad[0]]!r} is neither a declared level nor a level code"
+        )
+    return codes
+
+
 class DataTable:
     """Immutable columnar table; one array per schema column.
+
+    Binary, likelihood and continuous columns are float64 arrays with NaN
+    for a missing cell.  A categorical column is an array of int codes
+    into ``spec.levels``, with -1 for a missing cell: :meth:`codes`
+    returns them, and :meth:`column` decodes them to level strings with
+    None for a missing cell.  The constructor takes a categorical column
+    either as integer codes or as strings (None for missing); the dtype
+    decides which, and codes out of range or strings that are not
+    declared levels are rejected.
+
+    Every stored array is read-only.  The constructor shares a read-only
+    array of the stored dtype (float64, or intp for codes) instead of
+    copying it, so a transform hands over the columns it leaves alone,
+    and any new column it has frozen, without a copy.
 
     The target column must exist, be binary, and contain no missing
     values.  Both target classes being present is *not* required here --
@@ -158,10 +211,9 @@ class DataTable:
         if len(lengths) > 1:
             raise ValidationError(f"ragged columns: lengths {sorted(lengths)}")
         self.schema = schema
-        self._columns = {n: _freeze(np.array(columns[n])) for n in schema.names}
+        self._columns = {c.name: _stored(c, columns[c.name]) for c in schema.columns}
         self._n = lengths.pop() if lengths else 0
-        y = self._columns[schema.target]
-        if np.isnan(y.astype(float)).any():
+        if np.isnan(self._columns[schema.target]).any():
             raise ValidationError(f"target column {schema.target!r} has missing values")
 
     @property
@@ -169,8 +221,17 @@ class DataTable:
         return self._n
 
     def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise ValidationError(f"no column named {name!r}")
+        """The column's values; a categorical comes back decoded, as an
+        object array of level strings with None for missing cells."""
+        spec = self.schema.column(name)
+        if spec.kind is ColumnKind.CATEGORICAL:
+            return _freeze(np.array(spec.levels + (None,), dtype=object)[self._columns[name]])
+        return self._columns[name]
+
+    def codes(self, name: str) -> np.ndarray:
+        """A categorical column's codes into its declared levels, -1 for missing."""
+        if self.schema.column(name).kind is not ColumnKind.CATEGORICAL:
+            raise ValidationError(f"column {name!r} is not categorical")
         return self._columns[name]
 
     @property
@@ -179,11 +240,9 @@ class DataTable:
         return self._columns[self.schema.target].astype(int)
 
     def missing_mask(self, name: str) -> np.ndarray:
-        spec = self.schema.column(name)
-        col = self.column(name)
-        if spec.kind is ColumnKind.CATEGORICAL:
-            return np.array([v is None for v in col], dtype=bool)
-        return np.isnan(col)
+        if self.schema.column(name).kind is ColumnKind.CATEGORICAL:
+            return self._columns[name] < 0
+        return np.isnan(self._columns[name])
 
     def numeric_view(self, name: str) -> np.ndarray:
         """Column as float64 with NaN for missing.
@@ -192,34 +251,34 @@ class DataTable:
         columns are coded by their index in the declared level list (the
         conventional numeric recoding of character levels).
         """
-        spec = self.schema.column(name)
-        col = self.column(name)
-        if spec.kind is ColumnKind.CATEGORICAL:
-            index = {lvl: float(i) for i, lvl in enumerate(spec.levels)}
-            return np.array(
-                [index[v] if v is not None else np.nan for v in col], dtype=float
-            )
-        return col.astype(float)
+        kind = self.schema.column(name).kind
+        values = self._columns[name]
+        if kind is ColumnKind.CATEGORICAL:
+            return np.where(values < 0, np.nan, values)
+        return values.astype(float)
 
     def subset(self, rows: np.ndarray) -> "DataTable":
         """New table containing the given rows (original order preserved by the caller's index order)."""
         return DataTable(
-            self.schema, {n: self._columns[n][rows].copy() for n in self.schema.names}
+            self.schema, {n: _freeze(col[rows]) for n, col in self._columns.items()}
         )
 
-    def replace_column(self, name: str, values: np.ndarray, spec: ColumnSpec | None = None) -> "DataTable":
-        """New table with one column (and optionally its spec) replaced."""
-        if spec is None:
-            spec = self.schema.column(name)
-        if spec.name != name:
-            raise ValidationError("replacement spec must keep the column name")
-        cols = dict(self._columns)
-        cols[name] = np.asarray(values).copy()
-        new_schema = TableSchema(
-            columns=tuple(spec if c.name == name else c for c in self.schema.columns),
+    def replace_columns(
+        self, columns: dict[str, np.ndarray], specs: tuple[ColumnSpec, ...] = ()
+    ) -> "DataTable":
+        """New table with the given columns, and the specs given for any of
+        them, replaced; the other columns are shared, not copied.  Returns
+        this table when there is nothing to replace."""
+        new_specs = {spec.name: spec for spec in specs}
+        if not new_specs.keys() <= columns.keys():
+            raise ValidationError("a replacement spec must come with its column")
+        if not columns:
+            return self
+        schema = TableSchema(
+            columns=tuple(new_specs.get(c.name, c) for c in self.schema.columns),
             target=self.schema.target,
         )
-        return DataTable(new_schema, cols)
+        return DataTable(schema, self._columns | columns)
 
     def class_counts(self) -> tuple[int, int]:
         y = self.target_values
@@ -230,27 +289,55 @@ class DataTable:
 # CSV / sidecar I/O
 
 
-def _parse_cell(token: str, spec: ColumnSpec, row: int):
-    if token in MISSING_TOKENS:
-        return None if spec.kind is ColumnKind.CATEGORICAL else np.nan
+def _cell_error(token: str, spec: ColumnSpec) -> str | None:
+    """Why a token that is not a missing marker breaks its column's kind, or None."""
     if spec.kind is ColumnKind.CATEGORICAL:
-        if token not in spec.levels:
-            raise CellParseError(row, spec.name, token, "not a declared level")
-        return token
+        return None if token in spec.levels else "not a declared level"
     try:
         value = float(token)
     except ValueError:
-        raise CellParseError(row, spec.name, token, "not a number") from None
-    if spec.kind is ColumnKind.BINARY:
-        if value not in (0.0, 1.0):
-            raise CellParseError(row, spec.name, token, "binary values must be 0 or 1")
-    elif spec.kind is ColumnKind.LIKELIHOOD:
-        if value != int(value) or not (LIKELIHOOD_MIN <= value <= LIKELIHOOD_MAX):
-            raise CellParseError(
-                row, spec.name, token,
-                f"likelihood levels are integers in [{LIKELIHOOD_MIN}, {LIKELIHOOD_MAX}]",
-            )
-    return value
+        return "not a number"
+    if not math.isfinite(value):
+        return "not a finite number"
+    if spec.kind is ColumnKind.BINARY and value not in (0.0, 1.0):
+        return "binary values must be 0 or 1"
+    if spec.kind is ColumnKind.LIKELIHOOD and (
+        value != int(value) or not (LIKELIHOOD_MIN <= value <= LIKELIHOOD_MAX)
+    ):
+        return f"likelihood levels are integers in [{LIKELIHOOD_MIN}, {LIKELIHOOD_MAX}]"
+    return None
+
+
+def _in_domain(kind: ColumnKind, values: np.ndarray) -> np.ndarray:
+    """Which parsed values fit a numeric kind (the vector form of :func:`_cell_error`)."""
+    if kind is ColumnKind.BINARY:
+        return (values == 0.0) | (values == 1.0)
+    fits = np.isfinite(values)
+    if kind is ColumnKind.LIKELIHOOD:
+        fits &= (values == np.floor(values)) & (values >= LIKELIHOOD_MIN) & (values <= LIKELIHOOD_MAX)
+    return fits
+
+
+def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
+    """A column's tokens as the table stores them, plus the first row whose
+    token breaks the column's kind (None when every token fits)."""
+    if spec.kind is ColumnKind.CATEGORICAL:
+        codes = _level_codes(spec.levels, tokens, MISSING_TOKENS)
+        bad = np.flatnonzero(codes == -2)
+        return codes, int(bad[0]) if len(bad) else None
+    cells = np.array(tokens, dtype=object)
+    present = ~np.isin(cells, MISSING_TOKENS)
+    values = np.full(len(cells), np.nan)
+    try:
+        values[present] = cells[present].astype(float)
+    except ValueError:
+        first = next(
+            i for i, token in enumerate(tokens)
+            if token not in MISSING_TOKENS and _cell_error(token, spec)
+        )
+        return values, first
+    bad = np.flatnonzero(present & ~_in_domain(spec.kind, values))
+    return values, int(bad[0]) if len(bad) else None
 
 
 def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
@@ -258,8 +345,11 @@ def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
 
     The header row must equal the schema's column names, in order.  Empty
     cells and "NA" become the missing marker.  Any cell violating its
-    column kind raises :class:`CellParseError` naming the row, column,
-    and offending token.
+    column kind -- including a numeric cell that is not finite -- raises
+    :class:`CellParseError` naming the row, column, and offending token;
+    of several such cells the lowest row, then the leftmost column, is
+    named.  A row with the wrong number of cells raises
+    :class:`ValidationError` unless a bad cell comes before it.
     """
     path = Path(csv_path)
     if not path.exists():
@@ -276,24 +366,25 @@ def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
             )
         raw_rows = list(reader)
 
-    n = len(raw_rows)
-    parsed: dict[str, list] = {name: [] for name in schema.names}
-    for i, row in enumerate(raw_rows):
-        if len(row) != len(schema.columns):
-            raise ValidationError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(schema.columns)}"
-            )
-        for spec, token in zip(schema.columns, row):
-            parsed[spec.name].append(_parse_cell(token, spec, i))
-
+    width = len(schema.columns)
+    ragged = next((i for i, row in enumerate(raw_rows) if len(row) != width), None)
+    rows = raw_rows if ragged is None else raw_rows[:ragged]
+    cells = list(zip(*rows)) if rows else [()] * width
     columns = {}
-    for spec in schema.columns:
-        if spec.kind is ColumnKind.CATEGORICAL:
-            columns[spec.name] = np.array(parsed[spec.name], dtype=object)
-        else:
-            columns[spec.name] = np.array(parsed[spec.name], dtype=float)
-    del n
-    return DataTable(schema, columns)
+    bad_cells = []
+    for j, (spec, tokens) in enumerate(zip(schema.columns, cells)):
+        columns[spec.name], bad_row = _parse_column(spec, tokens)
+        if bad_row is not None:
+            bad_cells.append((bad_row, j))
+    if bad_cells:
+        row, j = min(bad_cells)
+        spec, token = schema.columns[j], cells[j][row]
+        raise CellParseError(row, spec.name, token, _cell_error(token, spec))
+    if ragged is not None:
+        raise ValidationError(
+            f"{path}: row {ragged} has {len(raw_rows[ragged])} cells, expected {width}"
+        )
+    return DataTable(schema, {name: _freeze(col) for name, col in columns.items()})
 
 
 def _format_cell(value, kind: ColumnKind) -> str:
@@ -341,6 +432,27 @@ def load_schema(path: str | Path) -> TableSchema:
 # Imputation
 
 
+def _median_filled(table: DataTable, specs) -> dict[str, np.ndarray]:
+    """Median-filled, read-only copies of the given columns that have gaps."""
+    filled = {}
+    for spec in specs:
+        values = table.column(spec.name)
+        mask = np.isnan(values)
+        if not mask.any():
+            continue
+        if mask.all():
+            raise ComputationError(
+                f"column {spec.name!r} has no non-missing values to impute from"
+            )
+        med = float(np.median(values[~mask]))
+        if spec.kind is ColumnKind.LIKELIHOOD:
+            med = float(np.clip(math.floor(med + 0.5), LIKELIHOOD_MIN, LIKELIHOOD_MAX))
+        col = values.copy()
+        col[mask] = med
+        filled[spec.name] = _freeze(col)
+    return filled
+
+
 def impute_median(table: DataTable, column: str) -> DataTable:
     """Replace missing cells with the median of the non-missing values.
 
@@ -350,25 +462,19 @@ def impute_median(table: DataTable, column: str) -> DataTable:
     columns are rejected; their imputation is out of scope.
     """
     spec = table.schema.column(column)
-    if spec.kind not in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
+    if spec.kind not in IMPUTED_KINDS:
         raise ValidationError(
             f"impute_median only applies to continuous or likelihood columns, "
             f"{column!r} is {spec.kind.value}"
         )
-    values = table.column(column)
-    mask = np.isnan(values)
-    if not mask.any():
-        return table
-    if mask.all():
-        raise ComputationError(
-            f"column {column!r} has no non-missing values to impute from"
-        )
-    med = float(np.median(values[~mask]))
-    if spec.kind is ColumnKind.LIKELIHOOD:
-        med = float(np.clip(math.floor(med + 0.5), LIKELIHOOD_MIN, LIKELIHOOD_MAX))
-    filled = values.copy()
-    filled[mask] = med
-    return table.replace_column(column, filled)
+    return table.replace_columns(_median_filled(table, [spec]))
+
+
+def impute_numeric_columns(table: DataTable) -> DataTable:
+    """Median-impute every continuous and likelihood column that has gaps,
+    as :func:`impute_median` does one column, building a single table."""
+    specs = [spec for spec in table.schema.columns if spec.kind in IMPUTED_KINDS]
+    return table.replace_columns(_median_filled(table, specs))
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +560,10 @@ def stratified_sample(
             f"{background_pool.n_records}"
         )
     rng = np.random.default_rng(seed)
-    sig_rows = rng.permutation(signal_pool.n_records)[:n_signal]
-    bkg_rows = rng.permutation(background_pool.n_records)[:n_background]
-    sig = signal_pool.subset(np.sort(sig_rows))
-    bkg = background_pool.subset(np.sort(bkg_rows))
-    schema = signal_pool.schema
-    columns = {}
-    for spec in schema.columns:
-        a, b = sig.column(spec.name), bkg.column(spec.name)
-        columns[spec.name] = np.concatenate([a, b])
-    return DataTable(schema, columns)
+    sig_rows = np.sort(rng.permutation(signal_pool.n_records)[:n_signal])
+    bkg_rows = np.sort(rng.permutation(background_pool.n_records)[:n_background])
+    columns = {
+        name: _freeze(np.concatenate([col[sig_rows], background_pool._columns[name][bkg_rows]]))
+        for name, col in signal_pool._columns.items()
+    }
+    return DataTable(signal_pool.schema, columns)

@@ -1,0 +1,74 @@
+"""Byte-stability of a small end-to-end run and of scoring a saved CSV.
+
+The digests pin every artifact of ``run_pipeline`` except the manifest
+(which holds timings), and the ``scores.csv`` that ``score_table_file``
+writes for a sibling sample saved with ``save_table``.  A change that is
+meant to leave outputs alone must leave these digests alone; a change
+that alters outputs on purpose records the new digests here and says why.
+"""
+
+import hashlib
+
+from screenfit.config import PipelineConfig
+from screenfit.pipeline import ARTIFACT_NAMES, run_pipeline, score_table_file
+from screenfit.synthgen import generate
+from screenfit.table import save_schema, save_table
+
+# 3000 rows x 60 predictors with categoricals and 5 % gaps; on this seed
+# level merging fuses levels and a categorical enters the model as dummies.
+CONFIG = {
+    "plan": {
+        "retain_after_chi2": 52,
+        "retain_after_t": 42,
+        "retain_after_iv": 28,
+        "final_retain": 12,
+    },
+    "split": {"frac": 0.6, "seed": 5},
+    "stepwise": {"p_enter": 0.05, "p_stay": 0.05},
+    "synthetic": {
+        "n_signal": 300,
+        "n_background": 2700,
+        "n_informative": 12,
+        "n_noise": 48,
+        "kind_mix": {"binary": 0.3, "categorical": 0.25, "likelihood": 0.2, "continuous": 0.25},
+        "missing_rate": 0.05,
+        "seed": 3,
+        "n_correlated_pairs": 2,
+    },
+}
+
+SCORED_SAMPLE_INDEX = 2
+
+GOLDEN = {
+    "screening_report.json": "dee2f42399891b081eba13e6d799f2fa2f83a7bb1ca63c13e4f6d5111cf85f76",
+    "cluster_report.json": "be0432fd59cbff5a1209ab51c9bb0fb3b3d0a3d65188eacd3a7213d0ecc30f02",
+    "model.json": "8f48525357728cf345a8c676ee64e88a92222d037d2b7078ecc6dca23c91a8e6",
+    "decile_table.csv": "423ca9b6c8784c86e3250962e3b49512028e62107fabe111c1055ac2d8aae3ce",
+    "confusion_report.json": "cf6e36ab86b97fcd6b9831216591be28d715338b934cf1f836bdaf9e5b0a3afb",
+    "charts.csv": "367d00a62c57d4196983e52f19c356b607ffbd58c69fa1519c778e768c3bcf23",
+    "scores.csv": "c88bfb73bb34802bff35cdaadd2abd65656bb0d8cddf9b9a6dea25a753ab7b5b",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pipeline_and_scoring_artifacts_are_byte_stable(tmp_path):
+    config = PipelineConfig.from_dict(CONFIG)
+    run_dir = tmp_path / "run"
+    result = run_pipeline(config, run_dir)
+    assert any(t.encoding == "dummy" for t in result.model.terms)
+    assert result.screening_report.level_mappings
+
+    sample, _ = generate(config.synthetic, sample_index=SCORED_SAMPLE_INDEX)
+    save_table(sample, tmp_path / "data.csv")
+    save_schema(sample.schema, tmp_path / "schema.json")
+    score_table_file(
+        run_dir / "model.json", tmp_path / "data.csv", tmp_path / "schema.json",
+        tmp_path / "scores.csv",
+    )
+
+    digests = {name: sha256(run_dir / name) for name in ARTIFACT_NAMES if name != "manifest.json"}
+    digests["scores.csv"] = sha256(tmp_path / "scores.csv")
+    assert digests == GOLDEN

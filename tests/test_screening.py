@@ -305,6 +305,44 @@ class TestMergeLevels:
         assert "b" not in set(out.column("c"))
 
 
+def collapsing_table():
+    """x and w carry the signal; c's two levels have near-equal target
+    rates, so it passes the IV band and then merges to a single level."""
+    rng = np.random.default_rng(0)
+    n = 400
+    y = (np.arange(n) % 4 == 0).astype(int)
+    x = y + rng.normal(0, 1, n)
+    c = np.full(n, "b", dtype=object)
+    c[np.flatnonzero(y == 1)[:52]] = "a"
+    c[np.flatnonzero(y == 0)[:148]] = "a"
+    columns = {
+        "x": x,
+        "w": x + rng.normal(0, 0.3, n),
+        "z": rng.normal(0, 1, n),
+        "c": c,
+        "b1": np.where(rng.random(n) < 0.1, 1 - y, y),
+        "b2": (rng.random(n) < 0.5).astype(int),
+        "y": y,
+    }
+    kinds = dict.fromkeys(("x", "w", "z"), ColumnKind.CONTINUOUS)
+    kinds |= {"c": ColumnKind.CATEGORICAL} | dict.fromkeys(("b1", "b2", "y"), ColumnKind.BINARY)
+    return make_table(columns, kinds)
+
+
+class TestCollapsedCategorical:
+    def test_dropped_variable_keeps_no_mapping(self):
+        table = collapsing_table()
+        plan = StagePlan(retain_after_chi2=5, retain_after_t=4, retain_after_iv=3,
+                         final_retain=2, iv_min=1e-6)
+        report = run_screening(table, plan)
+        assert "c" in report.stages[-2][1]
+        assert "c" not in report.final_variables
+        assert any(w.startswith("c: level merging collapsed") for w in report.warnings)
+        assert "c" not in report.level_mappings
+        out = apply_level_mapping(table, *report.level_mappings.values())
+        assert out.schema == table.schema
+
+
 class TestProportionCurve:
     def test_equal_shares_give_100(self):
         t = categorical_table({"a": (10, 10), "b": (30, 30)})

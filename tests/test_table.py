@@ -8,8 +8,10 @@ from screenfit.errors import CellParseError, ComputationError, ValidationError
 from screenfit.table import (
     ColumnKind,
     ColumnSpec,
+    DataTable,
     TableSchema,
     impute_median,
+    impute_numeric_columns,
     load_schema,
     load_table,
     save_schema,
@@ -59,19 +61,38 @@ class TestLoadTable:
             load_table(p, simple_schema)
 
     def test_unparseable_cell_names_row_column_token(self, tmp_path, simple_schema):
-        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,0,10,a,0\nbad,1,20,b,1\n")
-        with pytest.raises(CellParseError, match=r"row 1.*'x'.*'bad'"):
-            load_table(p, simple_schema)
+        # a continuous cell must be a finite number: "nan" is not a gap marker
+        for token in ("bad", "nan", "inf", "-inf", "1e400"):
+            p = write_csv(tmp_path / "d.csv", f"x,flag,lvl,cat,y\n1.0,0,10,a,0\n{token},1,20,b,1\n")
+            with pytest.raises(CellParseError, match=rf"row 1.*'x'.*'{token}'"):
+                load_table(p, simple_schema)
 
     def test_likelihood_out_of_range(self, tmp_path, simple_schema):
-        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,0,100,a,0\n")
-        with pytest.raises(CellParseError, match="lvl"):
-            load_table(p, simple_schema)
+        for token in ("100", "0", "2.5", "nan", "inf", "-inf"):
+            p = write_csv(tmp_path / "d.csv", f"x,flag,lvl,cat,y\n1.0,0,{token},a,0\n")
+            with pytest.raises(CellParseError, match=rf"row 0.*'lvl'.*'{token}'"):
+                load_table(p, simple_schema)
 
     def test_binary_must_be_zero_or_one(self, tmp_path, simple_schema):
-        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,2,10,a,0\n")
-        with pytest.raises(CellParseError, match="flag"):
-            load_table(p, simple_schema)
+        for token in ("2", "0.5", "nan", "inf"):
+            p = write_csv(tmp_path / "d.csv", f"x,flag,lvl,cat,y\n1.0,{token},10,a,0\n")
+            with pytest.raises(CellParseError, match=rf"row 0.*'flag'.*'{token}'"):
+                load_table(p, simple_schema)
+
+    def test_first_bad_cell_is_lowest_row_then_leftmost_column(self, tmp_path, simple_schema):
+        text = "x,flag,lvl,cat,y\n1.0,0,10,a,0\n2.0,0,10,zzz,1\nbad,3,10,a,0\n"
+        with pytest.raises(CellParseError, match=r"row 1.*'cat'.*'zzz'"):
+            load_table(write_csv(tmp_path / "d.csv", text), simple_schema)
+        text = "x,flag,lvl,cat,y\n1.0,0,10,a,0\n2.0,5,0,zzz,1\n"
+        with pytest.raises(CellParseError, match=r"row 1.*'flag'.*'5'"):
+            load_table(write_csv(tmp_path / "d.csv", text), simple_schema)
+        # a bad cell above a short row is reported first, and the other way round
+        text = "x,flag,lvl,cat,y\n1.0,0,10,zzz,0\n2.0,0,10\n"
+        with pytest.raises(CellParseError, match="zzz"):
+            load_table(write_csv(tmp_path / "d.csv", text), simple_schema)
+        text = "x,flag,lvl,cat,y\n2.0,0,10\n1.0,0,10,zzz,0\n"
+        with pytest.raises(ValidationError, match="row 0 has 3 cells"):
+            load_table(write_csv(tmp_path / "d.csv", text), simple_schema)
 
     def test_undeclared_categorical_level(self, tmp_path, simple_schema):
         p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,0,10,zzz,0\n")
@@ -82,6 +103,41 @@ class TestLoadTable:
         p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,0,10,a,\n")
         with pytest.raises(ValidationError, match="target"):
             load_table(p, simple_schema)
+
+
+class TestCategoricalStorage:
+    def schema(self):
+        return TableSchema(
+            columns=(
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("b", "a", "c")),
+                ColumnSpec("y", ColumnKind.BINARY),
+            ),
+            target="y",
+        )
+
+    def test_codes_and_strings_build_the_same_table(self):
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        from_codes = DataTable(self.schema(), {"cat": np.array([1, -1, 0, 2]), "y": y})
+        from_strings = DataTable(self.schema(), {"cat": ["a", None, "b", "c"], "y": y})
+        for t in (from_codes, from_strings):
+            assert t.codes("cat").tolist() == [1, -1, 0, 2]
+            assert t.column("cat").tolist() == ["a", None, "b", "c"]
+            assert t.missing_mask("cat").tolist() == [False, True, False, False]
+            np.testing.assert_array_equal(t.numeric_view("cat"), [1.0, np.nan, 0.0, 2.0])
+
+    def test_undeclared_string_rejected(self):
+        with pytest.raises(ValidationError, match=r"row 1.*'zzz'"):
+            DataTable(self.schema(), {"cat": ["a", "zzz"], "y": np.array([0.0, 1.0])})
+
+    def test_code_out_of_range_rejected(self):
+        for bad in (3, -2):
+            with pytest.raises(ValidationError, match="cat"):
+                DataTable(self.schema(), {"cat": np.array([0, bad]), "y": np.array([0.0, 1.0])})
+
+    def test_codes_of_a_numeric_column_rejected(self):
+        t = make_table({"x": [1.0, 2.0], "y": [0, 1]}, {"x": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY})
+        with pytest.raises(ValidationError, match="not categorical"):
+            t.codes("x")
 
 
 class TestRoundTrip:
@@ -125,6 +181,7 @@ class TestImputeMedian:
     def test_no_missing_returns_same_object(self):
         t = make_table({"x": [1.0, 2.0], "y": [0, 1]}, self.kinds())
         assert impute_median(t, "x") is t
+        assert impute_numeric_columns(t) is t
 
     def test_likelihood_rounds_half_up(self):
         t = make_table(
@@ -166,6 +223,34 @@ class TestImputeMedian:
         np.testing.assert_array_equal(
             once.column("x")[mask], np.array(values, dtype=float)[mask]
         )
+
+
+class TestImputeNumericColumns:
+    def test_matches_impute_median_column_by_column(self):
+        t = make_table(
+            {
+                "x": [1.0, np.nan, 4.0, 2.0],
+                "lik": [np.nan, 3.0, 4.0, np.nan],
+                "full": [1.0, 2.0, 3.0, 4.0],
+                "c": ["a", None, "b", "a"],
+                "y": [0, 1, 0, 1],
+            },
+            {
+                "x": ColumnKind.CONTINUOUS,
+                "lik": ColumnKind.LIKELIHOOD,
+                "full": ColumnKind.CONTINUOUS,
+                "c": ColumnKind.CATEGORICAL,
+                "y": ColumnKind.BINARY,
+            },
+        )
+        out = impute_numeric_columns(t)
+        reference = impute_median(impute_median(t, "x"), "lik")
+        for name in ("x", "lik", "full", "y"):
+            np.testing.assert_array_equal(out.column(name), reference.column(name))
+        assert out.column("lik").tolist() == [4.0, 3.0, 4.0, 4.0]  # 3.5 rounds half up
+        # columns without gaps, and categorical gaps, are left as they were
+        assert out.column("full") is t.column("full")
+        assert out.codes("c") is t.codes("c")
 
 
 class TestSplit:
