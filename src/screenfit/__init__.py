@@ -54,7 +54,6 @@ from .logit import (
     prune_collinear,
     sbc,
     stepwise_select,
-    wald_and_derived,
 )
 from .evaluation import (
     ConfusionMatrix,
@@ -72,4 +71,23 @@ from .synthgen import GroundTruth, SyntheticSpec, generate, oracle_metrics
 from .config import PipelineConfig, SplitConfig, StepwiseConfig, load_config
 from .pipeline import PipelineResult, run_pipeline
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CellParseError", "ComputationError", "ScreenfitError", "ValidationError",
+    "ColumnKind", "ColumnSpec", "DataTable", "SplitResult", "TableSchema",
+    "impute_median", "load_schema", "load_table", "save_schema", "save_table",
+    "split_train_validation", "stratified_sample",
+    "ChiSquareResult", "IvResult", "LevelMapping", "ProportionPoint",
+    "ScreeningReport", "StagePlan", "TTestResult", "apply_level_mapping",
+    "chi_square_binary", "merge_levels", "occupancy_filter", "proportion_curve",
+    "run_screening", "t_test_multivalued", "woe_iv",
+    "ClusterSelection", "CorrelationMatrix", "VariableCluster", "cluster_variables",
+    "correlation_matrix", "select_representatives",
+    "DesignMatrix", "LogisticModel", "StepwiseTrace", "Term", "encode_design",
+    "fit_irls", "global_null_lr", "log_likelihood", "prune_collinear", "sbc",
+    "stepwise_select",
+    "ConfusionMatrix", "DecileRow", "Metrics", "ScoreSet", "assign_deciles",
+    "confusion_matrix", "decile_table", "export_chart_data", "metrics", "score",
+    "GroundTruth", "SyntheticSpec", "generate", "oracle_metrics",
+    "PipelineConfig", "SplitConfig", "StepwiseConfig", "load_config",
+    "PipelineResult", "run_pipeline",
+]

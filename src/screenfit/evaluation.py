@@ -209,15 +209,3 @@ def export_chart_data(deciles: list[DecileRow], out_path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CHART_COLUMNS)
         writer.writerows(chart_rows(deciles))
-
-
-def confusion_to_dict(cm: ConfusionMatrix, m: Metrics) -> dict:
-    return {
-        "tp": cm.tp,
-        "fp": cm.fp,
-        "tn": cm.tn,
-        "fn": cm.fn,
-        "accuracy": m.accuracy,
-        "sensitivity": m.sensitivity,
-        "specificity": m.specificity,
-    }

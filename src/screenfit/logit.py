@@ -9,6 +9,12 @@ the deviance never increases, a small ridge jitter on the information
 matrix for rank safety, and a complete-separation warning when any
 coefficient runs past +-30.
 
+A fitted model stores only what the fit produces: coefficients,
+standard errors, log-likelihood, record count and convergence facts.
+The Wald chi-square, its p-value, exp(estimate), the standardized
+estimate and the SBC are properties derived from those fields, so they
+are computed once, only when read, and cannot disagree with the fit.
+
 Selection is forward with backward elimination: a candidate enters when
 its single-term likelihood-ratio p-value clears p_enter AND the entry
 lowers the Schwarz Bayesian criterion; in-model terms whose Wald p-value
@@ -20,7 +26,8 @@ whichever member scores better on held-out decile statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -69,12 +76,7 @@ class Term:
         return self.source
 
     def to_dict(self) -> dict:
-        d: dict = {"source": self.source, "encoding": self.encoding}
-        if self.encoding == STANDARDIZED:
-            d["mean"], d["std"] = self.mean, self.std
-        elif self.encoding == DUMMY:
-            d["level"], d["reference"] = self.level, self.reference
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Term":
@@ -98,6 +100,8 @@ class DesignMatrix:
             )
         if not np.isin(self.y, (0, 1)).all():
             raise ValidationError("response values must be 0 or 1")
+        if not np.isfinite(self.X).all():
+            raise ValidationError("design matrix has a non-finite cell")
 
     @property
     def n(self) -> int:
@@ -116,23 +120,18 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Fitted coefficients and their derived statistics.
+    """Fitted coefficients and the statistics derived from them.
 
-    Arrays are aligned as [intercept, term_0, term_1, ...].  The
-    standardized estimate is the coefficient itself for standardized
-    terms and None for the intercept, flags, and dummies, which are not
-    on a common scale.
+    The fields are what the fit produces; ``wald``, ``p_values``,
+    ``exp_est``, ``standardized_estimate`` and ``sbc`` are computed from
+    them on first read and cached.  Arrays are aligned as [intercept,
+    term_0, term_1, ...].
     """
 
     terms: tuple[Term, ...]
     beta: np.ndarray
     se: np.ndarray
-    wald: np.ndarray
-    p_values: np.ndarray
-    standardized_estimate: tuple[float | None, ...]
-    exp_est: np.ndarray
     log_likelihood: float
-    sbc: float
     n: int
     converged: bool
     iterations: int
@@ -142,6 +141,34 @@ class LogisticModel:
     @property
     def k_params(self) -> int:
         return len(self.beta)
+
+    @cached_property
+    def sbc(self) -> float:
+        return sbc(self.log_likelihood, self.k_params, self.n)
+
+    @cached_property
+    def wald(self) -> np.ndarray:
+        """(beta/se)^2, or +inf where the standard error is zero."""
+        se_ok = self.se > 0
+        return np.where(se_ok, (self.beta / np.where(se_ok, self.se, 1.0)) ** 2, np.inf)
+
+    @cached_property
+    def p_values(self) -> np.ndarray:
+        """Upper tail of chi-square(1) at the Wald statistic."""
+        return stats.chi2.sf(self.wald, df=1)
+
+    @cached_property
+    def exp_est(self) -> np.ndarray:
+        return np.exp(self.beta)
+
+    @cached_property
+    def standardized_estimate(self) -> tuple[float | None, ...]:
+        """The coefficient of each standardized term; None for the intercept,
+        flags and dummies, which are not on a common scale."""
+        return (None,) + tuple(
+            float(b) if t.encoding == STANDARDIZED else None
+            for t, b in zip(self.terms, self.beta[1:])
+        )
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(X @ self.beta)
@@ -287,11 +314,6 @@ def log_likelihood(design: DesignMatrix, beta: np.ndarray) -> tuple[float, np.nd
     return logL, gradient, hessian
 
 
-def _logL_only(design: DesignMatrix, beta: np.ndarray) -> float:
-    p = np.clip(_sigmoid(design.X @ beta), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.sum(design.y * np.log(p) + (1 - design.y) * np.log(1.0 - p)))
-
-
 def sbc(logL: float, k_params: int, n: int) -> float:
     """Schwarz Bayesian criterion, -2*logL + k*ln(n); lower is better."""
     if n < 1:
@@ -311,8 +333,10 @@ def fit_irls(
     Stops when the largest coefficient update falls below tol; halves the
     step whenever it would decrease the log-likelihood.  Standard errors
     come from the inverse of the ridge-jittered information matrix.  On
-    hitting max_iter the model is returned with converged=False rather
-    than raising.
+    hitting max_iter, or when 40 halvings find no step that does not
+    lower the log-likelihood, the model at the last accepted point is
+    returned with converged=False rather than raising; the second case
+    also adds a warning.
     """
     k = design.X.shape[1]
     if design.n <= k:
@@ -325,6 +349,7 @@ def fit_irls(
     beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     logL, gradient, hessian = log_likelihood(design, beta)
     deviances = [-2.0 * logL]
+    warnings = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -336,19 +361,20 @@ def fit_irls(
         step = 1.0
         for _ in range(40):
             candidate = beta + step * delta
-            cand_logL = _logL_only(design, candidate)
-            if cand_logL >= logL - 1e-10:
+            evaluated = log_likelihood(design, candidate)
+            if evaluated[0] >= logL - 1e-10:
                 break
             step /= 2.0
         else:
-            # No improving step exists; treat the current point as final.
-            converged = True
+            warnings.append(
+                f"step halving found no step that does not lower the log-likelihood "
+                f"at iteration {iterations}; the fit stopped unconverged"
+            )
             break
         beta = candidate
-        moved = float(np.max(np.abs(step * delta)))
-        logL, gradient, hessian = log_likelihood(design, beta)
+        logL, gradient, hessian = evaluated
         deviances.append(-2.0 * logL)
-        if moved < tol:
+        if float(np.max(np.abs(step * delta))) < tol:
             converged = True
             break
 
@@ -359,50 +385,22 @@ def fit_irls(
         raise ComputationError(f"singular information matrix: {exc}") from exc
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
-    warnings = []
     if np.any(np.abs(beta) > SEPARATION_BETA):
         warnings.append(
             "possible complete or quasi-complete separation: a coefficient "
             f"exceeds |{SEPARATION_BETA:g}|"
         )
 
-    model = LogisticModel(
+    return LogisticModel(
         terms=design.terms,
         beta=beta,
         se=se,
-        wald=np.zeros(k),
-        p_values=np.ones(k),
-        standardized_estimate=(None,) * k,
-        exp_est=np.ones(k),
         log_likelihood=logL,
-        sbc=sbc(logL, k, design.n),
         n=design.n,
         converged=converged,
         iterations=iterations,
         warnings=tuple(warnings),
         deviance_path=tuple(deviances),
-    )
-    return wald_and_derived(model)
-
-
-def wald_and_derived(model: LogisticModel) -> LogisticModel:
-    """Fill Wald chi-square, p-values, exp(estimate), and standardized estimates.
-
-    wald = (beta/se)^2 with p from the chi-square(1) upper tail; the
-    standardized estimate is reported only for standardized terms.
-    """
-    with np.errstate(divide="ignore"):
-        wald = np.where(model.se > 0, (model.beta / np.where(model.se > 0, model.se, 1.0)) ** 2, np.inf)
-    p = stats.chi2.sf(wald, df=1)
-    std_est: list[float | None] = [None]
-    for term, b in zip(model.terms, model.beta[1:]):
-        std_est.append(float(b) if term.encoding == STANDARDIZED else None)
-    return replace(
-        model,
-        wald=wald,
-        p_values=p,
-        exp_est=np.exp(model.beta),
-        standardized_estimate=tuple(std_est),
     )
 
 
@@ -618,25 +616,21 @@ def model_to_dict(model: LogisticModel) -> dict:
 
 
 def model_from_dict(d: dict) -> LogisticModel:
+    """Rebuild a model from the dict that ``model_to_dict`` writes.
+
+    Only the stored fields are read: terms, estimates, standard errors,
+    log-likelihood, n and the convergence facts.  The Wald chi-square,
+    p-value, exp(estimate), standardized estimate and SBC columns of
+    ``model.json`` are report columns; they are recomputed from the
+    stored fields, not read.
+    """
     try:
         rows = d["rows"]
-        terms = tuple(Term.from_dict(r["term"]) for r in rows[1:])
-        beta = np.array([r["estimate"] for r in rows])
-        se = np.array([r["std_error"] for r in rows])
-        wald = np.array([r["wald_chi_square"] for r in rows])
-        p = np.array([r["p_value"] for r in rows])
-        std_est = tuple(r["standardized_estimate"] for r in rows)
-        exp_est = np.array([r["exp_estimate"] for r in rows])
         return LogisticModel(
-            terms=terms,
-            beta=beta,
-            se=se,
-            wald=wald,
-            p_values=p,
-            standardized_estimate=std_est,
-            exp_est=exp_est,
+            terms=tuple(Term.from_dict(r["term"]) for r in rows[1:]),
+            beta=np.array([r["estimate"] for r in rows]),
+            se=np.array([r["std_error"] for r in rows]),
             log_likelihood=d["log_likelihood"],
-            sbc=d["sbc"],
             n=d["n"],
             converged=d["converged"],
             iterations=d["iterations"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +27,6 @@ from .evaluation import (
     ScoreSet,
     chart_rows,
     confusion_matrix,
-    confusion_to_dict,
     decile_table,
     export_chart_data,
     metrics,
@@ -112,25 +111,29 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     # --- data
     if config.synthetic is not None:
         table, _truth = clocked("generate", lambda: generate(config.synthetic))
-        # Out-of-sample sibling: same data-generating process, fresh records.
-        oos_table, _ = generate(config.synthetic, sample_index=1)
-        if config.out_of_sample is not None:
-            oos_table = _load_input(
-                config.out_of_sample.csv, config.out_of_sample.schema
-            )
     else:
         table = clocked(
             "load", lambda: _load_input(config.input.csv, config.input.schema)
         )
-        oos_table = (
-            _load_input(config.out_of_sample.csv, config.out_of_sample.schema)
-            if config.out_of_sample is not None
-            else None
+    if config.out_of_sample is not None:
+        oos_table = clocked(
+            "out_of_sample_load",
+            lambda: _load_input(config.out_of_sample.csv, config.out_of_sample.schema),
         )
+    elif config.synthetic is not None:
+        # Out-of-sample sibling: same data-generating process, fresh records.
+        oos_table, _ = clocked(
+            "out_of_sample_generate",
+            lambda: generate(config.synthetic, sample_index=1),
+        )
+    else:
+        oos_table = None
 
     table = clocked("impute", lambda: impute_numeric_columns(table))
     if oos_table is not None:
-        oos_table = impute_numeric_columns(oos_table)
+        oos_table = clocked(
+            "out_of_sample_impute", lambda: impute_numeric_columns(oos_table)
+        )
 
     # --- screening (includes clustering, occupancy, level merging)
     report = clocked("screening", lambda: run_screening(table, config.plan))
@@ -180,15 +183,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             for v, m in sorted(report.level_mappings.items())
         },
         "global_null": gnull,
-        "stepwise_trace": [
-            {
-                "action": s.action,
-                "term": s.term,
-                "p_value": s.p_value,
-                "sbc_after": s.sbc_after,
-            }
-            for s in trace.steps
-        ],
+        "stepwise_trace": [asdict(step) for step in trace.steps],
     }
     _write_json(model_doc, out / "model.json")
 
@@ -205,7 +200,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         score_sets[name] = ss
         deciles[name] = decile_table(ss)
         cm = confusion_matrix(ss, config.threshold)
-        confusion[name] = confusion_to_dict(cm, metrics(cm))
+        confusion[name] = asdict(cm) | asdict(metrics(cm))
     timings["evaluate"] = round(time.perf_counter() - t0, 6)
 
     export_chart_data(deciles["validation"], out / "decile_table.csv")

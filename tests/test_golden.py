@@ -5,14 +5,24 @@ The digests pin every artifact of ``run_pipeline`` except the manifest
 writes for a sibling sample saved with ``save_table``.  A change that is
 meant to leave outputs alone must leave these digests alone; a change
 that alters outputs on purpose records the new digests here and says why.
+The same run's ``model.json`` is also read back: rewriting it from the
+loaded model gives the same document, and the loaded model scores the
+out-of-sample table exactly as the run did.
 """
 
 import hashlib
+import json
+
+import numpy as np
+import pytest
 
 from screenfit.config import PipelineConfig
-from screenfit.pipeline import ARTIFACT_NAMES, run_pipeline, score_table_file
+from screenfit.evaluation import score
+from screenfit.logit import model_from_dict, model_to_dict
+from screenfit.pipeline import ARTIFACT_NAMES, load_model_file, run_pipeline, score_table_file
+from screenfit.screening import apply_level_mapping
 from screenfit.synthgen import generate
-from screenfit.table import save_schema, save_table
+from screenfit.table import impute_numeric_columns, save_schema, save_table
 
 # 3000 rows x 60 predictors with categoricals and 5 % gaps; on this seed
 # level merging fuses levels and a categorical enters the model as dummies.
@@ -54,10 +64,15 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_pipeline_and_scoring_artifacts_are_byte_stable(tmp_path):
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
     config = PipelineConfig.from_dict(CONFIG)
-    run_dir = tmp_path / "run"
-    result = run_pipeline(config, run_dir)
+    run_dir = tmp_path_factory.mktemp("golden") / "run"
+    return config, run_dir, run_pipeline(config, run_dir)
+
+
+def test_pipeline_and_scoring_artifacts_are_byte_stable(golden_run, tmp_path):
+    config, run_dir, result = golden_run
     assert any(t.encoding == "dummy" for t in result.model.terms)
     assert result.screening_report.level_mappings
 
@@ -72,3 +87,15 @@ def test_pipeline_and_scoring_artifacts_are_byte_stable(tmp_path):
     digests = {name: sha256(run_dir / name) for name in ARTIFACT_NAMES if name != "manifest.json"}
     digests["scores.csv"] = sha256(tmp_path / "scores.csv")
     assert digests == GOLDEN
+
+
+def test_model_file_round_trips_and_scores_like_the_run(golden_run):
+    config, run_dir, result = golden_run
+    with open(run_dir / "model.json", encoding="utf-8") as fh:
+        doc = json.load(fh)["model"]
+    assert model_to_dict(model_from_dict(doc)) == doc
+
+    model, _target, mappings = load_model_file(run_dir / "model.json")
+    oos, _ = generate(config.synthetic, sample_index=1)
+    oos = apply_level_mapping(impute_numeric_columns(oos), *mappings.values())
+    np.testing.assert_array_equal(score(model, oos).p, result.score_sets["out_of_sample"].p)

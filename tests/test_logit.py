@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from screenfit import logit
 from screenfit.errors import ComputationError, ValidationError
 from screenfit.logit import (
     DesignMatrix,
+    LogisticModel,
     Term,
     encode_design,
     fit_irls,
@@ -17,7 +19,6 @@ from screenfit.logit import (
     prune_collinear,
     sbc,
     stepwise_select,
-    wald_and_derived,
 )
 from screenfit.table import ColumnKind
 
@@ -219,6 +220,34 @@ class TestFitIrls:
         np.testing.assert_allclose(m1.beta, m2.beta, atol=1e-8)
         np.testing.assert_allclose(m1.wald, m2.wald, rtol=1e-6)
 
+    def test_non_finite_design_rejected(self):
+        x = np.linspace(-1.0, 1.0, 20)
+        y = (np.arange(20) % 2).astype(int)
+        for bad in (np.nan, np.inf, -np.inf):
+            x_bad = x.copy()
+            x_bad[3] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                design_from_arrays([x_bad], y)
+
+    def test_exhausted_step_halving_reports_unconverged(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        design = random_design(rng, 100, 2)
+        real = logit.log_likelihood
+        calls = []
+
+        def never_improves(d, beta):
+            logL, gradient, hessian = real(d, beta)
+            calls.append(beta)
+            return (logL if len(calls) == 1 else logL - 1.0), gradient, hessian
+
+        monkeypatch.setattr(logit, "log_likelihood", never_improves)
+        model = fit_irls(design)
+        assert not model.converged
+        assert any("step halving" in w for w in model.warnings)
+        np.testing.assert_array_equal(model.beta, np.zeros(3))
+        assert len(calls) == 1 + 40
+        assert model.deviance_path == (-2.0 * real(design, np.zeros(3))[0],)
+
     def test_needs_more_rows_than_columns(self):
         design = design_from_arrays([np.array([1.0, 2.0])], np.array([0, 1]))
         with pytest.raises(ValidationError):
@@ -240,15 +269,13 @@ class TestFitIrls:
 class TestWaldAndDerived:
     def model_with(self, beta, se):
         k = len(beta)
-        return wald_and_derived(
-            _bare_model(
-                terms=tuple(
-                    Term(source=f"v{i}", encoding="standardized", mean=0.0, std=1.0)
-                    for i in range(k - 1)
-                ),
-                beta=np.array(beta),
-                se=np.array(se),
-            )
+        return _bare_model(
+            terms=tuple(
+                Term(source=f"v{i}", encoding="standardized", mean=0.0, std=1.0)
+                for i in range(k - 1)
+            ),
+            beta=np.array(beta),
+            se=np.array(se),
         )
 
     def test_printed_table_style_case(self):
@@ -269,29 +296,28 @@ class TestWaldAndDerived:
             Term(source="f", encoding="flag"),
             Term(source="c", encoding="dummy", level="b", reference="a"),
         )
-        model = wald_and_derived(
-            _bare_model(terms=terms, beta=np.array([0.1, 0.4, -0.2, 0.3]), se=np.ones(4))
-        )
+        model = _bare_model(terms=terms, beta=np.array([0.1, 0.4, -0.2, 0.3]), se=np.ones(4))
         assert model.standardized_estimate[0] is None  # intercept
         assert model.standardized_estimate[1] == pytest.approx(0.4)
         assert model.standardized_estimate[2] is None  # flag
         assert model.standardized_estimate[3] is None  # dummy
 
+    def test_zero_standard_error_gives_infinite_wald(self):
+        model = self.model_with([0.5, 1.0], [0.1, 0.0])
+        assert model.wald[1] == np.inf
+        assert model.p_values[1] == 0.0
+
+    def test_sbc_follows_log_likelihood_and_size(self):
+        model = self.model_with([0.5, 1.0], [0.1, 0.2])
+        assert model.sbc == sbc(-1.0, 2, 100)
+
 
 def _bare_model(terms, beta, se):
-    from screenfit.logit import LogisticModel
-
-    k = len(beta)
     return LogisticModel(
         terms=terms,
         beta=beta,
         se=se,
-        wald=np.zeros(k),
-        p_values=np.ones(k),
-        standardized_estimate=(None,) * k,
-        exp_est=np.ones(k),
         log_likelihood=-1.0,
-        sbc=0.0,
         n=100,
         converged=True,
         iterations=1,
