@@ -26,11 +26,11 @@ whichever member scores better on held-out decile statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ComputationError, ValidationError
 from .table import ColumnKind, DataTable
@@ -98,7 +98,7 @@ class DesignMatrix:
                 f"design shape {self.X.shape} does not match "
                 f"{len(self.y)} rows x {len(self.terms)} terms + intercept"
             )
-        if not np.isin(self.y, (0, 1)).all():
+        if not ((self.y == 0) | (self.y == 1)).all():
             raise ValidationError("response values must be 0 or 1")
         if not np.isfinite(self.X).all():
             raise ValidationError("design matrix has a non-finite cell")
@@ -108,7 +108,14 @@ class DesignMatrix:
         return len(self.y)
 
     def select(self, indices: list[int]) -> "DesignMatrix":
-        """Sub-design with the intercept plus the given term indices, in order."""
+        """Sub-design with the intercept plus the given term indices, in order.
+
+        The sub-design's X is column-major (``X[:, cols]`` is
+        F-contiguous).  The layout is part of the numerics: the matrix
+        products in ``log_likelihood`` accumulate in an order that follows
+        the memory layout, so a fit on a row-major copy of the same values
+        can differ in the last bits.
+        """
         cols = [0] + [i + 1 for i in indices]
         return DesignMatrix(
             terms=tuple(self.terms[i] for i in indices),
@@ -155,7 +162,7 @@ class LogisticModel:
     @cached_property
     def p_values(self) -> np.ndarray:
         """Upper tail of chi-square(1) at the Wald statistic."""
-        return stats.chi2.sf(self.wald, df=1)
+        return special.chdtrc(1, self.wald)
 
     @cached_property
     def exp_est(self) -> np.ndarray:
@@ -286,12 +293,10 @@ def encode_design(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so no
+    exp overflows; exp(-|z|) is exactly exp(-z) or exp(z) on each side."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_likelihood(design: DesignMatrix, beta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -307,7 +312,9 @@ def log_likelihood(design: DesignMatrix, beta: np.ndarray) -> tuple[float, np.nd
         )
     p = _sigmoid(design.X @ beta)
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    logL = float(np.sum(design.y * np.log(pc) + (1 - design.y) * np.log(1.0 - pc)))
+    # y is 0/1, so each term is the one log that y*log(pc) + (1-y)*log(1-pc)
+    # keeps; the other only added a signed zero.
+    logL = float(np.sum(np.log(np.where(design.y == 1, pc, 1.0 - pc))))
     gradient = design.X.T @ (design.y - p)
     w = p * (1.0 - p)
     hessian = -(design.X.T * w) @ design.X
@@ -347,13 +354,14 @@ def fit_irls(
         raise ValidationError("response has a single class; cannot fit")
 
     beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    jitter = ridge * np.eye(k)
     logL, gradient, hessian = log_likelihood(design, beta)
     deviances = [-2.0 * logL]
     warnings = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        info = -hessian + ridge * np.eye(k)
+        info = -hessian + jitter
         try:
             delta = np.linalg.solve(info, gradient)
         except np.linalg.LinAlgError as exc:
@@ -378,7 +386,7 @@ def fit_irls(
             converged = True
             break
 
-    info = -hessian + ridge * np.eye(k)
+    info = -hessian + jitter
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
@@ -430,6 +438,27 @@ class StepwiseTrace:
         return current
 
 
+def _candidate_designs(design: DesignMatrix, current: list[int]):
+    """Yield (j, design.select(current + [j])) for every term j not in current.
+
+    The intercept and current columns are copied once into a column-major
+    buffer with one spare column, and each candidate only writes its own
+    column into the spare one; the layout matches ``select``, so fits are
+    bit-identical.  Every yielded design shares the buffer, so it is valid
+    only until the next one is drawn.
+    """
+    buf = np.empty((design.n, len(current) + 2), order="F")
+    buf[:, :-1] = design.X[:, [0] + [i + 1 for i in current]]
+    terms = tuple(design.terms[i] for i in current)
+    for j in range(len(design.terms)):
+        if j in current:
+            continue
+        buf[:, -1] = design.X[:, j + 1]
+        yield j, DesignMatrix(
+            terms=terms + (design.terms[j],), X=buf, y=design.y, warnings=design.warnings
+        )
+
+
 def stepwise_select(
     design: DesignMatrix,
     p_enter: float = 0.01,
@@ -442,7 +471,9 @@ def stepwise_select(
     single-term likelihood-ratio p-value (ties: SBC, then term name), and
     enters the best candidate only if p < p_enter and the SBC drops.
     After every change, in-model terms with Wald p > p_stay are removed,
-    worst first.  Stops when a full pass changes nothing.
+    worst first.  Stops when a full pass changes nothing, or after
+    2 x (number of candidate terms) passes; a model stopped by that cap
+    carries a warning.
     """
     if not design.terms:
         raise ValidationError("need at least one candidate term")
@@ -455,14 +486,11 @@ def stepwise_select(
 
             if max_terms is None or len(current) < max_terms:
                 best = None
-                for j in range(len(design.terms)):
-                    if j in current:
-                        continue
-                    trial = current + [j]
-                    warm = np.append(cur_model.beta, 0.0)
-                    model_j = fit_irls(design.select(trial), beta0=warm)
+                warm = np.append(cur_model.beta, 0.0)
+                for j, trial in _candidate_designs(design, current):
+                    model_j = fit_irls(trial, beta0=warm)
                     lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
-                    p = float(stats.chi2.sf(lr, df=1))
+                    p = float(special.chdtrc(1, lr))
                     key = (p, model_j.sbc, design.terms[j].name)
                     if best is None or key < best[0]:
                         best = (key, j, model_j, p)
@@ -495,6 +523,13 @@ def stepwise_select(
 
             if not changed:
                 break
+        else:
+            cur_model = replace(
+                cur_model,
+                warnings=cur_model.warnings
+                + (f"stepwise stopped at its cap of {2 * len(design.terms)} passes "
+                   "while the model was still changing",),
+            )
     except ComputationError as exc:
         exc.trace = StepwiseTrace(steps=tuple(steps))  # type: ignore[attr-defined]
         raise
@@ -579,7 +614,9 @@ def global_null_lr(model: LogisticModel, design: DesignMatrix) -> dict:
     return {
         "statistic": float(statistic),
         "df": k,
-        "p_value": float(stats.chi2.sf(statistic, df=k)),
+        # chdtrc is NaN below 0, where the chi-square tail is 1; a fit at the
+        # null can land a rounding error under logL0.
+        "p_value": float(special.chdtrc(k, max(statistic, 0.0))),
     }
 
 

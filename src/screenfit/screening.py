@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import varclus
 from .errors import ComputationError, ValidationError
@@ -302,7 +302,7 @@ def chi_square_binary(table: DataTable, variable: str, target: str | None = None
         )
     expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
     statistic = float(((obs - expected) ** 2 / expected).sum())
-    p = float(stats.chi2.sf(statistic, df=1))
+    p = float(special.chdtrc(1, statistic))
     return ChiSquareResult(variable=variable, statistic=statistic, df=1, p_value=p)
 
 
@@ -464,7 +464,7 @@ def merge_levels(
                     best = (key, i, j)
         _, i, j = best
         statistic = _pair_chi_square(counts1[i], counts0[i], counts1[j], counts0[j])
-        p = float(stats.chi2.sf(statistic, df=1))
+        p = float(special.chdtrc(1, statistic))
         if p <= alpha:
             break
         groups[i] = groups[i] + groups[j]

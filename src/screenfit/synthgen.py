@@ -138,6 +138,29 @@ def _kind_counts(mix: dict[str, float], total: int) -> dict[str, int]:
     return floors
 
 
+def _calibrate_intercept(count, want: int) -> float:
+    """Bisect [-MAX_INTERCEPT, MAX_INTERCEPT] for an intercept c with
+    count(c) >= want, where count is non-decreasing in c; returns the upper end.
+
+    The search runs up to 200 rounds but stops at the first round that
+    moves neither end (by then the ends are adjacent floats): every later
+    round would repeat it, so the result is that of all 200 rounds.
+    """
+    lo_c, hi_c = -MAX_INTERCEPT, MAX_INTERCEPT
+    if count(lo_c) > want or count(hi_c) < want:
+        raise ComputationError("intercept calibration infeasible for this spec")
+    for _ in range(200):
+        ends = (lo_c, hi_c)
+        mid = 0.5 * (lo_c + hi_c)
+        if count(mid) < want:
+            lo_c = mid
+        else:
+            hi_c = mid
+        if (lo_c, hi_c) == ends:
+            break
+    return hi_c
+
+
 def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, GroundTruth]:
     """Draw a table plus its ground truth; deterministic given spec and index.
 
@@ -233,16 +256,7 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     def count(c: float) -> int:
         return int(np.sum(u < _sigmoid(c + latent)))
 
-    lo_c, hi_c = -MAX_INTERCEPT, MAX_INTERCEPT
-    if count(lo_c) > want or count(hi_c) < want:
-        raise ComputationError("intercept calibration infeasible for this spec")
-    for _ in range(200):
-        mid = 0.5 * (lo_c + hi_c)
-        if count(mid) < want:
-            lo_c = mid
-        else:
-            hi_c = mid
-    intercept = hi_c
+    intercept = _calibrate_intercept(count, want)
     y = (u < _sigmoid(intercept + latent)).astype(float)
     realized = float(y.mean())
     if abs(realized - spec.target_prevalence) > 0.01:

@@ -420,6 +420,22 @@ class TestStepwise:
         model, _ = stepwise_select(design, max_terms=2)
         assert len(model.terms) <= 2
 
+    def test_pass_cap_is_reported(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(400)
+        x = (x - x.mean()) / x.std()
+        y = (rng.random(400) < 1 / (1 + np.exp(-0.35 * x))).astype(int)
+        design = design_from_arrays([x], y)
+        # the term enters at p < 0.05 and leaves at Wald p > 1e-9, every pass
+        model, trace = stepwise_select(design, p_enter=0.05, p_stay=1e-9)
+        assert [s.action for s in trace.steps] == ["enter", "remove"] * 2
+        assert model.warnings == (
+            "stepwise stopped at its cap of 2 passes while the model was still changing",
+        )
+        model, trace = stepwise_select(design, p_enter=0.05, p_stay=0.05)
+        assert [s.action for s in trace.steps] == ["enter"]
+        assert model.warnings == ()
+
     def test_argmax_wald_stable_under_column_reorder(self):
         rng = np.random.default_rng(600)
         cols = [rng.standard_normal(1500) for _ in range(4)]
@@ -525,6 +541,22 @@ class TestGlobalNull:
         assert res["statistic"] == pytest.approx(2 * (model.log_likelihood - logL0), rel=1e-12)
 
 
+    def test_p_value_is_one_below_zero(self):
+        # chdtrc is NaN at a negative statistic, where the chi-square tail is 1
+        from scipy import stats as sps
+
+        design = random_design(np.random.default_rng(6), 50, 1)
+        pbar = design.y.mean()
+        logL0 = design.n * (pbar * math.log(pbar) + (1 - pbar) * math.log(1 - pbar))
+        model = LogisticModel(
+            terms=design.terms, beta=np.zeros(2), se=np.ones(2),
+            log_likelihood=logL0 - 1e-9, n=design.n, converged=True, iterations=1,
+        )
+        res = global_null_lr(model, design)
+        assert res["statistic"] < 0.0
+        assert res["p_value"] == sps.chi2.sf(res["statistic"], df=1) == 1.0
+
+
 class TestModelSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -537,3 +569,68 @@ class TestModelSerialization:
         assert back.term_names() == model.term_names()
         assert back.sbc == model.sbc
         assert back.standardized_estimate == model.standardized_estimate
+
+
+def masked_sigmoid(z):
+    """The two-pass formula _sigmoid replaced."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestKernels:
+    """Bitwise checks of the kernels against the formulas they replaced."""
+
+    def test_chdtrc_is_chi2_sf(self):
+        from scipy import special, stats as sps
+
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1e300, np.inf],
+            rng.exponential(3.0, 20_000),
+            rng.uniform(0.0, 200.0, 20_000),
+        ])
+        for df in (1, 3, 7, 24):
+            np.testing.assert_array_equal(special.chdtrc(df, x), sps.chi2.sf(x, df=df))
+
+    def test_sigmoid_matches_masked_formula(self):
+        rng = np.random.default_rng(8)
+        z = np.concatenate([
+            [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 37.0, -37.0],
+            rng.normal(0.0, 10.0, 20_000),
+            rng.standard_cauchy(2_000),
+        ])
+        out = logit._sigmoid(z)
+        np.testing.assert_array_equal(out, masked_sigmoid(z))
+        assert not np.signbit(out).any()
+
+    def test_log_likelihood_matches_two_log_sum(self):
+        rng = np.random.default_rng(9)
+        for scale in (0.1, 1.0, 40.0):  # the last saturates p and hits the clamp
+            design = random_design(rng, 500, 4)
+            for y in (design.y, design.y.astype(float)):
+                d = DesignMatrix(terms=design.terms, X=design.X, y=y)
+                beta = rng.normal(0.0, scale, 5)
+                pc = np.clip(masked_sigmoid(d.X @ beta), logit.PROB_CLAMP, 1 - logit.PROB_CLAMP)
+                old = float(np.sum(y * np.log(pc) + (1 - y) * np.log(1.0 - pc)))
+                assert log_likelihood(d, beta)[0] == old
+
+    @pytest.mark.parametrize("current", [[], [3], [3, 0]])
+    def test_candidate_designs_match_select(self, current):
+        design = planted_design(np.random.default_rng(10), 600, 5)
+        warm = np.append(fit_irls(design.select(current)).beta, 0.0)
+        drawn = []
+        for j, sub in logit._candidate_designs(design, current):
+            ref = design.select(current + [j])
+            assert sub.terms == ref.terms
+            assert sub.X.flags.f_contiguous and ref.X.flags.f_contiguous
+            np.testing.assert_array_equal(sub.X, ref.X)
+            got, want = fit_irls(sub, beta0=warm), fit_irls(ref, beta0=warm)
+            np.testing.assert_array_equal(got.beta, want.beta)
+            np.testing.assert_array_equal(got.se, want.se)
+            assert got.log_likelihood == want.log_likelihood
+            drawn.append(j)
+        assert drawn == [j for j in range(6) if j not in current]
