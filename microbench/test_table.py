@@ -1,0 +1,75 @@
+"""Micro-benchmarks of the table layers: CSV parse, imputation, split, varclus.
+
+The table is a generated sample of 4000 rows and 150 predictors of all
+four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
+less than half its rows.  Clustering runs on the correlations of every
+other predictor (60 of them, all four kinds) down to 20 clusters, the
+size of the ``tall`` workload's clustering stage.  The directory is
+outside the tier-1 ``testpaths``; run it with
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-only
+"""
+
+import numpy as np
+import pytest
+
+from screenfit import varclus
+from screenfit.synthgen import SyntheticSpec, generate
+from screenfit.table import (
+    IMPUTED_KINDS,
+    impute_numeric_columns,
+    load_table,
+    save_table,
+    split_train_validation,
+)
+
+SPEC = SyntheticSpec(
+    n_signal=400,
+    n_background=3600,
+    n_informative=20,
+    n_noise=130,
+    kind_mix={"binary": 0.3, "categorical": 0.2, "likelihood": 0.2, "continuous": 0.3},
+    missing_rate=0.05,
+    seed=20210903,
+)
+N_CLUSTERED, N_CLUSTERS = 60, 20
+
+
+@pytest.fixture(scope="module")
+def table():
+    return generate(SPEC)[0]
+
+
+@pytest.fixture(scope="module")
+def csv_path(table, tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "data.csv"
+    save_table(table, path)
+    return path
+
+
+def test_load_table(benchmark, table, csv_path):
+    loaded = benchmark(load_table, csv_path, table.schema)
+    assert loaded.n_records == table.n_records
+
+
+def test_impute_numeric_columns(benchmark, table):
+    imputed = benchmark(impute_numeric_columns, table)
+    assert not any(
+        imputed.missing_mask(c.name).any()
+        for c in table.schema.columns
+        if c.kind in IMPUTED_KINDS
+    )
+
+
+def test_split_train_validation(benchmark, table):
+    split = benchmark(split_train_validation, table, 0.6, 1)
+    assert split.train.n_records + split.validation.n_records == table.n_records
+
+
+def test_cluster_variables(benchmark, table):
+    imputed = impute_numeric_columns(table)
+    names = imputed.schema.predictors[::2][:N_CLUSTERED]
+    values = np.column_stack([imputed.numeric_view(name) for name in names])
+    corr = varclus.correlation_matrix_from_array(values, names)
+    clusters = benchmark(varclus.cluster_variables, corr, n_clusters=N_CLUSTERS)
+    assert len(clusters) == N_CLUSTERS

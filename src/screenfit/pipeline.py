@@ -2,13 +2,18 @@
 
 Stages run strictly in order: median imputation of numeric columns, the
 screening cascade (which internally clusters survivors and selects
-representatives), application of the learned categorical level merges,
-the stratified train/validation split, design encoding with training
-statistics, stepwise selection, collinearity pruning against the
-validation set, and scoring of train, validation, and the out-of-sample
-table.  Each stage's outputs land in the run directory as plain JSON or
-CSV; the manifest written last lists every artifact (timings live only
-there, so all other files are byte-stable across identical runs).
+representatives), the cut of the table to the screened variables plus
+the target, the out-of-sample table (loaded or generated, cut to the
+same columns, imputed from itself), application of the learned
+categorical level merges, the stratified train/validation split, design
+encoding with training statistics, stepwise selection, collinearity
+pruning against the validation set, and scoring of train, validation,
+and the out-of-sample table.  The training table is cut before the
+out-of-sample one is made, so at most one full-width table is alive at a
+time, and no artifact is written before both tables exist.  Each stage's
+outputs land in the run directory as plain JSON or CSV; the manifest
+written last lists every artifact (timings live only there, so all other
+files are byte-stable across identical runs).
 """
 
 from __future__ import annotations
@@ -115,6 +120,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         table = clocked(
             "load", lambda: _load_input(config.input.csv, config.input.schema)
         )
+    table = clocked("impute", lambda: impute_numeric_columns(table))
+
+    # --- screening (includes clustering, occupancy, level merging)
+    report = clocked("screening", lambda: run_screening(table, config.plan))
+    final_vars = report.final_variables
+    # Only the screened columns are read from here on; cutting to them
+    # frees the full-width table before the out-of-sample one is made.
+    table = table.select_columns(final_vars)
+
+    # --- out-of-sample table, before any artifact is written
     if config.out_of_sample is not None:
         oos_table = clocked(
             "out_of_sample_load",
@@ -128,22 +143,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         )
     else:
         oos_table = None
-
-    table = clocked("impute", lambda: impute_numeric_columns(table))
     if oos_table is not None:
+        oos_table = oos_table.select_columns(final_vars)
         oos_table = clocked(
             "out_of_sample_impute", lambda: impute_numeric_columns(oos_table)
         )
+        oos_table = _apply_mappings(oos_table, report.level_mappings)
 
-    # --- screening (includes clustering, occupancy, level merging)
-    report = clocked("screening", lambda: run_screening(table, config.plan))
     _write_json(report.to_dict(), out / "screening_report.json")
     _write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
-
-    final_vars = report.final_variables
     table = _apply_mappings(table, report.level_mappings)
-    if oos_table is not None:
-        oos_table = _apply_mappings(oos_table, report.level_mappings)
 
     # --- split and encode
     split = clocked(

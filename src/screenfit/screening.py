@@ -29,6 +29,7 @@ from .table import (
     ColumnKind,
     ColumnSpec,
     DataTable,
+    _freeze,
 )
 
 N_LIKELIHOOD_BINS = 7
@@ -493,7 +494,7 @@ def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
                 f"{mapping.variable!r}: merging collapsed the column to a single level"
             )
         recode = np.array([new_levels.index(m) for m in merged] + [-1])
-        columns[spec.name] = recode[table.codes(spec.name)]
+        columns[spec.name] = _freeze(recode[table.codes(spec.name)])
         specs.append(ColumnSpec(name=spec.name, kind=spec.kind, levels=new_levels))
     return table.replace_columns(columns, tuple(specs))
 

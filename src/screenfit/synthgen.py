@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .evaluation import ScoreSet
 from .logit import _sigmoid
-from .table import ColumnKind, ColumnSpec, DataTable, TableSchema
+from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze
 
 KINDS = ("binary", "categorical", "likelihood", "continuous")
 
@@ -166,7 +166,9 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
 
     sample_index 0 is the primary table; any other index yields a fresh,
     structurally identical sample (same column parameters, same planted
-    variables and coefficients) suitable for out-of-sample testing.
+    variables and coefficients) suitable for out-of-sample testing.  The
+    table shares the arrays built here (read-only) instead of copying
+    them, so the columns exist once in memory.
     """
     if sample_index < 0:
         raise ValidationError("sample_index must be >= 0")
@@ -271,14 +273,12 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
                 mask = records.random(n) < spec.missing_rate
                 if mask.all():
                     mask[0] = False  # keep the column imputable
-                col = columns[name].copy()
-                col[mask] = np.nan
-                columns[name] = col
+                columns[name][mask] = np.nan
 
     specs.append(ColumnSpec(name=TARGET_NAME, kind=ColumnKind.BINARY))
     columns[TARGET_NAME] = y
     schema = TableSchema(columns=tuple(specs), target=TARGET_NAME)
-    table = DataTable(schema, columns)
+    table = DataTable(schema, {name: _freeze(col) for name, col in columns.items()})
     truth = GroundTruth(
         planted=planted,
         intercept=intercept,

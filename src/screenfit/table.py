@@ -280,6 +280,17 @@ class DataTable:
         )
         return DataTable(schema, self._columns | columns)
 
+    def select_columns(self, names) -> "DataTable":
+        """New table with only the named columns and the target, in schema
+        order; the arrays are shared, not copied.  An unknown name raises
+        :class:`ValidationError`."""
+        keep = {self.schema.column(name).name for name in names} | {self.schema.target}
+        schema = TableSchema(
+            columns=tuple(c for c in self.schema.columns if c.name in keep),
+            target=self.schema.target,
+        )
+        return DataTable(schema, {name: self._columns[name] for name in keep})
+
     def class_counts(self) -> tuple[int, int]:
         y = self.target_values
         return int((y == 0).sum()), int((y == 1).sum())

@@ -160,28 +160,42 @@ def _top_eigenpairs(sub: np.ndarray, k: int = 2):
     return w[:k], v[:, :k]
 
 
-def _pc1_correlations(corr: np.ndarray, members: list[int]) -> np.ndarray:
+class _BlockEigen:
+    """The top two eigenpairs of member blocks of one correlation matrix,
+    memoized per member tuple: splitting and reassignment revisit the same
+    blocks many times, and the same block always gives the same pairs."""
+
+    def __init__(self, corr: np.ndarray):
+        self.corr = corr
+        self._memo: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, members: list[int], k: int):
+        key = tuple(members)
+        if key not in self._memo:
+            self._memo[key] = _top_eigenpairs(self.corr[np.ix_(members, members)], k=2)
+        w, v = self._memo[key]
+        return w[:k], v[:, :k]
+
+
+def _pc1_correlations(eigen: _BlockEigen, members: list[int]) -> np.ndarray:
     """Correlation of every variable with the first PC of the member block."""
-    sub = corr[np.ix_(members, members)]
-    w, v = _top_eigenpairs(sub, k=1)
+    w, v = eigen(members, k=1)
     lam = float(w[0])
     if lam <= DEGENERACY_TOL:
         raise ComputationError("degenerate cluster: leading eigenvalue is zero")
-    return (corr[:, members] @ v[:, 0]) / np.sqrt(lam)
+    return (eigen.corr[:, members] @ v[:, 0]) / np.sqrt(lam)
 
 
-def _second_eigenvalue(corr: np.ndarray, members: list[int]) -> float:
+def _second_eigenvalue(eigen: _BlockEigen, members: list[int]) -> float:
     if len(members) < 2:
         return 0.0
-    sub = corr[np.ix_(members, members)]
-    w, _ = _top_eigenpairs(sub, k=2)
+    w, _ = eigen(members, k=2)
     return float(w[1])
 
 
-def _split_cluster(corr: np.ndarray, members: list[int]) -> tuple[list[int], list[int]]:
+def _split_cluster(eigen: _BlockEigen, members: list[int]) -> tuple[list[int], list[int]]:
     """Two-way split along the first two principal components."""
-    sub = corr[np.ix_(members, members)]
-    w, v = _top_eigenpairs(sub, k=2)
+    w, v = eigen(members, k=2)
     lam1, lam2 = float(w[0]), float(w[1])
     r2_pc1 = lam1 * v[:, 0] ** 2
     r2_pc2 = lam2 * v[:, 1] ** 2
@@ -195,11 +209,10 @@ def _split_cluster(corr: np.ndarray, members: list[int]) -> tuple[list[int], lis
     return a, b
 
 
-def _reassign(corr: np.ndarray, clusters: list[list[int]]) -> list[list[int]]:
+def _reassign(eigen: _BlockEigen, clusters: list[list[int]]) -> list[list[int]]:
     """Move each variable to the cluster whose first PC it correlates with most; repeat until stable."""
-    n = corr.shape[0]
     for _ in range(REASSIGN_CAP):
-        comps = np.column_stack([_pc1_correlations(corr, c) for c in clusters]) ** 2
+        comps = np.column_stack([_pc1_correlations(eigen, c) for c in clusters]) ** 2
         assign = np.argmax(comps, axis=1)
         new_clusters = [sorted(np.flatnonzero(assign == k).tolist()) for k in range(len(clusters))]
         new_clusters = [c for c in new_clusters if c]
@@ -229,7 +242,7 @@ def cluster_variables(
     threshold is ignored.
     """
     names = corr.names
-    R = corr.values
+    eigen = _BlockEigen(corr.values)
     k = len(names)
     if n_clusters is not None and not (1 <= n_clusters <= k):
         raise ValidationError(f"n_clusters must be in [1, {k}], got {n_clusters}")
@@ -238,7 +251,7 @@ def cluster_variables(
     def pick_worst() -> int | None:
         """Index of the splittable cluster with the largest second eigenvalue."""
         candidates = [
-            (-_second_eigenvalue(R, c), min(names[i] for i in c), idx)
+            (-_second_eigenvalue(eigen, c), min(names[i] for i in c), idx)
             for idx, c in enumerate(clusters)
             if len(c) >= 2
         ]
@@ -255,19 +268,19 @@ def cluster_variables(
         worst = pick_worst()
         if worst is None:
             break
-        a, b = _split_cluster(R, clusters[worst])
+        a, b = _split_cluster(eigen, clusters[worst])
         clusters = clusters[:worst] + [a, b] + clusters[worst + 1 :]
-        clusters = _reassign(R, clusters)
+        clusters = _reassign(eigen, clusters)
 
     clusters = _canonical(clusters, names)
     out = []
     for c in clusters:
-        loadings = _pc1_correlations(R, c)[c]
+        loadings = _pc1_correlations(eigen, c)[c]
         out.append(
             VariableCluster(
                 members=tuple(names[i] for i in c),
                 pc1_loadings=tuple(float(x) for x in loadings),
-                second_eigenvalue=_second_eigenvalue(R, c),
+                second_eigenvalue=_second_eigenvalue(eigen, c),
             )
         )
     return out
@@ -285,9 +298,9 @@ def select_representatives(
     """
     if not clusters:
         raise ValidationError("need at least one cluster")
-    R = corr.values
+    eigen = _BlockEigen(corr.values)
     member_idx = [[corr.index(v) for v in c.members] for c in clusters]
-    pc1_corr = np.column_stack([_pc1_correlations(R, m) for m in member_idx]) ** 2
+    pc1_corr = np.column_stack([_pc1_correlations(eigen, m) for m in member_idx]) ** 2
 
     scores: list[VariableScore] = []
     for k, cluster in enumerate(clusters):

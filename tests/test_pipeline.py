@@ -1,5 +1,10 @@
+import tracemalloc
+
+import pytest
+
 import screenfit.pipeline as pipeline
 from screenfit.config import PipelineConfig
+from screenfit.errors import CellParseError
 from screenfit.synthgen import generate
 from screenfit.table import save_schema, save_table
 
@@ -43,3 +48,56 @@ def test_out_of_sample_file_replaces_the_generated_sibling(tmp_path, monkeypatch
 def test_generated_sibling_is_timed(tmp_path):
     result = pipeline.run_pipeline(PipelineConfig.from_dict(CONFIG), tmp_path / "run")
     assert {"out_of_sample_generate", "out_of_sample_impute"} <= result.manifest["timings"].keys()
+
+
+def test_bad_out_of_sample_cell_leaves_no_artifact(tmp_path):
+    spec = PipelineConfig.from_dict(CONFIG).synthetic
+    oos, _ = generate(spec, sample_index=2)
+    save_table(oos, tmp_path / "oos.csv")
+    save_schema(oos.schema, tmp_path / "oos_schema.json")
+    lines = (tmp_path / "oos.csv").read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[0] = "oops"
+    lines[5] = ",".join(cells)
+    (tmp_path / "oos.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_of_sample = {"csv": str(tmp_path / "oos.csv"), "schema": str(tmp_path / "oos_schema.json")}
+    config = PipelineConfig.from_dict(CONFIG | {"out_of_sample": out_of_sample})
+
+    with pytest.raises(CellParseError, match="oops"):
+        pipeline.run_pipeline(config, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+WIDE_CONFIG = {
+    "plan": {"retain_after_chi2": 260, "retain_after_t": 140, "retain_after_iv": 60, "final_retain": 12},
+    "synthetic": {
+        "n_signal": 60,
+        "n_background": 540,
+        "n_informative": 10,
+        "n_noise": 290,
+        "kind_mix": {"binary": 0.25, "categorical": 0.3, "likelihood": 0.2, "continuous": 0.25},
+        "missing_rate": 0.05,
+        "seed": 3,
+    },
+}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_full_width_table_at_a_time(tmp_path):
+    """Generate holds the columns once, and the pipeline cuts the training
+    table to the screened columns before it makes the out-of-sample one."""
+    config = PipelineConfig.from_dict(WIDE_CONFIG)
+    (table, _), generate_peak = _traced_peak(lambda: generate(config.synthetic))
+    table_bytes = sum(table._columns[name].nbytes for name in table.schema.names)
+    del table
+    _, pipeline_peak = _traced_peak(lambda: pipeline.run_pipeline(config, tmp_path / "run"))
+    assert generate_peak < 1.25 * table_bytes
+    assert pipeline_peak < 2 * table_bytes

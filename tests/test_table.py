@@ -140,6 +140,26 @@ class TestCategoricalStorage:
             t.codes("x")
 
 
+class TestSelectColumns:
+    def test_keeps_schema_order_and_the_target(self, binary_target_table):
+        cut = binary_target_table.select_columns(["group", "flag"])
+        assert cut.schema.names == ["flag", "group", "y"]
+        assert cut.schema.target == "y"
+        assert cut.schema.column("group") == binary_target_table.schema.column("group")
+        assert cut.n_records == binary_target_table.n_records
+        assert binary_target_table.select_columns([]).schema.names == ["y"]
+
+    def test_shares_the_source_arrays(self, binary_target_table):
+        cut = binary_target_table.select_columns(["amount", "group"])
+        for name in ("amount", "y"):
+            assert np.shares_memory(cut.column(name), binary_target_table.column(name))
+        assert np.shares_memory(cut.codes("group"), binary_target_table.codes("group"))
+
+    def test_unknown_name_rejected(self, binary_target_table):
+        with pytest.raises(ValidationError, match="'nope'"):
+            binary_target_table.select_columns(["flag", "nope"])
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path, simple_schema):
         csv_in = write_csv(

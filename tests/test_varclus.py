@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from screenfit import varclus
 from screenfit.errors import ComputationError
 from screenfit.table import ColumnKind
 from screenfit.varclus import (
@@ -148,6 +149,37 @@ class TestClusterVariables:
         perm_reps = select_representatives(cluster_variables(corr_p), corr_p).representatives()
         assert base == permuted
         assert sorted(base_reps) == sorted(perm_reps)
+
+
+class TestEigenMemo:
+    def test_each_block_is_decomposed_once_with_unchanged_clusters(self, monkeypatch):
+        data = block_data(seed=5, sizes=(3, 3, 4, 2))
+        corr = correlation_matrix_from_array(data, [f"v{i}" for i in range(12)])
+        original_eigenpairs = varclus._top_eigenpairs
+        original_call = varclus._BlockEigen.__call__
+        decompositions, requested = [], []
+
+        def counting_eigenpairs(sub, k=2):
+            decompositions.append(sub.shape[0])
+            return original_eigenpairs(sub, k)
+
+        def recording_call(self, members, k):
+            requested.append(tuple(members))
+            return original_call(self, members, k)
+
+        monkeypatch.setattr(varclus, "_top_eigenpairs", counting_eigenpairs)
+        monkeypatch.setattr(varclus._BlockEigen, "__call__", recording_call)
+        memoized = cluster_variables(corr, n_clusters=6)
+        assert len(decompositions) == len(set(requested)) < len(requested)
+
+        def unmemoized_call(self, members, k):
+            return varclus._top_eigenpairs(self.corr[np.ix_(members, members)], k)
+
+        decompositions.clear()
+        monkeypatch.setattr(varclus._BlockEigen, "__call__", unmemoized_call)
+        reference = cluster_variables(corr, n_clusters=6)
+        assert len(decompositions) == len(requested)
+        assert memoized == reference
 
 
 def _pc1_corr(R, members, v):
