@@ -4,8 +4,10 @@ The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
 less than half its rows.  Clustering runs on the correlations of every
 other predictor (60 of them, all four kinds) down to 20 clusters, the
-size of the ``tall`` workload's clustering stage.  The directory is
-outside the tier-1 ``testpaths``; run it with
+size of the ``tall`` workload's clustering stage.  The pairwise-complete
+correlations run on the numeric views of all 150 predictors with 5 %
+gaps in every column, discrete kinds included, as a loaded CSV can have
+them.  The directory is outside the tier-1 ``testpaths``; run it with
 
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 """
@@ -73,3 +75,13 @@ def test_cluster_variables(benchmark, table):
     corr = varclus.correlation_matrix_from_array(values, names)
     clusters = benchmark(varclus.cluster_variables, corr, n_clusters=N_CLUSTERS)
     assert len(clusters) == N_CLUSTERS
+
+
+def test_correlation_matrix_with_gaps(benchmark, table):
+    imputed = impute_numeric_columns(table)
+    names = imputed.schema.predictors
+    values = np.column_stack([imputed.numeric_view(name) for name in names])
+    rng = np.random.default_rng(SPEC.seed)
+    values[rng.random(values.shape) < SPEC.missing_rate] = np.nan
+    corr = benchmark(varclus.correlation_matrix_from_array, values, names)
+    assert corr.values.shape == (len(names), len(names))

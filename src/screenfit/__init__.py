@@ -15,13 +15,11 @@ from .table import (
     save_schema,
     save_table,
     split_train_validation,
-    stratified_sample,
 )
 from .screening import (
     ChiSquareResult,
     IvResult,
     LevelMapping,
-    ProportionPoint,
     ScreeningReport,
     StagePlan,
     TTestResult,
@@ -29,7 +27,6 @@ from .screening import (
     chi_square_binary,
     merge_levels,
     occupancy_filter,
-    proportion_curve,
     run_screening,
     t_test_multivalued,
     woe_iv,
@@ -39,7 +36,6 @@ from .varclus import (
     CorrelationMatrix,
     VariableCluster,
     cluster_variables,
-    correlation_matrix,
     select_representatives,
 )
 from .logit import (
@@ -75,13 +71,12 @@ __all__ = [
     "CellParseError", "ComputationError", "ScreenfitError", "ValidationError",
     "ColumnKind", "ColumnSpec", "DataTable", "SplitResult", "TableSchema",
     "impute_median", "load_schema", "load_table", "save_schema", "save_table",
-    "split_train_validation", "stratified_sample",
-    "ChiSquareResult", "IvResult", "LevelMapping", "ProportionPoint",
-    "ScreeningReport", "StagePlan", "TTestResult", "apply_level_mapping",
-    "chi_square_binary", "merge_levels", "occupancy_filter", "proportion_curve",
-    "run_screening", "t_test_multivalued", "woe_iv",
+    "split_train_validation",
+    "ChiSquareResult", "IvResult", "LevelMapping", "ScreeningReport", "StagePlan",
+    "TTestResult", "apply_level_mapping", "chi_square_binary", "merge_levels",
+    "occupancy_filter", "run_screening", "t_test_multivalued", "woe_iv",
     "ClusterSelection", "CorrelationMatrix", "VariableCluster", "cluster_variables",
-    "correlation_matrix", "select_representatives",
+    "select_representatives",
     "DesignMatrix", "LogisticModel", "StepwiseTrace", "Term", "encode_design",
     "fit_irls", "global_null_lr", "log_likelihood", "prune_collinear", "sbc",
     "stepwise_select",

@@ -196,10 +196,7 @@ class LogisticModel:
 
 
 def encode_design(
-    table: DataTable,
-    variables: list[str],
-    target: str | None = None,
-    template: tuple[Term, ...] | None = None,
+    table: DataTable, variables: list[str], template: tuple[Term, ...] | None = None
 ) -> DesignMatrix:
     """Build the model design from screened, fully imputed variables.
 
@@ -211,8 +208,7 @@ def encode_design(
     their stored statistics; a categorical level unseen in training maps
     to the reference (all dummies zero) with a warning.
     """
-    target = target or table.schema.target
-    y = table.column(target).astype(int)
+    y = table.target_values
 
     used = list(variables) if template is None else sorted({t.source for t in template})
     for v in used:
@@ -562,7 +558,8 @@ def prune_collinear(
     the training design, refit once without each member of the worst pair
     and keep the refit with the higher first-decile cumulative captured
     response on the validation data (ties: first-decile lift, then the
-    surviving term's Wald chi-square, then term name).
+    surviving term's Wald chi-square, then term name).  A refit model
+    carries the incoming model's warnings, then its own, without repeats.
     """
     from .evaluation import ScoreSet, decile_table
 
@@ -599,7 +596,11 @@ def prune_collinear(
                 ((-captured, -lift, -survivor_wald, survivor), kept, refit)
             )
         _, current, cur_model = min(candidates)
-    return cur_model
+    if cur_model is model:
+        return model
+    return replace(
+        cur_model, warnings=tuple(dict.fromkeys(model.warnings + cur_model.warnings))
+    )
 
 
 def global_null_lr(model: LogisticModel, design: DesignMatrix) -> dict:

@@ -30,6 +30,7 @@ from .errors import ComputationError, ValidationError
 from .evaluation import (
     CHART_COLUMNS,
     ScoreSet,
+    assign_deciles,
     chart_rows,
     confusion_matrix,
     decile_table,
@@ -81,6 +82,15 @@ def _apply_mappings(table: DataTable, mappings: dict[str, LevelMapping]) -> Data
     return apply_level_mapping(
         table, *(mapping for name, mapping in sorted(mappings.items()) if name in names)
     )
+
+
+def _scoring_table(
+    table: DataTable, variables: list[str], mappings: dict[str, LevelMapping]
+) -> DataTable:
+    """A table to score: cut to the variables and the target, numeric gaps
+    median-imputed from itself, and the kept columns' level mappings applied."""
+    table = impute_numeric_columns(table.select_columns(variables))
+    return _apply_mappings(table, mappings)
 
 
 @dataclass
@@ -144,11 +154,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     else:
         oos_table = None
     if oos_table is not None:
-        oos_table = oos_table.select_columns(final_vars)
         oos_table = clocked(
-            "out_of_sample_impute", lambda: impute_numeric_columns(oos_table)
+            "out_of_sample_impute",
+            lambda: _scoring_table(oos_table, final_vars, report.level_mappings),
         )
-        oos_table = _apply_mappings(oos_table, report.level_mappings)
 
     _write_json(report.to_dict(), out / "screening_report.json")
     _write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
@@ -301,8 +310,10 @@ def score_table_file(
 ) -> int:
     """Score a CSV with a saved model; writes id, probability, decile per record.
 
-    The data must carry the training schema (outcome column included).
-    Numeric gaps are median-imputed from the scored table itself.  Decile
+    The data must carry the training schema (outcome column included);
+    every cell is parsed and validated, but only the model's columns are
+    kept.  Their numeric gaps are median-imputed from the scored table
+    itself, and only their level mappings are applied.  Decile
     assignment needs at least ten records; smaller files get an empty
     decile column.
     """
@@ -319,12 +330,9 @@ def score_table_file(
         raise ValidationError(
             f"data is missing required columns: {', '.join(missing_vars)}"
         )
-    table = load_table(csv_path, schema)
-    table = impute_numeric_columns(table)
-    table = _apply_mappings(table, mappings)
+    # Cut before scoring, so the full-width table is freed at once.
+    table = _scoring_table(load_table(csv_path, schema), model.source_variables(), mappings)
     ss = score(model, table)
-    from .evaluation import assign_deciles
-
     dec = assign_deciles(ss) if ss.n >= 10 else None
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

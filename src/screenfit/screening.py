@@ -11,7 +11,7 @@ recorded in a :class:`ScreeningReport` whose stage sets are nested.
 
 Likelihood-scale columns (integers 1..99) are treated as numeric for the
 t screen and binned into seven equal-width bins for weight-of-evidence /
-information-value work and for proportion curves.
+information-value work.
 """
 
 from __future__ import annotations
@@ -96,15 +96,6 @@ class LevelMapping:
     @property
     def n_merged(self) -> int:
         return len(set(self.mapping.values()))
-
-
-@dataclass(frozen=True)
-class ProportionPoint:
-    level: str
-    count_signal: int
-    count_background: int
-    proportion: float | None  # None when the level is absent from one class
-    defined: bool
 
 
 @dataclass(frozen=True)
@@ -279,47 +270,51 @@ def _require_both_classes(table: DataTable) -> None:
 # Per-variable statistics
 
 
-def chi_square_binary(table: DataTable, variable: str, target: str | None = None) -> ChiSquareResult:
+def _pearson_2x2(obs: np.ndarray) -> float | None:
+    """Pearson chi-square (df 1, no continuity correction) of a 2x2 table
+    of counts, rows a grouping and columns the target; None when a margin
+    is zero."""
+    col = obs.sum(axis=0)
+    row = obs.sum(axis=1)
+    if (col == 0).any() or (row == 0).any():
+        return None
+    expected = np.outer(row, col) / obs.sum()
+    return float(((obs - expected) ** 2 / expected).sum())
+
+
+def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
     """Pearson chi-square of a binary variable against the binary target.
 
     Computed on the 2x2 contingency table of pairwise non-missing rows,
     df = 1, no continuity correction.  All four margins must be nonzero.
     """
-    target = target or table.schema.target
     spec = table.schema.column(variable)
     if spec.kind is not ColumnKind.BINARY:
         raise ValidationError(f"{variable!r} is not binary")
     x = table.column(variable)
-    y = table.column(target)
     keep = ~np.isnan(x)
-    x, y = x[keep].astype(int), y[keep].astype(int)
-    obs = np.zeros((2, 2))
-    for xi in (0, 1):
-        for yi in (0, 1):
-            obs[xi, yi] = np.sum((x == xi) & (y == yi))
-    if (obs.sum(axis=0) == 0).any() or (obs.sum(axis=1) == 0).any():
+    cell = 2 * x[keep].astype(int) + table.target_values[keep]
+    statistic = _pearson_2x2(np.bincount(cell, minlength=4).reshape(2, 2).astype(float))
+    if statistic is None:
         raise ComputationError(
             f"degenerate 2x2 table for {variable!r}: a margin is zero"
         )
-    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
-    statistic = float(((obs - expected) ** 2 / expected).sum())
     p = float(special.chdtrc(1, statistic))
     return ChiSquareResult(variable=variable, statistic=statistic, df=1, p_value=p)
 
 
-def t_test_multivalued(table: DataTable, variable: str, target: str | None = None) -> TTestResult:
+def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
     """Pooled-variance two-sample t of a numeric variable across target groups.
 
     Sign follows mean(target=1) - mean(target=0); df = n0 + n1 - 2.
     """
-    target = target or table.schema.target
     spec = table.schema.column(variable)
     if spec.kind not in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
         raise ValidationError(
             f"{variable!r} is {spec.kind.value}; the t screen needs a multivalued numeric column"
         )
     x = table.column(variable)
-    y = table.column(target).astype(int)
+    y = table.target_values
     keep = ~np.isnan(x)
     g0 = x[keep & (y == 0)]
     g1 = x[keep & (y == 1)]
@@ -344,10 +339,7 @@ def t_test_multivalued(table: DataTable, variable: str, target: str | None = Non
 
 
 def woe_iv(
-    table: DataTable,
-    variable: str,
-    target: str | None = None,
-    smoothing: float = DEFAULT_IV_SMOOTHING,
+    table: DataTable, variable: str, smoothing: float = DEFAULT_IV_SMOOTHING
 ) -> IvResult:
     """Weight of evidence and information value of a discrete variable.
 
@@ -360,7 +352,6 @@ def woe_iv(
     has IV 0 by construction.
     """
     _require_both_classes(table)
-    target = target or table.schema.target
     labels, n1, n0 = _level_class_counts(table, variable)
     L = len(labels)
     if L == 0:
@@ -405,21 +396,7 @@ def occupancy_filter(
     return retained
 
 
-def _pair_chi_square(n1_a: float, n0_a: float, n1_b: float, n0_b: float) -> float:
-    """Pearson chi-square of a 2x2 (group a/b vs target) table; 0 when a
-    target margin is empty (both groups then have identical rates)."""
-    obs = np.array([[n0_a, n1_a], [n0_b, n1_b]], dtype=float)
-    col = obs.sum(axis=0)
-    row = obs.sum(axis=1)
-    if (col == 0).any() or (row == 0).any():
-        return 0.0
-    expected = np.outer(row, col) / obs.sum()
-    return float(((obs - expected) ** 2 / expected).sum())
-
-
-def merge_levels(
-    table: DataTable, variable: str, target: str | None = None, alpha: float = 0.05
-) -> LevelMapping:
+def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelMapping:
     """Greedily merge categorical levels that are indistinguishable on the target.
 
     Repeatedly takes the pair of current levels with the closest target
@@ -464,8 +441,11 @@ def merge_levels(
                 if best is None or key < best[0]:
                     best = (key, i, j)
         _, i, j = best
-        statistic = _pair_chi_square(counts1[i], counts0[i], counts1[j], counts0[j])
-        p = float(special.chdtrc(1, statistic))
+        # Occurring levels make every row margin nonzero; an empty target
+        # margin means both groups have the same rate.
+        pair = np.array([[counts0[i], counts1[i]], [counts0[j], counts1[j]]], dtype=float)
+        statistic = _pearson_2x2(pair)
+        p = 1.0 if statistic is None else float(special.chdtrc(1, statistic))
         if p <= alpha:
             break
         groups[i] = groups[i] + groups[j]
@@ -497,46 +477,6 @@ def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
         columns[spec.name] = _freeze(recode[table.codes(spec.name)])
         specs.append(ColumnSpec(name=spec.name, kind=spec.kind, levels=new_levels))
     return table.replace_columns(columns, tuple(specs))
-
-
-def proportion_curve(
-    table: DataTable, variable: str, target: str | None = None
-) -> list[ProportionPoint]:
-    """Per-level ratio of class shares, scaled so 100 means equal shares.
-
-    proportion(level) = 100 * (share of target=1 records at the level)
-                            / (share of target=0 records at the level).
-    Levels absent from either class are flagged undefined rather than
-    given a number.
-    """
-    _require_both_classes(table)
-    labels, n1, n0 = _level_class_counts(table, variable)
-    total1, total0 = n1.sum(), n0.sum()
-    points = []
-    for i, label in enumerate(labels):
-        if n1[i] == 0 or n0[i] == 0:
-            points.append(
-                ProportionPoint(
-                    level=str(label),
-                    count_signal=int(n1[i]),
-                    count_background=int(n0[i]),
-                    proportion=None,
-                    defined=False,
-                )
-            )
-            continue
-        share1 = n1[i] / total1
-        share0 = n0[i] / total0
-        points.append(
-            ProportionPoint(
-                level=str(label),
-                count_signal=int(n1[i]),
-                count_background=int(n0[i]),
-                proportion=float(100.0 * share1 / share0),
-                defined=True,
-            )
-        )
-    return points
 
 
 # ---------------------------------------------------------------------------

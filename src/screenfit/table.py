@@ -398,14 +398,21 @@ def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
     return DataTable(schema, {name: _freeze(col) for name, col in columns.items()})
 
 
-def _format_cell(value, kind: ColumnKind) -> str:
-    if kind is ColumnKind.CATEGORICAL:
-        return "" if value is None else str(value)
-    if math.isnan(value):
-        return ""
-    if kind in (ColumnKind.BINARY, ColumnKind.LIKELIHOOD):
-        return str(int(value))
-    return repr(float(value))
+def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:
+    """A column's CSV cells: "" for a gap, else the level, the integer of
+    a binary or likelihood value, or the repr of a continuous value (which
+    parses back to the same float)."""
+    if spec.kind is ColumnKind.CATEGORICAL:
+        return np.array(spec.levels + ("",), dtype=object)[table.codes(spec.name)]
+    values = table.column(spec.name)
+    gaps = np.isnan(values)
+    if spec.kind is ColumnKind.CONTINUOUS:
+        cells = map(repr, values.tolist())
+    else:
+        cells = map(str, np.where(gaps, 0.0, values).astype(np.int64).tolist())
+    column = np.array(list(cells), dtype=object)
+    column[gaps] = ""
+    return column
 
 
 def save_table(table: DataTable, csv_path: str | Path) -> None:
@@ -413,12 +420,7 @@ def save_table(table: DataTable, csv_path: str | Path) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.schema.names)
-        cols = [table.column(n) for n in table.schema.names]
-        kinds = [c.kind for c in table.schema.columns]
-        for i in range(table.n_records):
-            writer.writerow(
-                [_format_cell(col[i], kind) for col, kind in zip(cols, kinds)]
-            )
+        writer.writerows(zip(*(_format_column(table, spec) for spec in table.schema.columns)))
 
 
 def save_schema(schema: TableSchema, path: str | Path) -> None:
@@ -489,7 +491,7 @@ def impute_numeric_columns(table: DataTable) -> DataTable:
 
 
 # ---------------------------------------------------------------------------
-# Splitting and sampling
+# Splitting
 
 
 @dataclass(frozen=True)
@@ -545,36 +547,3 @@ def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitRes
     validation = table.subset(np.flatnonzero(~train_mask))
     return SplitResult(train=train, validation=validation, seed=seed)
 
-
-def stratified_sample(
-    signal_pool: DataTable,
-    background_pool: DataTable,
-    n_signal: int,
-    n_background: int,
-    seed: int,
-) -> DataTable:
-    """Concatenate seeded without-replacement samples from two record pools.
-
-    Signal rows come first in the result.  Pools must share a schema.
-    """
-    if signal_pool.schema != background_pool.schema:
-        raise ValidationError("signal and background pools must share a schema")
-    if n_signal < 0 or n_background < 0:
-        raise ValidationError("sample counts must be non-negative")
-    if n_signal > signal_pool.n_records:
-        raise ValidationError(
-            f"requested {n_signal} signal records from a pool of {signal_pool.n_records}"
-        )
-    if n_background > background_pool.n_records:
-        raise ValidationError(
-            f"requested {n_background} background records from a pool of "
-            f"{background_pool.n_records}"
-        )
-    rng = np.random.default_rng(seed)
-    sig_rows = np.sort(rng.permutation(signal_pool.n_records)[:n_signal])
-    bkg_rows = np.sort(rng.permutation(background_pool.n_records)[:n_background])
-    columns = {
-        name: _freeze(np.concatenate([col[sig_rows], background_pool._columns[name][bkg_rows]]))
-        for name, col in signal_pool._columns.items()
-    }
-    return DataTable(signal_pool.schema, columns)

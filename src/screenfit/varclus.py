@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .table import DataTable
 
 DEGENERACY_TOL = 1e-10
 
@@ -99,7 +98,17 @@ class ClusterSelection:
 
 
 def correlation_matrix_from_array(values: np.ndarray, names: list[str]) -> CorrelationMatrix:
-    """Pearson correlations of array columns, pairwise-complete over NaN rows."""
+    """Pearson correlations of array columns, pairwise-complete over NaN rows.
+
+    With gaps, masked products give the sums over each pair's complete
+    rows, entry [i, j] over the rows where both are present: with M the
+    0/1 presence matrix and Z the columns shifted by one of their own
+    present values and zero-filled at gaps, M'M counts the rows, Z'M and
+    (Z*Z)'M give column sums and sums of squares, and Z'Z cross-products.
+    The shift keeps the sums small against the deviations; on integer
+    (discrete) columns every sum is exact, so a column constant on a
+    pair's complete rows gets an exactly zero variance.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(names):
         raise ValidationError("values must be n_rows x n_variables matching names")
@@ -109,38 +118,35 @@ def correlation_matrix_from_array(values: np.ndarray, names: list[str]) -> Corre
         finite = col[~np.isnan(col)]
         if len(finite) == 0 or float(finite.std()) == 0.0:
             raise ComputationError(f"zero variance in column {name!r}")
-    if not np.isnan(values).any():
+    gaps = np.isnan(values)
+    if not gaps.any():
         corr = np.corrcoef(values, rowvar=False)
         if k == 1:
             corr = np.array([[1.0]])
     else:
-        corr = np.eye(k)
-        for i in range(k):
-            for j in range(i + 1, k):
-                keep = ~(np.isnan(values[:, i]) | np.isnan(values[:, j]))
-                xi, xj = values[keep, i], values[keep, j]
-                if len(xi) < 2:
-                    raise ComputationError(
-                        f"columns {names[i]!r} and {names[j]!r} share < 2 complete rows"
-                    )
-                sx, sy = xi.std(), xj.std()
-                if sx == 0.0 or sy == 0.0:
-                    name = names[i] if sx == 0.0 else names[j]
-                    raise ComputationError(
-                        f"zero variance in column {name!r} on pairwise-complete rows"
-                    )
-                corr[i, j] = corr[j, i] = float(
-                    ((xi - xi.mean()) * (xj - xj.mean())).mean() / (sx * sy)
+        present = (~gaps).astype(float)
+        shift = values[np.argmin(gaps, axis=0), np.arange(k)]
+        z = np.where(gaps, 0.0, values - shift)
+        count = present.T @ present
+        n = np.maximum(count, 1.0)  # a pair with no complete row is rejected below
+        sums = z.T @ present
+        squares = (z * z).T @ present - sums * sums / n
+        cross = z.T @ z - sums * sums.T / n
+        bad = np.triu((count < 2) | (squares <= 0.0) | (squares.T <= 0.0), k=1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            if count[i, j] < 2:
+                raise ComputationError(
+                    f"columns {names[i]!r} and {names[j]!r} share < 2 complete rows"
                 )
+            name = names[i] if squares[i, j] <= 0.0 else names[j]
+            raise ComputationError(
+                f"zero variance in column {name!r} on pairwise-complete rows"
+            )
+        corr = cross / np.sqrt(squares * squares.T)
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(names=tuple(names), values=corr)
-
-
-def correlation_matrix(table: DataTable, variables: list[str]) -> CorrelationMatrix:
-    """Pairwise-complete Pearson correlations of the variables' numeric views."""
-    values = np.column_stack([table.numeric_view(v) for v in variables])
-    return correlation_matrix_from_array(values, list(variables))
 
 
 # ---------------------------------------------------------------------------

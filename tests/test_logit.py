@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -472,6 +473,20 @@ class TestPruneCollinear:
         pruned = prune_collinear(model, design, design, cutoff=0.40)
         assert len(pruned.terms) == 2
         assert abs(-2 * pruned.log_likelihood - (-2 * model.log_likelihood)) < 1e-6
+
+    def test_refit_carries_the_incoming_warnings(self, monkeypatch):
+        design = self.duplicated_design()
+        cap = "stepwise stopped at its cap of 6 passes while the model was still changing"
+        model = replace(fit_irls(design), warnings=(cap, "shared"))
+
+        def fit_with_warnings(sub):
+            fitted = fit_irls(sub)
+            return replace(fitted, warnings=fitted.warnings + ("shared", "refit"))
+
+        monkeypatch.setattr(logit, "fit_irls", fit_with_warnings)
+        pruned = prune_collinear(model, design, design, cutoff=0.40)
+        assert len(pruned.terms) == 2
+        assert pruned.warnings == (cap, "shared", "refit")
 
     def test_uncorrelated_model_unchanged(self):
         rng = np.random.default_rng(1)

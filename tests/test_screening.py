@@ -10,7 +10,6 @@ from screenfit.screening import (
     chi_square_binary,
     merge_levels,
     occupancy_filter,
-    proportion_curve,
     run_screening,
     t_test_multivalued,
     woe_iv,
@@ -341,33 +340,6 @@ class TestCollapsedCategorical:
         assert "c" not in report.level_mappings
         out = apply_level_mapping(table, *report.level_mappings.values())
         assert out.schema == table.schema
-
-
-class TestProportionCurve:
-    def test_equal_shares_give_100(self):
-        t = categorical_table({"a": (10, 10), "b": (30, 30)})
-        points = {p.level: p for p in proportion_curve(t, "c")}
-        assert points["a"].proportion == pytest.approx(100.0)
-
-    def test_hand_computed_ratio(self):
-        # level "a" holds 15% of positives and 10% of negatives
-        t = categorical_table({"a": (15, 10), "b": (85, 90)})
-        points = {p.level: p for p in proportion_curve(t, "c")}
-        assert points["a"].proportion == pytest.approx(150.0)
-
-    def test_one_sided_level_is_flagged(self):
-        t = categorical_table({"a": (5, 0), "b": (10, 20)})
-        points = {p.level: p for p in proportion_curve(t, "c")}
-        assert not points["a"].defined
-        assert points["a"].proportion is None
-
-    def test_duplication_invariance(self):
-        t = categorical_table({"a": (3, 7), "b": (9, 11)})
-        doubled = categorical_table({"a": (6, 14), "b": (18, 22)})
-        p1 = [(p.level, p.proportion) for p in proportion_curve(t, "c")]
-        p2 = [(p.level, p.proportion) for p in proportion_curve(doubled, "c")]
-        assert [x[0] for x in p1] == [x[0] for x in p2]
-        assert [x[1] for x in p1] == pytest.approx([x[1] for x in p2])
 
 
 class TestStagePlan:

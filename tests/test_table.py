@@ -17,7 +17,6 @@ from screenfit.table import (
     save_schema,
     save_table,
     split_train_validation,
-    stratified_sample,
 )
 
 from conftest import make_table
@@ -178,6 +177,43 @@ class TestRoundTrip:
             else:
                 np.testing.assert_array_equal(a, b)
 
+    def test_bytes_match_a_per_cell_writer(self, tmp_path, simple_schema):
+        def cell(value, kind):
+            if kind is ColumnKind.CATEGORICAL:
+                return "" if value is None else str(value)
+            if math.isnan(value):
+                return ""
+            if kind in (ColumnKind.BINARY, ColumnKind.LIKELIHOOD):
+                return str(int(value))
+            return repr(float(value))
+
+        rng = np.random.default_rng(3)
+        n = 300
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[:6] = [0.1, 1.0 / 3.0, -0.0, 1e16, 5e-324, -2.5]
+        columns = {
+            "x": x,
+            "flag": rng.integers(0, 2, n).astype(float),
+            "lvl": rng.integers(1, 100, n).astype(float),
+            "cat": rng.integers(-1, 2, n),
+            "y": rng.integers(0, 2, n).astype(float),
+        }
+        for name in ("x", "flag", "lvl"):
+            columns[name][rng.random(n) < 0.2] = np.nan
+        table = DataTable(simple_schema, columns)
+        out = tmp_path / "out.csv"
+        save_table(table, out)
+
+        values = [table.column(name) for name in simple_schema.names]
+        kinds = [spec.kind for spec in simple_schema.columns]
+        lines = [",".join(simple_schema.names)] + [
+            ",".join(cell(col[i], kind) for col, kind in zip(values, kinds)) for i in range(n)
+        ]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        again = load_table(out, simple_schema).column("x")
+        np.testing.assert_array_equal(np.signbit(again), np.signbit(table.column("x")))
+        np.testing.assert_array_equal(again, table.column("x"))
+
     def test_schema_sidecar_round_trip(self, tmp_path, simple_schema):
         p = tmp_path / "schema.json"
         save_schema(simple_schema, p)
@@ -335,40 +371,3 @@ class TestSplit:
         for cls, total in ((1, n_pos), (0, n_neg)):
             k = int((res.train.target_values == cls).sum())
             assert abs(k - frac * total) < 1.0 + 1e-9
-
-
-class TestStratifiedSample:
-    def pool(self, n, target_value, offset=0):
-        return make_table(
-            {"x": [offset + i for i in range(n)], "y": [target_value] * n},
-            {"x": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY},
-        )
-
-    def test_counts(self):
-        sample = stratified_sample(self.pool(300, 1), self.pool(500, 0, 1000), 30, 50, seed=9)
-        assert sample.n_records == 80
-        assert int(sample.target_values.sum()) == 30
-
-    def test_zero_signal(self):
-        sample = stratified_sample(self.pool(300, 1), self.pool(500, 0, 1000), 0, 50, seed=9)
-        assert sample.n_records == 50
-        assert int(sample.target_values.sum()) == 0
-
-    def test_too_many_requested(self):
-        with pytest.raises(ValidationError, match="301"):
-            stratified_sample(self.pool(300, 1), self.pool(500, 0), 301, 10, seed=9)
-
-    def test_schema_mismatch(self):
-        other = make_table(
-            {"z": [1.0], "y": [0]},
-            {"z": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY},
-        )
-        with pytest.raises(ValidationError, match="schema"):
-            stratified_sample(self.pool(5, 1), other, 1, 1, seed=9)
-
-    def test_without_replacement_and_deterministic(self):
-        a = stratified_sample(self.pool(40, 1), self.pool(60, 0, 1000), 20, 30, seed=3)
-        b = stratified_sample(self.pool(40, 1), self.pool(60, 0, 1000), 20, 30, seed=3)
-        np.testing.assert_array_equal(a.column("x"), b.column("x"))
-        xs = a.column("x").tolist()
-        assert len(set(xs)) == len(xs)

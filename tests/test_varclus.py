@@ -7,7 +7,6 @@ from screenfit.table import ColumnKind
 from screenfit.varclus import (
     CorrelationMatrix,
     cluster_variables,
-    correlation_matrix,
     correlation_matrix_from_array,
     select_representatives,
 )
@@ -80,9 +79,79 @@ class TestCorrelationMatrix:
                 "y": ColumnKind.BINARY,
             },
         )
-        corr = correlation_matrix(t, ["flag", "cat"])
+        values = np.column_stack([t.numeric_view(v) for v in ("flag", "cat")])
+        corr = correlation_matrix_from_array(values, ["flag", "cat"])
         # flag and the level index of cat coincide here
         assert corr.values[0, 1] == pytest.approx(1.0)
+
+
+def pairwise_loop_correlations(values, names):
+    """The per-pair reference: numpy statistics on each pair's complete rows."""
+    k = len(names)
+    corr = np.eye(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            keep = ~(np.isnan(values[:, i]) | np.isnan(values[:, j]))
+            xi, xj = values[keep, i], values[keep, j]
+            if len(xi) < 2:
+                raise ComputationError(
+                    f"columns {names[i]!r} and {names[j]!r} share < 2 complete rows"
+                )
+            sx, sy = xi.std(), xj.std()
+            if sx == 0.0 or sy == 0.0:
+                name = names[i] if sx == 0.0 else names[j]
+                raise ComputationError(
+                    f"zero variance in column {name!r} on pairwise-complete rows"
+                )
+            corr[i, j] = corr[j, i] = float(
+                ((xi - xi.mean()) * (xj - xj.mean())).mean() / (sx * sy)
+            )
+    return np.clip(corr, -1.0, 1.0)
+
+
+def discrete_with_gaps(seed, n=400, k=12, rate=0.1):
+    """Binary flags, level codes, likelihood values and shifted normals
+    with gaps in every column."""
+    rng = np.random.default_rng(seed)
+    kinds = [
+        lambda: rng.integers(0, 2, n),
+        lambda: rng.integers(0, 6, n),
+        lambda: rng.integers(1, 100, n),
+        lambda: 1e3 + 10.0 * rng.standard_normal(n),
+    ]
+    values = np.column_stack([kinds[j % 4]().astype(float) for j in range(k)])
+    values[rng.random((n, k)) < rate] = np.nan
+    return values, [f"v{j}" for j in range(k)]
+
+
+class TestMaskedProducts:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_match_the_per_pair_loop(self, seed):
+        values, names = discrete_with_gaps(seed)
+        corr = correlation_matrix_from_array(values, names)
+        np.testing.assert_allclose(
+            corr.values, pairwise_loop_correlations(values, names), rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(corr.values, corr.values.T)
+
+    def test_too_few_complete_rows(self):
+        a = np.array([1.0, 2.0, 3.0, np.nan, np.nan, np.nan])
+        b = np.array([0.0, np.nan, np.nan, 1.0, 0.0, 1.0])
+        values = np.column_stack([a, b])
+        for reference in (correlation_matrix_from_array, pairwise_loop_correlations):
+            with pytest.raises(ComputationError, match="'a' and 'b' share < 2 complete rows"):
+                reference(values, ["a", "b"])
+
+    def test_constant_on_complete_rows(self):
+        # the flag varies, but is 1 on every row where x is present
+        flag = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+        x = np.array([0.3, 1.7, 2.2, np.nan, np.nan, 5.0])
+        values = np.column_stack([x, flag])
+        for reference in (correlation_matrix_from_array, pairwise_loop_correlations):
+            with pytest.raises(
+                ComputationError, match="zero variance in column 'flag' on pairwise-complete"
+            ):
+                reference(values, ["x", "flag"])
 
 
 class TestClusterVariables:
