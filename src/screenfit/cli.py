@@ -52,7 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scorer = sub.add_parser("score", help="score a CSV with a saved model")
     scorer.add_argument("--model", required=True, help="model.json from a pipeline run")
-    scorer.add_argument("--data", required=True, help="CSV to score")
+    scorer.add_argument(
+        "--data",
+        required=True,
+        help=(
+            "CSV to score; its header and row widths are checked, but only "
+            "the model's columns and the target are parsed and validated"
+        ),
+    )
     scorer.add_argument("--schema", required=True, help="schema sidecar for the CSV")
     scorer.add_argument("--out", required=True, help="output CSV path")
     return parser

@@ -10,10 +10,13 @@ encoding with training statistics, stepwise selection, collinearity
 pruning against the validation set, and scoring of train, validation,
 and the out-of-sample table.  The training table is cut before the
 out-of-sample one is made, so at most one full-width table is alive at a
-time, and no artifact is written before both tables exist.  Each stage's
-outputs land in the run directory as plain JSON or CSV; the manifest
-written last lists every artifact (timings live only there, so all other
-files are byte-stable across identical runs).
+time, and no artifact is written before both tables exist.  An
+out-of-sample CSV is read with only the screened columns and the target
+parsed and validated: its header and the width of every row are
+checked, but a bad cell in any other column is not read and raises
+nothing.  Each stage's outputs land in the run directory as plain JSON
+or CSV; the manifest written last lists every artifact (timings live
+only there, so all other files are byte-stable across identical runs).
 """
 
 from __future__ import annotations
@@ -107,9 +110,9 @@ class PipelineResult:
     manifest: dict
 
 
-def _load_input(csv_path: str, schema_path: str) -> DataTable:
+def _load_input(csv_path: str, schema_path: str, columns=None) -> DataTable:
     schema = load_schema(schema_path)
-    return load_table(csv_path, schema)
+    return load_table(csv_path, schema, columns)
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
@@ -143,7 +146,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     if config.out_of_sample is not None:
         oos_table = clocked(
             "out_of_sample_load",
-            lambda: _load_input(config.out_of_sample.csv, config.out_of_sample.schema),
+            lambda: _load_input(
+                config.out_of_sample.csv, config.out_of_sample.schema, final_vars
+            ),
         )
     elif config.synthetic is not None:
         # Out-of-sample sibling: same data-generating process, fresh records.
@@ -310,9 +315,11 @@ def score_table_file(
 ) -> int:
     """Score a CSV with a saved model; writes id, probability, decile per record.
 
-    The data must carry the training schema (outcome column included);
-    every cell is parsed and validated, but only the model's columns are
-    kept.  Their numeric gaps are median-imputed from the scored table
+    The data must carry the training schema (outcome column included).
+    The header and the width of every row are checked, but only the
+    model's columns and the target are parsed and validated: a bad cell
+    in any other column is not read, so it raises nothing.  The numeric
+    gaps of the model's columns are median-imputed from the scored table
     itself, and only their level mappings are applied.  Decile
     assignment needs at least ten records; smaller files get an empty
     decile column.
@@ -330,8 +337,8 @@ def score_table_file(
         raise ValidationError(
             f"data is missing required columns: {', '.join(missing_vars)}"
         )
-    # Cut before scoring, so the full-width table is freed at once.
-    table = _scoring_table(load_table(csv_path, schema), model.source_variables(), mappings)
+    variables = model.source_variables()
+    table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
     ss = score(model, table)
     dec = assign_deciles(ss) if ss.n >= 10 else None
     with open(out_path, "w", newline="", encoding="utf-8") as fh:

@@ -18,7 +18,10 @@ bytes across runs and machines.
 
 CSV interchange: comma-delimited UTF-8 with a header row whose order
 matches the schema exactly.  Empty cells and the literal token "NA" are
-the missing markers.  The schema travels in a JSON sidecar listing
+the missing markers, so neither may be a declared categorical level.
+A load may name the columns it needs: every row is still tokenized and
+checked for width, but only those columns and the target are parsed and
+validated.  The schema travels in a JSON sidecar listing
 name/kind/levels per column plus the target column name.
 """
 
@@ -28,6 +31,7 @@ import csv
 import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -78,6 +82,14 @@ class ColumnSpec:
                 raise ValidationError(
                     f"categorical column {self.name!r} has duplicate levels"
                 )
+            # A CSV cell holding a missing marker is read as a gap, so such
+            # a level could not survive a save and load.
+            clash = [lvl for lvl in self.levels if lvl in MISSING_TOKENS]
+            if clash:
+                raise ValidationError(
+                    f"categorical column {self.name!r}: level {clash[0]!r} is a "
+                    f"CSV missing marker"
+                )
         elif self.levels is not None:
             raise ValidationError(
                 f"column {self.name!r}: levels are only valid for categorical columns"
@@ -114,6 +126,14 @@ class TableSchema:
     @property
     def predictors(self) -> list[str]:
         return [c.name for c in self.columns if c.name != self.target]
+
+    def select(self, names) -> "TableSchema":
+        """The schema cut to the named columns and the target, in schema
+        order.  An unknown name raises :class:`ValidationError`."""
+        keep = {self.column(name).name for name in names} | {self.target}
+        return TableSchema(
+            columns=tuple(c for c in self.columns if c.name in keep), target=self.target
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -284,12 +304,8 @@ class DataTable:
         """New table with only the named columns and the target, in schema
         order; the arrays are shared, not copied.  An unknown name raises
         :class:`ValidationError`."""
-        keep = {self.schema.column(name).name for name in names} | {self.schema.target}
-        schema = TableSchema(
-            columns=tuple(c for c in self.schema.columns if c.name in keep),
-            target=self.schema.target,
-        )
-        return DataTable(schema, {name: self._columns[name] for name in keep})
+        schema = self.schema.select(names)
+        return DataTable(schema, {name: self._columns[name] for name in schema.names})
 
     def class_counts(self) -> tuple[int, int]:
         y = self.target_values
@@ -351,20 +367,33 @@ def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray
     return values, int(bad[0]) if len(bad) else None
 
 
-def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
-    """Read a CSV into a typed table, validating every cell against the schema.
+def load_table(
+    csv_path: str | Path, schema: TableSchema, columns: Iterable[str] | None = None
+) -> DataTable:
+    """Read a CSV into a typed table, validating its cells against the schema.
 
-    The header row must equal the schema's column names, in order.  Empty
-    cells and "NA" become the missing marker.  Any cell violating its
-    column kind -- including a numeric cell that is not finite -- raises
-    :class:`CellParseError` naming the row, column, and offending token;
-    of several such cells the lowest row, then the leftmost column, is
-    named.  A row with the wrong number of cells raises
-    :class:`ValidationError` unless a bad cell comes before it.
+    The header row must equal the schema's column names, in order, and
+    every row must have one cell per schema column.  With ``columns``
+    given, only the named columns and the target are kept, parsed and
+    validated, and the table's schema is cut to them as
+    :meth:`TableSchema.select` cuts it; the cells of the other columns are
+    not checked at all.  An unknown name raises :class:`ValidationError`.
+    Empty cells and "NA" become the missing marker.  Any parsed cell
+    violating its column kind -- including a numeric cell that is not
+    finite -- raises :class:`CellParseError` naming the row, column, and
+    offending token; of several such cells the lowest row, then the
+    leftmost column, is named.  A row with the wrong number of cells
+    raises :class:`ValidationError` unless a bad parsed cell comes before
+    it.
     """
+    kept = schema if columns is None else schema.select(columns)
     path = Path(csv_path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
+    width = len(schema.columns)
+    position = {name: j for j, name in enumerate(schema.names)}
+    picked = None if columns is None else [position[name] for name in kept.names]
+    rows, ragged = [], None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -375,27 +404,30 @@ def load_table(csv_path: str | Path, schema: TableSchema) -> DataTable:
             raise ValidationError(
                 f"{path}: header {header} does not match schema columns {schema.names}"
             )
-        raw_rows = list(reader)
+        # Rows are cut as they are read, so a load of a few columns never
+        # holds every full-width row.
+        for i, row in enumerate(reader):
+            if len(row) != width:
+                ragged = (i, len(row))
+                break
+            rows.append(row if picked is None else [row[j] for j in picked])
 
-    width = len(schema.columns)
-    ragged = next((i for i, row in enumerate(raw_rows) if len(row) != width), None)
-    rows = raw_rows if ragged is None else raw_rows[:ragged]
-    cells = list(zip(*rows)) if rows else [()] * width
-    columns = {}
+    cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
+    parsed = {}
     bad_cells = []
-    for j, (spec, tokens) in enumerate(zip(schema.columns, cells)):
-        columns[spec.name], bad_row = _parse_column(spec, tokens)
+    for j, (spec, tokens) in enumerate(zip(kept.columns, cells)):
+        parsed[spec.name], bad_row = _parse_column(spec, tokens)
         if bad_row is not None:
             bad_cells.append((bad_row, j))
     if bad_cells:
         row, j = min(bad_cells)
-        spec, token = schema.columns[j], cells[j][row]
+        spec, token = kept.columns[j], cells[j][row]
         raise CellParseError(row, spec.name, token, _cell_error(token, spec))
     if ragged is not None:
         raise ValidationError(
-            f"{path}: row {ragged} has {len(raw_rows[ragged])} cells, expected {width}"
+            f"{path}: row {ragged[0]} has {ragged[1]} cells, expected {width}"
         )
-    return DataTable(schema, {name: _freeze(col) for name, col in columns.items()})
+    return DataTable(kept, {name: _freeze(col) for name, col in parsed.items()})
 
 
 def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ import screenfit.pipeline as pipeline
 from screenfit.config import PipelineConfig
 from screenfit.errors import CellParseError
 from screenfit.synthgen import generate
-from screenfit.table import save_schema, save_table
+from screenfit.table import load_schema, save_schema, save_table
 
 CONFIG = {
     "plan": {"retain_after_chi2": 10, "retain_after_t": 8, "retain_after_iv": 6, "final_retain": 4},
@@ -66,6 +66,53 @@ def test_bad_out_of_sample_cell_leaves_no_artifact(tmp_path):
     with pytest.raises(CellParseError, match="oops"):
         pipeline.run_pipeline(config, tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def _corrupt_cell(path, column, row, token):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = token
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_sibling(tmp_path):
+    """The sample-index-2 sibling of CONFIG's data as a CSV and schema."""
+    oos, _ = generate(PipelineConfig.from_dict(CONFIG).synthetic, sample_index=2)
+    save_table(oos, tmp_path / "oos.csv")
+    save_schema(oos.schema, tmp_path / "oos_schema.json")
+    return tmp_path / "oos.csv", tmp_path / "oos_schema.json"
+
+
+def test_out_of_sample_cells_outside_the_final_variables_are_not_read(tmp_path):
+    csv_path, schema_path = _write_sibling(tmp_path)
+    out_of_sample = {"csv": str(csv_path), "schema": str(schema_path)}
+    config = PipelineConfig.from_dict(CONFIG | {"out_of_sample": out_of_sample})
+    clean = pipeline.run_pipeline(config, tmp_path / "clean")
+    unread = next(
+        name for name in load_schema(schema_path).predictors if name not in clean.final_variables
+    )
+    _corrupt_cell(csv_path, unread, 5, "oops")
+    pipeline.run_pipeline(config, tmp_path / "corrupt")
+    for name in pipeline.ARTIFACT_NAMES:
+        if name != "manifest.json":
+            assert (tmp_path / "corrupt" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_score_reads_only_the_model_columns(tmp_path):
+    run = pipeline.run_pipeline(PipelineConfig.from_dict(CONFIG), tmp_path / "run")
+    used = run.model.source_variables()
+    assert used
+    csv_path, schema_path = _write_sibling(tmp_path)
+    model_path = tmp_path / "run" / "model.json"
+    pipeline.score_table_file(model_path, csv_path, schema_path, tmp_path / "clean.csv")
+    unused = next(name for name in load_schema(schema_path).predictors if name not in used)
+    _corrupt_cell(csv_path, unused, 5, "oops")
+    pipeline.score_table_file(model_path, csv_path, schema_path, tmp_path / "scores.csv")
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+    _corrupt_cell(csv_path, used[0], 7, "oops")
+    with pytest.raises(CellParseError, match=rf"row 7, column '{used[0]}'"):
+        pipeline.score_table_file(model_path, csv_path, schema_path, tmp_path / "scores.csv")
 
 
 WIDE_CONFIG = {

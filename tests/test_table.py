@@ -27,18 +27,21 @@ def write_csv(path, text):
     return path
 
 
+SIMPLE_SCHEMA = TableSchema(
+    columns=(
+        ColumnSpec("x", ColumnKind.CONTINUOUS),
+        ColumnSpec("flag", ColumnKind.BINARY),
+        ColumnSpec("lvl", ColumnKind.LIKELIHOOD),
+        ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", "b")),
+        ColumnSpec("y", ColumnKind.BINARY),
+    ),
+    target="y",
+)
+
+
 @pytest.fixture
 def simple_schema():
-    return TableSchema(
-        columns=(
-            ColumnSpec("x", ColumnKind.CONTINUOUS),
-            ColumnSpec("flag", ColumnKind.BINARY),
-            ColumnSpec("lvl", ColumnKind.LIKELIHOOD),
-            ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", "b")),
-            ColumnSpec("y", ColumnKind.BINARY),
-        ),
-        target="y",
-    )
+    return SIMPLE_SCHEMA
 
 
 class TestLoadTable:
@@ -104,6 +107,102 @@ class TestLoadTable:
             load_table(p, simple_schema)
 
 
+def _random_table(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for spec in schema.columns:
+        if spec.kind is ColumnKind.CATEGORICAL:
+            columns[spec.name] = rng.integers(-1, len(spec.levels), n)
+            continue
+        if spec.kind is ColumnKind.CONTINUOUS:
+            values = rng.standard_normal(n)
+        elif spec.kind is ColumnKind.LIKELIHOOD:
+            values = rng.integers(1, 100, n).astype(float)
+        else:
+            values = rng.integers(0, 2, n).astype(float)
+        if spec.name != schema.target:
+            values[rng.random(n) < 0.2] = np.nan
+        columns[spec.name] = values
+    return DataTable(schema, columns)
+
+
+def _assert_same_table(a, b):
+    assert a.schema == b.schema
+    assert a.n_records == b.n_records
+    for spec in a.schema.columns:
+        if spec.kind is ColumnKind.CATEGORICAL:
+            np.testing.assert_array_equal(a.codes(spec.name), b.codes(spec.name))
+        else:
+            np.testing.assert_array_equal(a.column(spec.name), b.column(spec.name))
+
+
+class TestLoadColumns:
+    """``load_table(..., columns=)`` parses and validates only the named
+    columns and the target, but checks the header and every row's width."""
+
+    @given(
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        names=st.lists(st.sampled_from(SIMPLE_SCHEMA.names), max_size=6),
+    )
+    def test_equals_a_full_load_cut_to_the_columns(self, tmp_path_factory, n, seed, names):
+        p = tmp_path_factory.mktemp("cut") / "d.csv"
+        save_table(_random_table(SIMPLE_SCHEMA, n, seed), p)
+        cut = load_table(p, SIMPLE_SCHEMA, names)
+        _assert_same_table(cut, load_table(p, SIMPLE_SCHEMA).select_columns(names))
+        assert cut.schema == SIMPLE_SCHEMA.select(names)
+
+    def test_bad_cell_in_an_unread_column_is_ignored(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.5,7,0,zzz,0\n2.5,1,20,b,1\n")
+        table = load_table(p, simple_schema, ["x"])
+        assert table.schema.names == ["x", "y"]
+        assert table.column("x").tolist() == [1.5, 2.5]
+
+    def test_bad_cell_in_a_read_column_raises_as_in_a_full_load(self, tmp_path, simple_schema):
+        text = "x,flag,lvl,cat,y\n1.0,0,10,a,0\n2.0,0,0,zzz,1\nbad,3,10,a,0\n"
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(CellParseError) as full:
+            load_table(p, simple_schema)
+        for names in (["x", "lvl", "cat"], ["cat", "lvl"], ["lvl"]):
+            with pytest.raises(CellParseError) as cut:
+                load_table(p, simple_schema, names)
+            assert (cut.value.row, cut.value.column, cut.value.token) == (1, "lvl", "0")
+            assert str(cut.value) == str(full.value)
+        with pytest.raises(CellParseError) as cut:
+            load_table(p, simple_schema, ["cat"])
+        assert (cut.value.row, cut.value.column, cut.value.token) == (1, "cat", "zzz")
+        with pytest.raises(CellParseError) as cut:
+            load_table(p, simple_schema, ["flag", "x"])
+        assert (cut.value.row, cut.value.column, cut.value.token) == (2, "x", "bad")
+
+    def test_ragged_row_and_header_checked_outside_the_read_columns(self, tmp_path, simple_schema):
+        for row in ("1.0,0,10,a,0,extra", "1.0,0,10,a"):
+            p = write_csv(tmp_path / "d.csv", f"x,flag,lvl,cat,y\n2.0,1,20,b,1\n{row}\n")
+            with pytest.raises(ValidationError, match="row 1 has"):
+                load_table(p, simple_schema, ["x"])
+        # a bad read cell above the ragged row is still reported first
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\nbad,1,20,b,1\n1.0,0,10,a,0,extra\n")
+        with pytest.raises(CellParseError, match="'bad'"):
+            load_table(p, simple_schema, ["x"])
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,z\n1.0,0,10,a,0\n")
+        with pytest.raises(ValidationError, match="header"):
+            load_table(p, simple_schema, ["x"])
+
+    def test_unknown_column_rejected(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n1.0,0,10,a,0\n")
+        with pytest.raises(ValidationError, match="'nope'"):
+            load_table(p, simple_schema, ["x", "nope"])
+
+    def test_no_columns_gives_the_target_alone(self, tmp_path, simple_schema):
+        # multi-character target tokens: a one-column cut must keep each
+        # token whole, not a string of characters
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\nbad,0,10,a,0\n2.0,1,20,b,+1\n,,,,1.0\n")
+        for names in ([], ["y"]):
+            table = load_table(p, simple_schema, names)
+            assert table.schema.names == ["y"]
+            assert table.column("y").tolist() == [0.0, 1.0, 1.0]
+
+
 class TestCategoricalStorage:
     def schema(self):
         return TableSchema(
@@ -132,6 +231,11 @@ class TestCategoricalStorage:
         for bad in (3, -2):
             with pytest.raises(ValidationError, match="cat"):
                 DataTable(self.schema(), {"cat": np.array([0, bad]), "y": np.array([0.0, 1.0])})
+
+    def test_missing_marker_level_rejected(self):
+        for level in ("NA", ""):
+            with pytest.raises(ValidationError, match="missing marker"):
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", level))
 
     def test_codes_of_a_numeric_column_rejected(self):
         t = make_table({"x": [1.0, 2.0], "y": [0, 1]}, {"x": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY})
