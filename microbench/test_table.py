@@ -1,15 +1,19 @@
-"""Micro-benchmarks of the table layers: CSV parse, imputation, split, varclus.
+"""Micro-benchmarks of the table layers: generation, CSV parse, imputation,
+level extraction, split, varclus.
 
 The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
 less than half its rows.  The CSV is parsed whole, and with 10 named
-predictors, the most a ``tall`` model scores with.  Clustering runs on
+predictors, the most a ``tall`` model scores with.  Level extraction
+runs ``discrete_levels`` once over every discrete predictor (105 of
+them), as the IV stage of screening does.  Clustering runs on
 the correlations of every other predictor (60 of them, all four kinds)
 down to 20 clusters, the size of the ``tall`` workload's clustering
 stage.  The pairwise-complete correlations run on the numeric views of
 all 150 predictors with 5 % gaps in every column, discrete kinds
 included, as a loaded CSV can have them.  The directory is outside the
-tier-1 ``testpaths``; run it with
+tier-1 ``testpaths`` and needs the ``bench`` extra (``pytest-benchmark``);
+run it with
 
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 """
@@ -17,10 +21,11 @@ tier-1 ``testpaths``; run it with
 import numpy as np
 import pytest
 
-from screenfit import varclus
+from screenfit import screening, varclus
 from screenfit.synthgen import SyntheticSpec, generate
 from screenfit.table import (
     IMPUTED_KINDS,
+    ColumnKind,
     impute_numeric_columns,
     load_table,
     save_table,
@@ -51,6 +56,11 @@ def csv_path(table, tmp_path_factory):
     return path
 
 
+def test_generate(benchmark):
+    table, _ = benchmark(generate, SPEC)
+    assert table.n_records == SPEC.n_records
+
+
 def test_load_table(benchmark, table, csv_path):
     loaded = benchmark(load_table, csv_path, table.schema)
     assert loaded.n_records == table.n_records
@@ -70,6 +80,20 @@ def test_impute_numeric_columns(benchmark, table):
         for c in table.schema.columns
         if c.kind in IMPUTED_KINDS
     )
+
+
+def test_discrete_levels(benchmark, table):
+    names = [
+        name
+        for name in table.schema.predictors
+        if table.schema.column(name).kind is not ColumnKind.CONTINUOUS
+    ]
+
+    def levels_of_every_discrete_column():
+        return [screening.discrete_levels(table, name) for name in names]
+
+    levels = benchmark(levels_of_every_discrete_column)
+    assert len(levels) == len(names) == 105
 
 
 def test_split_train_validation(benchmark, table):

@@ -220,10 +220,10 @@ def encode_design(
         columns = []
         for term in template:
             if term.encoding == STANDARDIZED:
-                values = table.column(term.source).astype(float)
+                values = table.numeric_view(term.source)
                 columns.append((values - term.mean) / term.std)
             elif term.encoding == FLAG:
-                columns.append(table.column(term.source).astype(float))
+                columns.append(table.numeric_view(term.source))
             else:
                 levels = table.schema.column(term.source).levels
                 code = levels.index(term.level) if term.level in levels else -1
@@ -245,7 +245,7 @@ def encode_design(
         for v in variables:
             spec = table.schema.column(v)
             if spec.kind in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
-                values = table.column(v).astype(float)
+                values = table.numeric_view(v)
                 mean, std = float(values.mean()), float(values.std())
                 if std == 0.0:
                     warnings.append(f"{v}: constant column dropped from the design")
@@ -253,7 +253,7 @@ def encode_design(
                 terms_list.append(Term(source=v, encoding=STANDARDIZED, mean=mean, std=std))
                 columns.append((values - mean) / std)
             elif spec.kind is ColumnKind.BINARY:
-                values = table.column(v).astype(float)
+                values = table.numeric_view(v)
                 if values.std() == 0.0:
                     warnings.append(f"{v}: constant column dropped from the design")
                     continue

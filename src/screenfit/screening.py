@@ -208,6 +208,19 @@ def _likelihood_bin_labels() -> list[str]:
     return labels
 
 
+# The bin of every likelihood code 0..99, and -1 for the gap code -1.
+# searchsorted puts x == edge into the left bin's right edge; shift so
+# bins are [lo, hi) with the last bin closed.
+_LIKELIHOOD_BIN_OF_CODE = np.append(
+    np.clip(
+        np.searchsorted(_likelihood_bin_edges(), np.arange(LIKELIHOOD_MAX + 1), side="right") - 1,
+        0,
+        N_LIKELIHOOD_BINS - 1,
+    ),
+    -1,
+)
+
+
 def _occupied(raw: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep the labels that occur in raw (label index per row, -1 = missing)
     and index each row into the kept labels, missing rows staying -1."""
@@ -223,7 +236,8 @@ def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.nda
     Binary columns yield levels "0"/"1"; categorical columns their string
     levels in sorted order; likelihood columns the seven equal-width bins
     over [1, 99].  Missing rows get index -1.  Returned labels cover only
-    levels that occur in the data.
+    levels that occur in the data.  Each kind maps the column's codes
+    through a lookup whose last entry, the one code -1 picks, is -1.
     """
     spec = table.schema.column(variable)
     if spec.kind is ColumnKind.CONTINUOUS:
@@ -232,19 +246,14 @@ def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.nda
         )
     if spec.kind is ColumnKind.CATEGORICAL:
         labels = sorted(spec.levels)
-        rank = np.array([labels.index(lvl) for lvl in spec.levels] + [-1])
-        return _occupied(rank[table.codes(variable)], np.array(labels, dtype=object))
-    values = table.column(variable)
-    if spec.kind is ColumnKind.BINARY:
-        raw = values
-        labels = np.array(["0", "1"], dtype=object)
+        label_of_code = np.array([labels.index(lvl) for lvl in spec.levels] + [-1])
+    elif spec.kind is ColumnKind.BINARY:
+        labels = ["0", "1"]
+        label_of_code = np.array([0, 1, -1])
     else:
-        # searchsorted puts x == edge into the left bin's right edge; shift
-        # so bins are [lo, hi) with the last bin closed.
-        raw = np.searchsorted(_likelihood_bin_edges(), values, side="right") - 1
-        raw = np.clip(raw, 0, N_LIKELIHOOD_BINS - 1)
-        labels = np.array(_likelihood_bin_labels(), dtype=object)
-    return _occupied(np.where(np.isnan(values), -1, raw).astype(int), labels)
+        labels = _likelihood_bin_labels()
+        label_of_code = _LIKELIHOOD_BIN_OF_CODE
+    return _occupied(label_of_code[table.codes(variable)], np.array(labels, dtype=object))
 
 
 def _level_class_counts(
@@ -291,9 +300,9 @@ def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
     spec = table.schema.column(variable)
     if spec.kind is not ColumnKind.BINARY:
         raise ValidationError(f"{variable!r} is not binary")
-    x = table.column(variable)
-    keep = ~np.isnan(x)
-    cell = 2 * x[keep].astype(int) + table.target_values[keep]
+    x = table.codes(variable)
+    keep = x >= 0
+    cell = 2 * x[keep] + table.target_values[keep]
     statistic = _pearson_2x2(np.bincount(cell, minlength=4).reshape(2, 2).astype(float))
     if statistic is None:
         raise ComputationError(
@@ -387,8 +396,8 @@ def occupancy_filter(
         spec = table.schema.column(name)
         if spec.kind is not ColumnKind.BINARY:
             raise ValidationError(f"occupancy filter applies to binary columns; {name!r} is {spec.kind.value}")
-        x = table.column(name)
-        x = x[~np.isnan(x)]
+        x = table.codes(name)
+        x = x[x >= 0]
         if len(x) == 0:
             continue
         if float(x.mean()) >= min_frac:

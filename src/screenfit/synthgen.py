@@ -10,6 +10,11 @@ responder count so the realized prevalence matches
 n_signal / (n_signal + n_background).  Missing cells are then injected
 into continuous and likelihood columns.
 
+The columns are built in the dtype the table stores them in: binary and
+likelihood values, categorical codes and the target as ``int8`` with -1
+for a gap, continuous values as float64 with NaN.  Each is frozen and
+handed to :class:`DataTable`, which shares it rather than copying it.
+
 Everything is a pure function of the spec (including its seed) plus a
 sample index: the same inputs reproduce the same table bit for bit.  The
 spec seed drives a *structure* stream (column parameters, the choice of
@@ -167,8 +172,9 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     sample_index 0 is the primary table; any other index yields a fresh,
     structurally identical sample (same column parameters, same planted
     variables and coefficients) suitable for out-of-sample testing.  The
-    table shares the arrays built here (read-only) instead of copying
-    them, so the columns exist once in memory.
+    columns are built in their stored dtypes (``int8`` codes for every
+    discrete kind, float64 for continuous), and the table shares them
+    (read-only) instead of copying them, so they exist once in memory.
     """
     if sample_index < 0:
         raise ValidationError("sample_index must be >= 0")
@@ -184,7 +190,7 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     for i in range(counts["binary"]):
         name = f"bin_{i:03d}"
         occupancy = structure.uniform(0.05, 0.6)
-        columns[name] = (records.random(n) < occupancy).astype(float)
+        columns[name] = (records.random(n) < occupancy).astype(np.int8)
         specs.append(ColumnSpec(name=name, kind=ColumnKind.BINARY))
         names_by_kind["binary"].append(name)
     for i in range(counts["categorical"]):
@@ -192,14 +198,14 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
         n_levels = int(structure.integers(3, len(CATEGORY_LABELS) + 1))
         levels = tuple(CATEGORY_LABELS[:n_levels])
         probs = structure.dirichlet(np.full(n_levels, 2.0))
-        columns[name] = records.choice(n_levels, size=n, p=probs)
+        columns[name] = records.choice(n_levels, size=n, p=probs).astype(np.int8)
         specs.append(ColumnSpec(name=name, kind=ColumnKind.CATEGORICAL, levels=levels))
         names_by_kind["categorical"].append(name)
     for i in range(counts["likelihood"]):
         name = f"lik_{i:03d}"
         skew = structure.uniform(0.5, 2.0)
         u = records.random(n)
-        columns[name] = np.clip(np.floor(u**skew * 99.0) + 1.0, 1.0, 99.0)
+        columns[name] = np.clip(np.floor(u**skew * 99.0) + 1.0, 1.0, 99.0).astype(np.int8)
         specs.append(ColumnSpec(name=name, kind=ColumnKind.LIKELIHOOD))
         names_by_kind["likelihood"].append(name)
     for i in range(counts["continuous"]):
@@ -259,7 +265,7 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
         return int(np.sum(u < _sigmoid(c + latent)))
 
     intercept = _calibrate_intercept(count, want)
-    y = (u < _sigmoid(intercept + latent)).astype(float)
+    y = (u < _sigmoid(intercept + latent)).astype(np.int8)
     realized = float(y.mean())
     if abs(realized - spec.target_prevalence) > 0.01:
         raise ComputationError(
@@ -268,12 +274,12 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
         )
 
     if spec.missing_rate > 0.0:
-        for kind in ("likelihood", "continuous"):
+        for kind, gap in (("likelihood", -1), ("continuous", np.nan)):
             for name in names_by_kind[kind]:
                 mask = records.random(n) < spec.missing_rate
                 if mask.all():
                     mask[0] = False  # keep the column imputable
-                columns[name][mask] = np.nan
+                columns[name][mask] = gap
 
     specs.append(ColumnSpec(name=TARGET_NAME, kind=ColumnKind.BINARY))
     columns[TARGET_NAME] = y

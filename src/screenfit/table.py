@@ -1,12 +1,17 @@
 """Columnar data model for wide tabular data with a binary target.
 
-A :class:`DataTable` owns one numpy array per column.  Numeric kinds
-(binary, likelihood-level, continuous) are stored as float64 with NaN as
-the missing marker.  A categorical column is stored as integer codes
-into its spec's declared level tuple, with -1 as the missing marker, so
-every stage works on categoricals with numpy expressions over the codes;
-only this module maps codes to level strings and back.  Tables are
-immutable after construction: every operation returns a new table (or
+A :class:`DataTable` owns one numpy array per column.  A continuous
+column is stored as float64 with NaN as the missing marker.  Every
+discrete kind is stored as integer codes with -1 as the missing marker:
+a binary column holds its 0/1 values, a likelihood column its 1..99
+levels, and a categorical column indices into its spec's declared level
+tuple.  The codes take the narrowest signed integer dtype that holds
+them -- one byte per cell for binary, likelihood and categoricals of up
+to 128 levels -- so a table of mostly discrete columns takes a fraction
+of its float64 size.  Every stage works on the codes with numpy
+expressions, or reads float64 with NaN through the accessors; only this
+module maps codes to level strings and back.  Tables are immutable
+after construction: every operation returns a new table (or
 the same object when nothing changed), and the backing arrays are marked
 read-only so they can be shared across threads and across tables -- a
 transform copies only the columns it changes.
@@ -161,6 +166,57 @@ class TableSchema:
             raise ValidationError(f"malformed schema: {exc}") from exc
 
 
+def _code_range(spec: ColumnSpec) -> tuple[int, int]:
+    """The lowest and highest code of a discrete column: its binary values,
+    its likelihood levels, or the indices of its declared levels."""
+    if spec.kind is ColumnKind.CATEGORICAL:
+        return 0, len(spec.levels) - 1
+    if spec.kind is ColumnKind.BINARY:
+        return 0, 1
+    return LIKELIHOOD_MIN, LIKELIHOOD_MAX
+
+
+def _stored_dtype(spec: ColumnSpec) -> np.dtype:
+    """Float64 for a continuous column; for a discrete one the narrowest
+    signed integer dtype that holds its codes and -1."""
+    if spec.kind is ColumnKind.CONTINUOUS:
+        return np.dtype(np.float64)
+    # A signed dtype that holds -(top + 1) also holds top.
+    return np.min_scalar_type(-_code_range(spec)[1] - 1)
+
+
+def _domain(kind: ColumnKind) -> str:
+    """What a value of a binary or likelihood column must be."""
+    if kind is ColumnKind.BINARY:
+        return "binary values must be 0 or 1"
+    return f"likelihood levels are integers in [{LIKELIHOOD_MIN}, {LIKELIHOOD_MAX}]"
+
+
+def _in_domain(spec: ColumnSpec, values: np.ndarray) -> np.ndarray:
+    """Which float values fit a binary, likelihood or continuous column
+    (NaN fits none of them)."""
+    if spec.kind is ColumnKind.CONTINUOUS:
+        return np.isfinite(values)
+    lo, hi = _code_range(spec)
+    return (values == np.floor(values)) & (values >= lo) & (values <= hi)
+
+
+def _bad_codes(spec: ColumnSpec, codes: np.ndarray) -> np.ndarray | tuple:
+    """Rows of integer codes that are neither -1 nor a code of the column."""
+    lo, hi = _code_range(spec)
+    # The bounds of the whole column settle the common case without a
+    # row-wise pass; a likelihood 0 lies inside them, but codes.all()
+    # finds it.
+    if not len(codes) or (codes.min() >= -1 and codes.max() <= hi and (lo == 0 or codes.all())):
+        return ()
+    return np.flatnonzero((codes != -1) & ((codes < lo) | (codes > hi)))
+
+
+def _decoded(codes: np.ndarray) -> np.ndarray:
+    """Codes as float64 with NaN for a gap."""
+    return np.where(codes < 0, np.nan, codes)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -174,49 +230,71 @@ def _owned(values, dtype) -> np.ndarray:
     return _freeze(np.array(values, dtype=dtype))
 
 
-def _level_codes(levels: tuple[str, ...], cells, missing: tuple) -> np.ndarray:
-    """Codes of cells into the levels: -1 for a missing marker, -2 for any
-    other value that is not a declared level."""
-    index = {lvl: i for i, lvl in enumerate(levels)} | dict.fromkeys(missing, -1)
+def _level_codes(spec: ColumnSpec, cells, missing: tuple) -> np.ndarray:
+    """Codes of cells into the spec's levels, in its stored dtype: -1 for a
+    missing marker, -2 for any other value that is not a declared level."""
+    index = {lvl: i for i, lvl in enumerate(spec.levels)} | dict.fromkeys(missing, -1)
     return np.fromiter(
-        map(index.get, cells, itertools.repeat(-2)), dtype=np.intp, count=len(cells)
+        map(index.get, cells, itertools.repeat(-2)),
+        dtype=_stored_dtype(spec),
+        count=len(cells),
     )
 
 
 def _stored(spec: ColumnSpec, values) -> np.ndarray:
-    """A column as the table stores it, read-only (see :class:`DataTable`)."""
-    if spec.kind is not ColumnKind.CATEGORICAL:
-        return _owned(values, np.float64)
+    """A column as the table stores it, read-only (see :class:`DataTable`).
+    A value outside the column's kind raises :class:`ValidationError`
+    naming the column and the first bad row."""
+    dtype = _stored_dtype(spec)
+    if spec.kind is ColumnKind.CONTINUOUS:
+        return _owned(values, dtype)
     cells = np.asarray(values)
     if cells.dtype.kind in "iu":
-        codes = _owned(values, np.intp)
+        codes, bad = cells, _bad_codes(spec, cells)
+    elif spec.kind is ColumnKind.CATEGORICAL:
+        codes = _level_codes(spec, cells, (None,))
+        bad = np.flatnonzero(codes < -1)
     else:
-        codes = _freeze(_level_codes(spec.levels, cells, (None,)))
-    bad = np.flatnonzero((codes < -1) | (codes >= len(spec.levels)))
+        cells = np.asarray(values, dtype=np.float64)
+        gaps = np.isnan(cells)
+        codes = np.where(gaps, -1, cells)
+        bad = np.flatnonzero(~(gaps | _in_domain(spec, cells)))
     if len(bad):
-        raise ValidationError(
-            f"categorical column {spec.name!r}, row {bad[0]}: "
-            f"{cells[bad[0]]!r} is neither a declared level nor a level code"
-        )
-    return codes
+        row, cell = bad[0], cells[bad[0] : bad[0] + 1].tolist()[0]
+        if spec.kind is ColumnKind.CATEGORICAL:
+            why = "is neither a declared level nor a level code"
+        else:
+            why = f"is out of domain ({_domain(spec.kind)}; a gap is NaN or -1)"
+        raise ValidationError(f"{spec.kind.value} column {spec.name!r}, row {row}: {cell!r} {why}")
+    return _owned(codes, dtype)
 
 
 class DataTable:
     """Immutable columnar table; one array per schema column.
 
-    Binary, likelihood and continuous columns are float64 arrays with NaN
-    for a missing cell.  A categorical column is an array of int codes
-    into ``spec.levels``, with -1 for a missing cell: :meth:`codes`
-    returns them, and :meth:`column` decodes them to level strings with
-    None for a missing cell.  The constructor takes a categorical column
-    either as integer codes or as strings (None for missing); the dtype
-    decides which, and codes out of range or strings that are not
-    declared levels are rejected.
+    A continuous column is a float64 array with NaN for a missing cell.
+    A discrete column is an array of integer codes with -1 for a missing
+    cell: the 0/1 of a binary column, the 1..99 of a likelihood column,
+    or the index into ``spec.levels`` of a categorical one.  The codes
+    take the narrowest signed integer dtype that holds them: ``int8`` for
+    binary and likelihood columns and for categoricals of up to 128
+    levels, a wider one for more levels.  :meth:`codes` returns them;
+    :meth:`column` and :meth:`numeric_view` decode binary and likelihood
+    codes to float64 with NaN, and :meth:`column` decodes categorical
+    codes to level strings with None.
+
+    The constructor takes a discrete column either as integer codes (-1
+    for missing) or as values: floats with NaN for missing for binary and
+    likelihood columns, strings with None for missing for categoricals.
+    The dtype decides which.  A value or code outside the column's kind
+    -- a binary 0.5 or 2, a likelihood 150, a code out of range, an
+    undeclared string -- raises :class:`ValidationError` naming the
+    column and the first bad row.
 
     Every stored array is read-only.  The constructor shares a read-only
-    array of the stored dtype (float64, or intp for codes) instead of
-    copying it, so a transform hands over the columns it leaves alone,
-    and any new column it has frozen, without a copy.
+    array of the stored dtype (float64, or the column's code dtype)
+    instead of copying it, so a transform hands over the columns it
+    leaves alone, and any new column it has frozen, without a copy.
 
     The target column must exist, be binary, and contain no missing
     values.  Both target classes being present is *not* required here --
@@ -233,7 +311,7 @@ class DataTable:
         self.schema = schema
         self._columns = {c.name: _stored(c, columns[c.name]) for c in schema.columns}
         self._n = lengths.pop() if lengths else 0
-        if np.isnan(self._columns[schema.target]).any():
+        if (self._columns[schema.target] < 0).any():
             raise ValidationError(f"target column {schema.target!r} has missing values")
 
     @property
@@ -241,17 +319,25 @@ class DataTable:
         return self._n
 
     def column(self, name: str) -> np.ndarray:
-        """The column's values; a categorical comes back decoded, as an
-        object array of level strings with None for missing cells."""
+        """The column's values, read-only: float64 with NaN for missing
+        cells, or for a categorical an object array of level strings with
+        None for missing cells."""
         spec = self.schema.column(name)
+        stored = self._columns[name]
+        if spec.kind is ColumnKind.CONTINUOUS:
+            return stored
         if spec.kind is ColumnKind.CATEGORICAL:
-            return _freeze(np.array(spec.levels + (None,), dtype=object)[self._columns[name]])
-        return self._columns[name]
+            return _freeze(np.array(spec.levels + (None,), dtype=object)[stored])
+        return _freeze(_decoded(stored))
 
     def codes(self, name: str) -> np.ndarray:
-        """A categorical column's codes into its declared levels, -1 for missing."""
-        if self.schema.column(name).kind is not ColumnKind.CATEGORICAL:
-            raise ValidationError(f"column {name!r} is not categorical")
+        """A discrete column's stored codes, -1 for missing: the binary
+        values, the likelihood levels, or the indices into a categorical's
+        declared levels."""
+        if self.schema.column(name).kind is ColumnKind.CONTINUOUS:
+            raise ValidationError(
+                f"column {name!r} is continuous, not categorical, binary or likelihood"
+            )
         return self._columns[name]
 
     @property
@@ -260,22 +346,22 @@ class DataTable:
         return self._columns[self.schema.target].astype(int)
 
     def missing_mask(self, name: str) -> np.ndarray:
-        if self.schema.column(name).kind is ColumnKind.CATEGORICAL:
-            return self._columns[name] < 0
-        return np.isnan(self._columns[name])
+        if self.schema.column(name).kind is ColumnKind.CONTINUOUS:
+            return np.isnan(self._columns[name])
+        return self._columns[name] < 0
 
     def numeric_view(self, name: str) -> np.ndarray:
-        """Column as float64 with NaN for missing.
+        """Column as a new float64 array with NaN for missing.
 
-        Binary and likelihood columns are already numeric; categorical
-        columns are coded by their index in the declared level list (the
-        conventional numeric recoding of character levels).
+        Continuous, binary and likelihood columns give their values, and
+        categorical columns their index in the declared level list (the
+        conventional numeric recoding of character levels): every
+        discrete kind decodes its codes the same way.
         """
-        kind = self.schema.column(name).kind
         values = self._columns[name]
-        if kind is ColumnKind.CATEGORICAL:
-            return np.where(values < 0, np.nan, values)
-        return values.astype(float)
+        if self.schema.column(name).kind is ColumnKind.CONTINUOUS:
+            return values.astype(float)
+        return _decoded(values)
 
     def subset(self, rows: np.ndarray) -> "DataTable":
         """New table containing the given rows (original order preserved by the caller's index order)."""
@@ -326,30 +412,16 @@ def _cell_error(token: str, spec: ColumnSpec) -> str | None:
         return "not a number"
     if not math.isfinite(value):
         return "not a finite number"
-    if spec.kind is ColumnKind.BINARY and value not in (0.0, 1.0):
-        return "binary values must be 0 or 1"
-    if spec.kind is ColumnKind.LIKELIHOOD and (
-        value != int(value) or not (LIKELIHOOD_MIN <= value <= LIKELIHOOD_MAX)
-    ):
-        return f"likelihood levels are integers in [{LIKELIHOOD_MIN}, {LIKELIHOOD_MAX}]"
+    if not _in_domain(spec, np.float64(value)):
+        return _domain(spec.kind)
     return None
-
-
-def _in_domain(kind: ColumnKind, values: np.ndarray) -> np.ndarray:
-    """Which parsed values fit a numeric kind (the vector form of :func:`_cell_error`)."""
-    if kind is ColumnKind.BINARY:
-        return (values == 0.0) | (values == 1.0)
-    fits = np.isfinite(values)
-    if kind is ColumnKind.LIKELIHOOD:
-        fits &= (values == np.floor(values)) & (values >= LIKELIHOOD_MIN) & (values <= LIKELIHOOD_MAX)
-    return fits
 
 
 def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
     """A column's tokens as the table stores them, plus the first row whose
     token breaks the column's kind (None when every token fits)."""
     if spec.kind is ColumnKind.CATEGORICAL:
-        codes = _level_codes(spec.levels, tokens, MISSING_TOKENS)
+        codes = _level_codes(spec, tokens, MISSING_TOKENS)
         bad = np.flatnonzero(codes == -2)
         return codes, int(bad[0]) if len(bad) else None
     cells = np.array(tokens, dtype=object)
@@ -363,8 +435,12 @@ def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray
             if token not in MISSING_TOKENS and _cell_error(token, spec)
         )
         return values, first
-    bad = np.flatnonzero(present & ~_in_domain(spec.kind, values))
-    return values, int(bad[0]) if len(bad) else None
+    bad = np.flatnonzero(present & ~_in_domain(spec, values))
+    if len(bad):
+        return values, int(bad[0])
+    if spec.kind is not ColumnKind.CONTINUOUS:
+        values = np.where(present, values, -1).astype(_stored_dtype(spec))
+    return values, None
 
 
 def load_table(
@@ -436,14 +512,12 @@ def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:
     parses back to the same float)."""
     if spec.kind is ColumnKind.CATEGORICAL:
         return np.array(spec.levels + ("",), dtype=object)[table.codes(spec.name)]
-    values = table.column(spec.name)
-    gaps = np.isnan(values)
     if spec.kind is ColumnKind.CONTINUOUS:
-        cells = map(repr, values.tolist())
+        cells = map(repr, table.column(spec.name).tolist())
     else:
-        cells = map(str, np.where(gaps, 0.0, values).astype(np.int64).tolist())
+        cells = map(str, table.codes(spec.name).tolist())
     column = np.array(list(cells), dtype=object)
-    column[gaps] = ""
+    column[table.missing_mask(spec.name)] = ""
     return column
 
 
@@ -478,11 +552,12 @@ def load_schema(path: str | Path) -> TableSchema:
 
 
 def _median_filled(table: DataTable, specs) -> dict[str, np.ndarray]:
-    """Median-filled, read-only copies of the given columns that have gaps."""
+    """Median-filled, read-only copies of the given columns that have
+    gaps, in their stored dtype."""
     filled = {}
     for spec in specs:
-        values = table.column(spec.name)
-        mask = np.isnan(values)
+        values = table._columns[spec.name]
+        mask = table.missing_mask(spec.name)
         if not mask.any():
             continue
         if mask.all():

@@ -6,7 +6,7 @@ from screenfit import synthgen
 from screenfit.errors import ValidationError
 from screenfit.logit import _sigmoid
 from screenfit.synthgen import SyntheticSpec
-from screenfit.table import ColumnKind
+from screenfit.table import ColumnKind, ColumnSpec
 
 
 def bisection_200_rounds(count, want):
@@ -59,6 +59,32 @@ def test_intercept_matches_the_200_round_bisection(spec, monkeypatch):
 
 
 
+class TestStorage:
+    def test_discrete_columns_are_the_int8_arrays_generate_built(self, monkeypatch):
+        built = {}
+        table_class = synthgen.DataTable
+
+        def recording(schema, columns):
+            built.update(columns)
+            return table_class(schema, columns)
+
+        monkeypatch.setattr(synthgen, "DataTable", recording)
+        table, _ = synthgen.generate(SPECS[1])
+        kinds = {spec.kind for spec in table.schema.columns}
+        assert kinds == set(ColumnKind)
+        for spec in table.schema.columns:
+            if spec.kind is ColumnKind.CONTINUOUS:
+                assert table.column(spec.name) is built[spec.name]
+                continue
+            codes = table.codes(spec.name)
+            assert codes is built[spec.name]
+            assert codes.dtype == np.int8
+            assert codes.nbytes == table.n_records
+        # gaps are injected as the code -1
+        likelihood = [s.name for s in table.schema.columns if s.kind is ColumnKind.LIKELIHOOD]
+        assert all((table.codes(name) == -1).any() for name in likelihood)
+
+
 class TestOracleMetrics:
     SPEC = SyntheticSpec(
         n_signal=300, n_background=2700, n_informative=8, n_noise=4,
@@ -94,8 +120,11 @@ class TestOracleMetrics:
             at_mean[name] = np.where(gap, truth.standardization[name][0], values)
         p_gappy = synthgen.oracle_metrics(truth, table.replace_columns(gappy)).p
         assert not np.array_equal(p_gappy, synthgen.oracle_metrics(truth, table).p)
+        # a mean is no binary or likelihood value: those columns read it as continuous
+        as_continuous = tuple(ColumnSpec(name, ColumnKind.CONTINUOUS) for name in numeric)
         np.testing.assert_array_equal(
-            p_gappy, synthgen.oracle_metrics(truth, table.replace_columns(at_mean)).p
+            p_gappy,
+            synthgen.oracle_metrics(truth, table.replace_columns(at_mean, as_continuous)).p,
         )
 
         # with every planted cell a gap, each record scores the intercept alone

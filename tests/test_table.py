@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from screenfit.errors import CellParseError, ComputationError, ValidationError
+from screenfit.logit import DUMMY, encode_design
+from screenfit.screening import LevelMapping, apply_level_mapping
 from screenfit.table import (
     ColumnKind,
     ColumnSpec,
@@ -243,6 +245,152 @@ class TestCategoricalStorage:
             t.codes("x")
 
 
+class TestDiscreteStorage:
+    """Binary, likelihood and categorical columns are stored as the
+    narrowest signed integer codes, -1 for a gap; the accessors decode
+    them to what the float64 storage held."""
+
+    @staticmethod
+    def float64_values(spec, cells):
+        """The float64 column, NaN at gaps, as a float64 table stored it
+        (a categorical as its numeric view: the level index)."""
+        if spec.kind is ColumnKind.CATEGORICAL:
+            cells = [None if c is None else spec.levels.index(c) for c in cells]
+        return np.array([np.nan if c is None else c for c in cells], dtype=np.float64)
+
+    @staticmethod
+    def categorical_schema(levels):
+        return TableSchema(
+            columns=(
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=levels),
+                ColumnSpec("y", ColumnKind.BINARY),
+            ),
+            target="y",
+        )
+
+    @given(
+        data=st.data(),
+        n=st.integers(0, 20),
+        as_codes=st.booleans(),
+    )
+    def test_accessors_give_the_float64_values(self, data, n, as_codes):
+        cell = {
+            ColumnKind.CONTINUOUS: st.floats(allow_nan=False, allow_infinity=False),
+            ColumnKind.BINARY: st.sampled_from([0.0, 1.0]),
+            ColumnKind.LIKELIHOOD: st.integers(1, 99).map(float),
+            ColumnKind.CATEGORICAL: st.sampled_from(["a", "b"]),
+        }
+        cells, columns = {}, {}
+        for spec in SIMPLE_SCHEMA.columns:
+            gap = st.nothing() if spec.name == SIMPLE_SCHEMA.target else st.none()
+            cells[spec.name] = data.draw(
+                st.lists(st.one_of(cell[spec.kind], gap), min_size=n, max_size=n)
+            )
+            values = self.float64_values(spec, cells[spec.name])
+            if as_codes and spec.kind is not ColumnKind.CONTINUOUS:
+                columns[spec.name] = np.where(np.isnan(values), -1, values).astype(np.int64)
+            elif spec.kind is ColumnKind.CATEGORICAL:
+                columns[spec.name] = np.array(cells[spec.name], dtype=object)
+            else:
+                columns[spec.name] = values
+        table = DataTable(SIMPLE_SCHEMA, columns)
+        for spec in SIMPLE_SCHEMA.columns:
+            expected = self.float64_values(spec, cells[spec.name])
+            view = table.numeric_view(spec.name)
+            assert view.dtype == np.float64
+            np.testing.assert_array_equal(view, expected)
+            np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))
+            np.testing.assert_array_equal(table.missing_mask(spec.name), np.isnan(expected))
+            column = table.column(spec.name)
+            assert not column.flags.writeable
+            if spec.kind is ColumnKind.CATEGORICAL:
+                assert column.tolist() == cells[spec.name]
+                continue
+            assert column.dtype == np.float64
+            np.testing.assert_array_equal(column, expected)
+            np.testing.assert_array_equal(np.signbit(column), np.signbit(expected))
+            if spec.kind is not ColumnKind.CONTINUOUS:
+                assert table.codes(spec.name).dtype == np.int8
+                assert table.codes(spec.name).nbytes == n
+
+    def test_binary_value_out_of_domain_rejected(self):
+        schema = SIMPLE_SCHEMA.select(["flag"])
+        for values in ([0.0, 2.0], [0.0, 0.5], [1.0, -1.0], [0.0, np.inf], np.array([0, 2])):
+            with pytest.raises(ValidationError, match=r"binary column 'flag', row 1: .*0 or 1"):
+                DataTable(schema, {"flag": values, "y": np.array([0.0, 1.0])})
+
+    def test_likelihood_value_out_of_domain_rejected(self):
+        schema = SIMPLE_SCHEMA.select(["lvl"])
+        for bad in (0.5, 150.0, -4.0, -1.0, 0.0, np.inf, 100, -4, -2):
+            values = np.array([50, 1, bad, 99])
+            with pytest.raises(ValidationError, match=r"likelihood column 'lvl', row 2: .*\[1, 99\]"):
+                DataTable(schema, {"lvl": values, "y": np.array([0.0, 1.0, 0.0, 1.0])})
+        # -1 is the gap code of integer input; NaN the gap of float input
+        for gap in (np.array([5, -1]), np.array([5.0, np.nan])):
+            table = DataTable(schema, {"lvl": gap, "y": np.array([0.0, 1.0])})
+            assert table.codes("lvl").tolist() == [5, -1]
+
+    def test_categorical_code_out_of_domain_rejected(self):
+        levels = tuple(f"l{i:03d}" for i in range(300))
+        schema = self.categorical_schema(levels)
+        for bad in (300, -2, 1000):
+            with pytest.raises(ValidationError, match=r"categorical column 'cat', row 1:"):
+                DataTable(schema, {"cat": np.array([299, bad]), "y": np.array([0.0, 1.0])})
+
+    def test_target_value_out_of_domain_rejected(self):
+        schema = SIMPLE_SCHEMA.select([])
+        with pytest.raises(ValidationError, match=r"binary column 'y', row 2: 0.5"):
+            DataTable(schema, {"y": np.array([0.0, 1.0, 0.5])})
+        for gap in (np.array([0, -1]), np.array([0.0, np.nan])):
+            with pytest.raises(ValidationError, match="target column 'y' has missing values"):
+                DataTable(schema, {"y": gap})
+
+    @pytest.mark.parametrize(
+        "n_levels, dtype", [(2, np.int8), (128, np.int8), (129, np.int16), (32769, np.int32)]
+    )
+    def test_code_dtype_is_the_narrowest_that_holds_the_levels(self, n_levels, dtype):
+        levels = tuple(f"l{i:03d}" for i in range(n_levels))
+        schema = self.categorical_schema(levels)
+        codes = np.array([n_levels - 1, -1, 0])
+        for values in (codes, [levels[-1], None, levels[0]]):
+            table = DataTable(schema, {"cat": values, "y": np.array([0.0, 1.0, 0.0])})
+            assert table.codes("cat").dtype == dtype
+            assert table.codes("cat").tolist() == codes.tolist()
+
+    def test_wide_categorical_round_trips_and_encodes(self, tmp_path):
+        # e.g. a county attribute: more levels than an int8 code holds
+        levels = tuple(f"county_{i:03d}" for i in range(300))
+        schema = self.categorical_schema(levels)
+        n = 1200
+        rng = np.random.default_rng(7)
+        codes = np.concatenate([np.arange(300), rng.integers(-1, 300, n - 300)])
+        y = (np.arange(n) % 2).astype(float)
+        table = DataTable(schema, {"cat": codes, "y": y})
+        assert table.codes("cat").dtype == np.int16
+        assert table.codes("cat").nbytes == 2 * n
+        assert table.codes("cat").tolist() == codes.tolist()
+        assert table.column("cat").tolist() == [None if c < 0 else levels[c] for c in codes]
+
+        save_table(table, tmp_path / "d.csv")
+        again = load_table(tmp_path / "d.csv", schema)
+        assert again.codes("cat").dtype == np.int16
+        np.testing.assert_array_equal(again.codes("cat"), table.codes("cat"))
+
+        # pairs of counties merge: 150 levels still need int16 codes
+        mapping = LevelMapping("cat", {lvl: levels[2 * (i // 2)] for i, lvl in enumerate(levels)})
+        merged = apply_level_mapping(again, mapping)
+        assert merged.schema.column("cat").levels == levels[::2]
+        assert merged.codes("cat").dtype == np.int16
+        np.testing.assert_array_equal(merged.codes("cat"), np.where(codes < 0, -1, codes // 2))
+
+        full = merged.subset(np.flatnonzero(codes >= 0))
+        design = encode_design(full, ["cat"])
+        dummies = [t for t in design.terms if t.encoding == DUMMY]
+        assert len(dummies) == 149
+        for j, term in enumerate(design.terms, start=1):
+            np.testing.assert_array_equal(design.X[:, j], full.column("cat") == term.level)
+
+
 class TestSelectColumns:
     def test_keeps_schema_order_and_the_target(self, binary_target_table):
         cut = binary_target_table.select_columns(["group", "flag"])
@@ -254,9 +402,9 @@ class TestSelectColumns:
 
     def test_shares_the_source_arrays(self, binary_target_table):
         cut = binary_target_table.select_columns(["amount", "group"])
-        for name in ("amount", "y"):
-            assert np.shares_memory(cut.column(name), binary_target_table.column(name))
-        assert np.shares_memory(cut.codes("group"), binary_target_table.codes("group"))
+        assert np.shares_memory(cut.column("amount"), binary_target_table.column("amount"))
+        for name in ("group", "y"):
+            assert np.shares_memory(cut.codes(name), binary_target_table.codes(name))
 
     def test_unknown_name_rejected(self, binary_target_table):
         with pytest.raises(ValidationError, match="'nope'"):
