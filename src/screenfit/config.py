@@ -15,13 +15,13 @@ from the same generator structure with sample index 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ValidationError
 from .screening import StagePlan
 from .synthgen import SyntheticSpec
+from .table import read_json
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,4 @@ _SECTIONS = {
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such config file: {p}")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise ValidationError(f"{p}: config must be a JSON object")
-    return PipelineConfig.from_dict(d)
+    return PipelineConfig.from_dict(read_json(path, "config file"))

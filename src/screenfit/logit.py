@@ -26,7 +26,7 @@ whichever member scores better on held-out decile statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +38,13 @@ from .table import ColumnKind, DataTable
 PROB_CLAMP = 1e-12
 
 SEPARATION_BETA = 30.0
+
+# IRLS stops once every coefficient moves by less than IRLS_TOL, or after
+# IRLS_MAX_ITER Newton steps; IRLS_RIDGE times the identity is added to the
+# information matrix so that a rank-deficient design still solves.
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 50
+IRLS_RIDGE = 1e-8
 
 STANDARDIZED = "standardized"
 DUMMY = "dummy"
@@ -76,11 +83,8 @@ class Term:
         return self.source
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Term":
-        return cls(**d)
+        """The term's set fields; ``Term(**d)`` rebuilds it."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -200,88 +204,78 @@ def encode_design(
 ) -> DesignMatrix:
     """Build the model design from screened, fully imputed variables.
 
-    Training mode (no template): numeric variables are z-scored with
-    their training mean and population std, categoricals expand to
-    dummies against the most-frequent level, binaries stay as 0/1 flags,
-    and constant columns are dropped with a warning.  Scoring mode
-    (template given): the template's terms are reproduced exactly with
-    their stored statistics; a categorical level unseen in training maps
-    to the reference (all dummies zero) with a warning.
+    Training mode (no template) first learns the terms: numeric variables
+    are z-scored with their training mean and population std,
+    categoricals expand to dummies against the most-frequent level,
+    binaries stay as 0/1 flags, and constant columns and dummies are
+    dropped with a warning.  Scoring mode (template given) takes the
+    template's terms.  Both modes then build every column from its term
+    by :func:`_term_column`, so a table encodes the same way in training
+    and in scoring.  A categorical level that has no term and is not the
+    reference maps to the reference (all dummies zero) with a warning; on
+    the training table every level that occurs has one or the other.
     """
-    y = table.target_values
-
     used = list(variables) if template is None else sorted({t.source for t in template})
     for v in used:
         if table.missing_mask(v).any():
             raise ValidationError(f"variable {v!r} has missing values; impute first")
 
     warnings: list[str] = []
-    if template is not None:
-        columns = []
-        for term in template:
-            if term.encoding == STANDARDIZED:
-                values = table.numeric_view(term.source)
-                columns.append((values - term.mean) / term.std)
-            elif term.encoding == FLAG:
-                columns.append(table.numeric_view(term.source))
-            else:
-                levels = table.schema.column(term.source).levels
-                code = levels.index(term.level) if term.level in levels else -1
-                columns.append((table.codes(term.source) == code).astype(float))
-        dummy_sources = {t.source: t for t in template if t.encoding == DUMMY}
-        for source, term in dummy_sources.items():
-            known = {t.level for t in template if t.source == source} | {term.reference}
-            levels = table.schema.column(source).levels
-            present = np.flatnonzero(np.bincount(table.codes(source), minlength=len(levels)))
-            for lvl in sorted({levels[i] for i in present} - known):
-                warnings.append(
-                    f"{source}: level {lvl!r} unseen in training; mapped to reference "
-                    f"{term.reference!r}"
-                )
-        terms = tuple(template)
-    else:
-        terms_list: list[Term] = []
-        columns = []
-        for v in variables:
-            spec = table.schema.column(v)
-            if spec.kind in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
-                values = table.numeric_view(v)
-                mean, std = float(values.mean()), float(values.std())
-                if std == 0.0:
-                    warnings.append(f"{v}: constant column dropped from the design")
-                    continue
-                terms_list.append(Term(source=v, encoding=STANDARDIZED, mean=mean, std=std))
-                columns.append((values - mean) / std)
-            elif spec.kind is ColumnKind.BINARY:
-                values = table.numeric_view(v)
-                if values.std() == 0.0:
-                    warnings.append(f"{v}: constant column dropped from the design")
-                    continue
-                terms_list.append(Term(source=v, encoding=FLAG))
-                columns.append(values)
-            else:
-                codes = table.codes(v)
-                counts = dict(zip(spec.levels, np.bincount(codes, minlength=len(spec.levels))))
-                reference = min(spec.levels, key=lambda lvl: (-counts[lvl], lvl))
-                for code, lvl in enumerate(spec.levels):
-                    if lvl == reference:
-                        continue
-                    dummy = (codes == code).astype(float)
-                    if dummy.std() == 0.0:
-                        warnings.append(
-                            f"{v}={lvl}: constant dummy column dropped from the design"
-                        )
-                        continue
-                    terms_list.append(
-                        Term(source=v, encoding=DUMMY, level=lvl, reference=reference)
-                    )
-                    columns.append(dummy)
-        terms = tuple(terms_list)
-
-    X = np.column_stack([np.ones(table.n_records)] + columns) if columns else np.ones(
-        (table.n_records, 1)
+    terms = _learn_terms(table, variables, warnings) if template is None else tuple(template)
+    references = {t.source: t.reference for t in terms if t.encoding == DUMMY}
+    for source, reference in references.items():
+        known = {t.level for t in terms if t.source == source} | {reference}
+        levels = table.schema.column(source).levels
+        present = np.flatnonzero(np.bincount(table.codes(source), minlength=len(levels)))
+        for lvl in sorted({levels[i] for i in present} - known):
+            warnings.append(
+                f"{source}: level {lvl!r} unseen in training; mapped to reference {reference!r}"
+            )
+    X = np.column_stack(
+        [np.ones(table.n_records)] + [_term_column(table, term) for term in terms]
     )
-    return DesignMatrix(terms=terms, X=X, y=y, warnings=tuple(warnings))
+    return DesignMatrix(terms=terms, X=X, y=table.target_values, warnings=tuple(warnings))
+
+
+def _learn_terms(table: DataTable, variables: list[str], warnings: list[str]) -> tuple[Term, ...]:
+    """The design terms of the variables with their training statistics;
+    each constant column or dummy it drops adds a warning."""
+    terms = []
+    for v in variables:
+        spec = table.schema.column(v)
+        if spec.kind is ColumnKind.CATEGORICAL:
+            codes = table.codes(v)
+            counts = dict(zip(spec.levels, np.bincount(codes, minlength=len(spec.levels))))
+            reference = min(spec.levels, key=lambda lvl: (-counts[lvl], lvl))
+            for lvl, count in counts.items():
+                if lvl == reference:
+                    continue
+                if count in (0, table.n_records):
+                    warnings.append(f"{v}={lvl}: constant dummy column dropped from the design")
+                else:
+                    terms.append(Term(source=v, encoding=DUMMY, level=lvl, reference=reference))
+            continue
+        values = table.numeric_view(v)
+        mean, std = float(values.mean()), float(values.std())
+        if std == 0.0:
+            warnings.append(f"{v}: constant column dropped from the design")
+        elif spec.kind is ColumnKind.BINARY:
+            terms.append(Term(source=v, encoding=FLAG))
+        else:
+            terms.append(Term(source=v, encoding=STANDARDIZED, mean=mean, std=std))
+    return tuple(terms)
+
+
+def _term_column(table: DataTable, term: Term) -> np.ndarray:
+    """A term's design column on a table, from the term's stored statistics."""
+    if term.encoding == DUMMY:
+        levels = table.schema.column(term.source).levels
+        code = levels.index(term.level) if term.level in levels else -1
+        return (table.codes(term.source) == code).astype(float)
+    values = table.numeric_view(term.source)
+    if term.encoding == STANDARDIZED:
+        return (values - term.mean) / term.std
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +318,13 @@ def sbc(logL: float, k_params: int, n: int) -> float:
     return -2.0 * logL + k_params * math.log(n)
 
 
-def fit_irls(
-    design: DesignMatrix,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    ridge: float = 1e-8,
-    beta0: np.ndarray | None = None,
-) -> LogisticModel:
-    """Newton/IRLS maximum-likelihood fit.
+def fit_irls(design: DesignMatrix, beta0: np.ndarray | None = None) -> LogisticModel:
+    """Newton/IRLS maximum-likelihood fit, from beta0 or from zero.
 
-    Stops when the largest coefficient update falls below tol; halves the
-    step whenever it would decrease the log-likelihood.  Standard errors
-    come from the inverse of the ridge-jittered information matrix.  On
-    hitting max_iter, or when 40 halvings find no step that does not
+    Stops when the largest coefficient update falls below IRLS_TOL; halves
+    the step whenever it would decrease the log-likelihood.  Standard
+    errors come from the inverse of the ridge-jittered information matrix.
+    On hitting IRLS_MAX_ITER, or when 40 halvings find no step that does not
     lower the log-likelihood, the model at the last accepted point is
     returned with converged=False rather than raising; the second case
     also adds a warning.
@@ -350,13 +338,13 @@ def fit_irls(
         raise ValidationError("response has a single class; cannot fit")
 
     beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    jitter = ridge * np.eye(k)
+    jitter = IRLS_RIDGE * np.eye(k)
     logL, gradient, hessian = log_likelihood(design, beta)
     deviances = [-2.0 * logL]
     warnings = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         info = -hessian + jitter
         try:
             delta = np.linalg.solve(info, gradient)
@@ -378,7 +366,7 @@ def fit_irls(
         beta = candidate
         logL, gradient, hessian = evaluated
         deviances.append(-2.0 * logL)
-        if float(np.max(np.abs(step * delta))) < tol:
+        if float(np.max(np.abs(step * delta))) < IRLS_TOL:
             converged = True
             break
 
@@ -665,7 +653,7 @@ def model_from_dict(d: dict) -> LogisticModel:
     try:
         rows = d["rows"]
         return LogisticModel(
-            terms=tuple(Term.from_dict(r["term"]) for r in rows[1:]),
+            terms=tuple(Term(**r["term"]) for r in rows[1:]),
             beta=np.array([r["estimate"] for r in rows]),
             se=np.array([r["std_error"] for r in rows]),
             log_likelihood=d["log_likelihood"],

@@ -22,7 +22,6 @@ only there, so all other files are byte-stable across identical runs).
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -44,7 +43,6 @@ from .evaluation import (
 from .logit import (
     LogisticModel,
     encode_design,
-    fit_irls,
     global_null_lr,
     model_from_dict,
     model_to_dict,
@@ -58,9 +56,11 @@ from .table import (
     impute_numeric_columns,
     load_schema,
     load_table,
+    read_json,
     save_schema,
     save_table,
     split_train_validation,
+    write_json,
 )
 
 ARTIFACT_NAMES = [
@@ -72,12 +72,6 @@ ARTIFACT_NAMES = [
     "charts.csv",
     "manifest.json",
 ]
-
-
-def _write_json(obj: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _apply_mappings(table: DataTable, mappings: dict[str, LevelMapping]) -> DataTable:
@@ -164,8 +158,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             lambda: _scoring_table(oos_table, final_vars, report.level_mappings),
         )
 
-    _write_json(report.to_dict(), out / "screening_report.json")
-    _write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
+    screening_doc = report.to_dict()
+    write_json(screening_doc, out / "screening_report.json")
+    write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
     table = _apply_mappings(table, report.level_mappings)
 
     # --- split and encode
@@ -201,14 +196,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         "model": model_to_dict(model),
         "target": table.schema.target,
         "variables": final_vars,
-        "level_mappings": {
-            v: dict(sorted(m.mapping.items()))
-            for v, m in sorted(report.level_mappings.items())
-        },
+        "level_mappings": screening_doc["level_mappings"],
         "global_null": gnull,
         "stepwise_trace": [asdict(step) for step in trace.steps],
     }
-    _write_json(model_doc, out / "model.json")
+    write_json(model_doc, out / "model.json")
 
     # --- evaluate
     datasets = {"train": split.train, "validation": split.validation}
@@ -233,7 +225,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         for name in datasets:
             for row in chart_rows(deciles[name]):
                 writer.writerow([name] + row)
-    _write_json(
+    write_json(
         {"threshold": config.threshold, "datasets": confusion},
         out / "confusion_report.json",
     )
@@ -250,7 +242,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         "artifacts": ARTIFACT_NAMES,
         "timings": timings,
     }
-    _write_json(manifest, out / "manifest.json")
+    write_json(manifest, out / "manifest.json")
 
     missing = [a for a in ARTIFACT_NAMES if not (out / a).exists()]
     if missing:
@@ -287,14 +279,7 @@ def write_synthetic_dataset(config: PipelineConfig, out_dir: str | Path) -> list
 
 def load_model_file(path: str | Path):
     """(model, target name, level mappings) from a model.json written by a run."""
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such model file: {p}")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
+    doc = read_json(path, "model file")
     try:
         model = model_from_dict(doc["model"])
         target = doc["target"]
@@ -303,7 +288,7 @@ def load_model_file(path: str | Path):
             for v, m in doc.get("level_mappings", {}).items()
         }
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{p}: malformed model file: {exc}") from exc
+        raise ValidationError(f"{path}: malformed model file: {exc}") from exc
     return model, target, mappings
 
 
@@ -330,22 +315,17 @@ def score_table_file(
         raise ValidationError(
             f"schema target {schema.target!r} does not match model target {target!r}"
         )
-    missing_vars = [
-        v for v in model.source_variables() if v not in schema.names
-    ]
+    variables = model.source_variables()
+    missing_vars = [v for v in variables if v not in schema.names]
     if missing_vars:
         raise ValidationError(
             f"data is missing required columns: {', '.join(missing_vars)}"
         )
-    variables = model.source_variables()
     table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
     ss = score(model, table)
-    dec = assign_deciles(ss) if ss.n >= 10 else None
+    deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "probability", "decile"])
-        for i in range(ss.n):
-            writer.writerow(
-                [int(ss.ids[i]), repr(float(ss.p[i])), "" if dec is None else int(dec[i])]
-            )
+        writer.writerows(zip(ss.ids.tolist(), map(repr, ss.p.tolist()), deciles))
     return ss.n

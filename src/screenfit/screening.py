@@ -7,7 +7,9 @@ over discrete predictors, and a final stage that clusters the survivors
 (see :mod:`screenfit.varclus`), keeps one representative per cluster,
 drops sparse binary flags, and merges statistically indistinguishable
 categorical levels.  Every stage's statistics and retained set are
-recorded in a :class:`ScreeningReport` whose stage sets are nested.
+recorded in a :class:`ScreeningReport` whose stage sets are nested.  The
+report's JSON form is read off the fields of its result dataclasses, so
+each field name is also its key in ``screening_report.json``.
 
 Likelihood-scale columns (integers 1..99) are treated as numeric for the
 t screen and binned into seven equal-width bins for weight-of-evidence /
@@ -72,7 +74,7 @@ class IvLevelRow:
 @dataclass(frozen=True)
 class IvResult:
     variable: str
-    rows: tuple[IvLevelRow, ...]
+    levels: tuple[IvLevelRow, ...]
     total_iv: float
 
 
@@ -156,38 +158,25 @@ class ScreeningReport:
         return list(self.stages[-1][1]) if self.stages else []
 
     def to_dict(self) -> dict:
+        """The report as ``screening_report.json`` holds it: each statistic
+        is its result's fields less the variable it is keyed by, and each
+        level mapping its dict.  The writer sorts the keys."""
         return {
             "stages": [{"stage": s, "retained": vs} for s, vs in self.stages],
-            "chi_square": {
-                v: {"statistic": r.statistic, "df": r.df, "p_value": r.p_value}
-                for v, r in sorted(self.chi_square.items())
-            },
-            "t_test": {
-                v: {"t_statistic": r.t_statistic, "df": r.df}
-                for v, r in sorted(self.t_test.items())
-            },
+            "chi_square": {v: _entry(r) for v, r in self.chi_square.items()},
+            "t_test": {v: _entry(r) for v, r in self.t_test.items()},
             "iv": {
-                v: {
-                    "total_iv": r.total_iv,
-                    "levels": [
-                        {
-                            "level": row.level,
-                            "signal_share": row.signal_share,
-                            "background_share": row.background_share,
-                            "woe": row.woe,
-                            "iv_contribution": row.iv_contribution,
-                        }
-                        for row in r.rows
-                    ],
-                }
-                for v, r in sorted(self.iv.items())
+                v: _entry(r) | {"levels": [vars(row) for row in r.levels]}
+                for v, r in self.iv.items()
             },
-            "level_mappings": {
-                v: dict(sorted(m.mapping.items()))
-                for v, m in sorted(self.level_mappings.items())
-            },
-            "warnings": list(self.warnings),
+            "level_mappings": {v: m.mapping for v, m in self.level_mappings.items()},
+            "warnings": self.warnings,
         }
+
+
+def _entry(result) -> dict:
+    """A per-variable result's fields, less the variable, read shallowly."""
+    return {k: v for k, v in vars(result).items() if k != "variable"}
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ def woe_iv(
         )
     woe = np.log(sig / bkg)
     contrib = (sig - bkg) * woe
-    rows = tuple(
+    levels = tuple(
         IvLevelRow(
             level=str(labels[i]),
             signal_share=float(sig[i]),
@@ -384,7 +373,7 @@ def woe_iv(
         )
         for i in range(L)
     )
-    return IvResult(variable=variable, rows=rows, total_iv=float(contrib.sum()))
+    return IvResult(variable=variable, levels=levels, total_iv=float(contrib.sum()))
 
 
 def occupancy_filter(

@@ -29,7 +29,6 @@ with the truth directly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .evaluation import ScoreSet
 from .logit import _sigmoid
-from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze
+from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, write_json
 
 KINDS = ("binary", "categorical", "likelihood", "continuous")
 
@@ -121,15 +120,10 @@ class GroundTruth:
     standardization: dict[str, tuple[float, float]]  # variable -> (mean, std)
 
     def to_dict(self) -> dict:
-        return {
-            "planted": dict(sorted(self.planted.items())),
-            "intercept": self.intercept,
-            "prevalence": self.prevalence,
-            "standardization": {
-                k: {"mean": m, "std": s}
-                for k, (m, s) in sorted(self.standardization.items())
-            },
-        }
+        """The fields as ``ground_truth.json`` holds them, each
+        standardization pair as a mean/std object."""
+        standardization = {k: {"mean": m, "std": s} for k, (m, s) in self.standardization.items()}
+        return vars(self) | {"standardization": standardization}
 
 
 def _kind_counts(mix: dict[str, float], total: int) -> dict[str, int]:
@@ -314,6 +308,4 @@ def oracle_metrics(truth: GroundTruth, table: DataTable) -> ScoreSet:
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(truth.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(truth.to_dict(), path)

@@ -27,7 +27,9 @@ the missing markers, so neither may be a declared categorical level.
 A load may name the columns it needs: every row is still tokenized and
 checked for width, but only those columns and the target are parsed and
 validated.  The schema travels in a JSON sidecar listing
-name/kind/levels per column plus the target column name.
+name/kind/levels per column plus the target column name.  Every JSON
+file of the package -- schema, config, model and reports -- is written by
+:func:`write_json` and read by :func:`read_json`.
 """
 
 from __future__ import annotations
@@ -186,9 +188,11 @@ def _stored_dtype(spec: ColumnSpec) -> np.dtype:
 
 
 def _domain(kind: ColumnKind) -> str:
-    """What a value of a binary or likelihood column must be."""
+    """What a value of a binary, likelihood or continuous column must be."""
     if kind is ColumnKind.BINARY:
         return "binary values must be 0 or 1"
+    if kind is ColumnKind.CONTINUOUS:
+        return "continuous values must be finite"
     return f"likelihood levels are integers in [{LIKELIHOOD_MIN}, {LIKELIHOOD_MAX}]"
 
 
@@ -245,11 +249,12 @@ def _stored(spec: ColumnSpec, values) -> np.ndarray:
     """A column as the table stores it, read-only (see :class:`DataTable`).
     A value outside the column's kind raises :class:`ValidationError`
     naming the column and the first bad row."""
-    dtype = _stored_dtype(spec)
-    if spec.kind is ColumnKind.CONTINUOUS:
-        return _owned(values, dtype)
-    cells = np.asarray(values)
-    if cells.dtype.kind in "iu":
+    continuous = spec.kind is ColumnKind.CONTINUOUS
+    cells = np.asarray(values, dtype=np.float64 if continuous else None)
+    if continuous:
+        # NaN is the gap, so an infinity is the one value out of domain.
+        codes, bad = cells, np.flatnonzero(np.isinf(cells))
+    elif cells.dtype.kind in "iu":
         codes, bad = cells, _bad_codes(spec, cells)
     elif spec.kind is ColumnKind.CATEGORICAL:
         codes = _level_codes(spec, cells, (None,))
@@ -264,9 +269,10 @@ def _stored(spec: ColumnSpec, values) -> np.ndarray:
         if spec.kind is ColumnKind.CATEGORICAL:
             why = "is neither a declared level nor a level code"
         else:
-            why = f"is out of domain ({_domain(spec.kind)}; a gap is NaN or -1)"
+            gap = "NaN" if continuous else "NaN or -1"
+            why = f"is out of domain ({_domain(spec.kind)}; a gap is {gap})"
         raise ValidationError(f"{spec.kind.value} column {spec.name!r}, row {row}: {cell!r} {why}")
-    return _owned(codes, dtype)
+    return _owned(codes, _stored_dtype(spec))
 
 
 class DataTable:
@@ -287,8 +293,8 @@ class DataTable:
     for missing) or as values: floats with NaN for missing for binary and
     likelihood columns, strings with None for missing for categoricals.
     The dtype decides which.  A value or code outside the column's kind
-    -- a binary 0.5 or 2, a likelihood 150, a code out of range, an
-    undeclared string -- raises :class:`ValidationError` naming the
+    -- a binary 0.5 or 2, a likelihood 150, a continuous infinity, a code
+    out of range, an undeclared string -- raises :class:`ValidationError` naming the
     column and the first bad row.
 
     Every stored array is read-only.  The constructor shares a read-only
@@ -399,7 +405,7 @@ class DataTable:
 
 
 # ---------------------------------------------------------------------------
-# CSV / sidecar I/O
+# CSV and JSON I/O
 
 
 def _cell_error(token: str, spec: ColumnSpec) -> str | None:
@@ -529,22 +535,41 @@ def save_table(table: DataTable, csv_path: str | Path) -> None:
         writer.writerows(zip(*(_format_column(table, spec) for spec in table.schema.columns)))
 
 
-def save_schema(schema: TableSchema, path: str | Path) -> None:
+def write_json(obj: dict, path: str | Path) -> None:
+    """Write a JSON document the one way every file of a run is written:
+    indent 2, keys sorted at every level, and a final newline.  The text
+    is streamed to the file, never held whole in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_schema(path: str | Path) -> TableSchema:
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in a file.  A missing or unreadable file (a
+    directory, bytes that are not UTF-8), invalid JSON or a document that
+    is not an object raises :class:`ValidationError` naming the path and
+    ``what`` the file is ("config file", "model file", ...)."""
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such file: {p}")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
-    return TableSchema.from_dict(d)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"no such {what}: {p}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{p}: cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{p}: {what} must be a JSON object")
+    return doc
+
+
+def save_schema(schema: TableSchema, path: str | Path) -> None:
+    write_json(schema.to_dict(), path)
+
+
+def load_schema(path: str | Path) -> TableSchema:
+    return TableSchema.from_dict(read_json(path, "schema file"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ member correlation submatrix R, top eigenpair (lambda, u), is
 (R[v, members] @ u) / sqrt(lambda).
 
 Eigenvalues come from symmetric eigendecomposition; magnitudes below
-DEGENERACY_TOL are treated as zero.
+DEGENERACY_TOL are treated as zero.  The cluster report is read off the
+fields of :class:`VariableCluster` and :class:`VariableScore`, so each
+field name is also its key in ``cluster_report.json``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 
 DEGENERACY_TOL = 1e-10
+
+# A cluster splits while its second eigenvalue exceeds this: the PROC
+# VARCLUS MAXEIGEN default, under which a second component explains more
+# than one variable's worth of variance.
+SPLIT_THRESHOLD = 1.0
 
 REASSIGN_CAP = 20
 
@@ -47,7 +54,6 @@ class CorrelationMatrix:
 @dataclass(frozen=True)
 class VariableCluster:
     members: tuple[str, ...]
-    pc1_loadings: tuple[float, ...]  # correlation of each member with the cluster's first PC
     second_eigenvalue: float
 
 
@@ -58,7 +64,7 @@ class VariableScore:
     r2_own: float
     r2_nearest: float
     ratio: float
-    is_representative: bool
+    representative: bool
 
 
 @dataclass(frozen=True)
@@ -67,29 +73,14 @@ class ClusterSelection:
     scores: tuple[VariableScore, ...]
 
     def representatives(self) -> list[str]:
-        return [s.variable for s in self.scores if s.is_representative]
+        return [s.variable for s in self.scores if s.representative]
 
     def to_dict(self) -> dict:
+        """The selection as ``cluster_report.json`` holds it: each cluster's
+        fields plus its index, and each variable's score fields."""
         return {
-            "clusters": [
-                {
-                    "cluster": k,
-                    "members": list(c.members),
-                    "second_eigenvalue": c.second_eigenvalue,
-                }
-                for k, c in enumerate(self.clusters)
-            ],
-            "variables": [
-                {
-                    "variable": s.variable,
-                    "cluster": s.cluster,
-                    "r2_own": s.r2_own,
-                    "r2_nearest": s.r2_nearest,
-                    "ratio": s.ratio,
-                    "representative": s.is_representative,
-                }
-                for s in self.scores
-            ],
+            "clusters": [{"cluster": k} | vars(c) for k, c in enumerate(self.clusters)],
+            "variables": [vars(s) for s in self.scores],
         }
 
 
@@ -235,14 +226,12 @@ def _canonical(clusters: list[list[int]], names: tuple[str, ...]) -> list[list[i
 
 
 def cluster_variables(
-    corr: CorrelationMatrix,
-    split_threshold: float = 1.0,
-    n_clusters: int | None = None,
+    corr: CorrelationMatrix, n_clusters: int | None = None
 ) -> list[VariableCluster]:
     """Divisively split variables into correlated clusters.
 
     With the default threshold rule, any cluster whose second eigenvalue
-    exceeds split_threshold is split, worst first, until none does.  With
+    exceeds SPLIT_THRESHOLD is split, worst first, until none does.  With
     n_clusters set, splitting instead continues (still worst-first) until
     that many clusters exist or every cluster is a singleton; the
     threshold is ignored.
@@ -264,7 +253,7 @@ def cluster_variables(
         if not candidates:
             return None
         neg_second, _, idx = min(candidates)
-        if n_clusters is None and -neg_second <= split_threshold:
+        if n_clusters is None and -neg_second <= SPLIT_THRESHOLD:
             return None
         return idx
 
@@ -278,18 +267,12 @@ def cluster_variables(
         clusters = clusters[:worst] + [a, b] + clusters[worst + 1 :]
         clusters = _reassign(eigen, clusters)
 
-    clusters = _canonical(clusters, names)
-    out = []
-    for c in clusters:
-        loadings = _pc1_correlations(eigen, c)[c]
-        out.append(
-            VariableCluster(
-                members=tuple(names[i] for i in c),
-                pc1_loadings=tuple(float(x) for x in loadings),
-                second_eigenvalue=_second_eigenvalue(eigen, c),
-            )
+    return [
+        VariableCluster(
+            members=tuple(names[i] for i in c), second_eigenvalue=_second_eigenvalue(eigen, c)
         )
-    return out
+        for c in _canonical(clusters, names)
+    ]
 
 
 def select_representatives(
@@ -300,7 +283,9 @@ def select_representatives(
     r2_own is the squared correlation with the own cluster's first PC,
     r2_nearest the best squared correlation with any other cluster's
     first PC (0 when there is only one cluster), and the ratio is
-    (1 - r2_own) / (1 - r2_nearest).  Ties break on the variable name.
+    (1 - r2_own) / (1 - r2_nearest).  Ties break on the variable name.  A
+    cluster whose leading eigenvalue is zero raises
+    :class:`ComputationError`.
     """
     if not clusters:
         raise ValidationError("need at least one cluster")
@@ -336,7 +321,7 @@ def select_representatives(
                     r2_own=r2_own,
                     r2_nearest=r2_nearest,
                     ratio=ratio,
-                    is_representative=(v == best),
+                    representative=(v == best),
                 )
             )
     return ClusterSelection(clusters=tuple(clusters), scores=tuple(scores))

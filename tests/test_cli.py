@@ -36,6 +36,16 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "no such config file" in capsys.readouterr().err
 
 
+def test_missing_model_file_exits_2(tmp_path, capsys):
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("x,lik,y\n1.0,5,0\n", encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "absent.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == 2
+    assert "no such model file" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
 def test_non_finite_likelihood_cell_exits_2(tmp_path, capsys):
     config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,inf,1\n")
     assert run_pipeline_command(tmp_path, config) == 2

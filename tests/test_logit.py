@@ -120,6 +120,40 @@ class TestEncodeDesign:
         np.testing.assert_array_equal(design.X[:, 1], [0, 1, 1, 0])
 
 
+LEVELS = ("a", "b", "c", "d")
+KINDS = {
+    "x": ColumnKind.CONTINUOUS,
+    "lik": ColumnKind.LIKELIHOOD,
+    "f": ColumnKind.BINARY,
+    "c": ColumnKind.CATEGORICAL,
+    "y": ColumnKind.BINARY,
+}
+CELLS = {
+    "x": st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    "lik": st.integers(1, 99).map(float),
+    "f": st.sampled_from([0.0, 1.0]),
+    # "d" is never drawn and "c" only at times: declared levels with no rows
+    "c": st.sampled_from(LEVELS[:2]) | st.sampled_from(LEVELS[:3]),
+    "y": st.sampled_from([0.0, 1.0]),
+}
+
+
+@given(data=st.data(), n=st.integers(1, 25))
+def test_template_rebuilds_the_training_design_bit_for_bit(data, n):
+    columns = {
+        name: data.draw(st.lists(cell, min_size=n, max_size=n) | cell.map(lambda v: [v] * n))
+        for name, cell in CELLS.items()
+    }
+    table = make_table(columns, KINDS, levels={"c": LEVELS})
+    variables = ["x", "lik", "f", "c"]
+    train = encode_design(table, variables)
+    scored = encode_design(table, variables, template=train.terms)
+    assert scored.terms == train.terms
+    assert scored.X.shape == train.X.shape
+    assert scored.X.tobytes() == train.X.tobytes()
+    assert scored.warnings == ()
+
+
 class TestLogLikelihood:
     def test_zero_beta_gives_n_log_half(self):
         rng = np.random.default_rng(0)

@@ -141,7 +141,7 @@ class TestWoeIv:
         )
         res = woe_iv(t, "c", smoothing=0.0)
         assert res.total_iv == pytest.approx(0.0, abs=1e-12)
-        assert all(r.woe == pytest.approx(0.0, abs=1e-12) for r in res.rows)
+        assert all(r.woe == pytest.approx(0.0, abs=1e-12) for r in res.levels)
 
     def test_hand_computed_contribution(self):
         # level "a": 2 of 10 signal (share .2), 1 of 10 background (share .1)
@@ -152,7 +152,7 @@ class TestWoeIv:
             {"c": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY},
         )
         res = woe_iv(t, "c", smoothing=0.0)
-        row_a = next(r for r in res.rows if r.level == "a")
+        row_a = next(r for r in res.levels if r.level == "a")
         assert row_a.signal_share == pytest.approx(0.2)
         assert row_a.background_share == pytest.approx(0.1)
         assert row_a.woe == pytest.approx(np.log(2.0))
@@ -167,8 +167,8 @@ class TestWoeIv:
             {"c": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY},
         )
         res = woe_iv(t, "c", smoothing=0.5)
-        assert sum(r.signal_share for r in res.rows) == pytest.approx(1.0)
-        assert sum(r.background_share for r in res.rows) == pytest.approx(1.0)
+        assert sum(r.signal_share for r in res.levels) == pytest.approx(1.0)
+        assert sum(r.background_share for r in res.levels) == pytest.approx(1.0)
         assert res.total_iv >= 0.0
 
     def test_relabel_invariance(self):
@@ -208,7 +208,7 @@ class TestWoeIv:
             {"x": ColumnKind.LIKELIHOOD, "y": ColumnKind.BINARY},
         )
         res = woe_iv(t, "x")
-        assert len(res.rows) <= 7
+        assert len(res.levels) <= 7
 
 
 class TestOccupancy:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from screenfit.config import load_config
 from screenfit.errors import CellParseError, ComputationError, ValidationError
 from screenfit.logit import DUMMY, encode_design
+from screenfit.pipeline import load_model_file
 from screenfit.screening import LevelMapping, apply_level_mapping
 from screenfit.table import (
     ColumnKind,
@@ -337,6 +339,19 @@ class TestDiscreteStorage:
             with pytest.raises(ValidationError, match=r"categorical column 'cat', row 1:"):
                 DataTable(schema, {"cat": np.array([299, bad]), "y": np.array([0.0, 1.0])})
 
+    def test_continuous_infinity_rejected(self):
+        schema = SIMPLE_SCHEMA.select(["x"])
+        y = np.array([0.0, 1.0, 0.0])
+        for bad in (np.inf, -np.inf):
+            for values in (np.array([np.nan, bad, 2.0]), [None, bad, 2.0]):
+                with pytest.raises(
+                    ValidationError,
+                    match=rf"continuous column 'x', row 1: {bad!r} .*must be finite; a gap is NaN\)",
+                ):
+                    DataTable(schema, {"x": values, "y": y})
+        table = DataTable(schema, {"x": np.array([np.nan, 1.0, 2.0]), "y": y})
+        assert table.missing_mask("x").tolist() == [True, False, False]
+
     def test_target_value_out_of_domain_rejected(self):
         schema = SIMPLE_SCHEMA.select([])
         with pytest.raises(ValidationError, match=r"binary column 'y', row 2: 0.5"):
@@ -470,6 +485,28 @@ class TestRoundTrip:
         p = tmp_path / "schema.json"
         save_schema(simple_schema, p)
         assert load_schema(p) == simple_schema
+
+
+@pytest.mark.parametrize(
+    "load, what",
+    [(load_schema, "schema file"), (load_config, "config file"), (load_model_file, "model file")],
+)
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (lambda path: None, "no such {what}: "),
+        (lambda path: path.mkdir(), "cannot read {what}: "),
+        (lambda path: path.write_bytes(b'{"a": "\xff"}'), "cannot read {what}: "),
+        (lambda path: path.write_text("{not json"), "invalid JSON: "),
+        (lambda path: path.write_text("[1, 2]"), "{what} must be a JSON object"),
+    ],
+    ids=["missing", "directory", "not_utf8", "invalid", "list"],
+)
+def test_json_file_problems_raise_validation_error(tmp_path, load, what, make, problem):
+    path = tmp_path / "file.json"
+    make(path)
+    with pytest.raises(ValidationError, match=problem.format(what=what)):
+        load(path)
 
 
 class TestImputeMedian:

@@ -264,7 +264,7 @@ class TestSelectRepresentatives:
         sel = select_representatives(cluster_variables(corr), corr)
         assert sel.scores[0].r2_own == pytest.approx(1.0)
         assert sel.scores[0].ratio == 0.0
-        assert sel.scores[0].is_representative
+        assert sel.scores[0].representative
 
     def test_perfect_pair_breaks_tie_lexicographically(self):
         values = np.eye(3)
@@ -275,7 +275,7 @@ class TestSelectRepresentatives:
         pair_cluster = next(
             k for k, c in enumerate(sel.clusters) if set(c.members) == {"a", "b"}
         )
-        rep = [s for s in sel.scores if s.cluster == pair_cluster and s.is_representative]
+        rep = [s for s in sel.scores if s.cluster == pair_cluster and s.representative]
         assert rep[0].variable == "a"
 
     def test_ratio_formula_and_argmin_against_oracle(self):
@@ -300,7 +300,7 @@ class TestSelectRepresentatives:
             assert s.ratio == pytest.approx((1 - own) / (1 - nearest), abs=1e-9)
         for k in range(len(clusters)):
             rows = [s for s in sel.scores if s.cluster == k]
-            rep = next(s for s in rows if s.is_representative)
+            rep = next(s for s in rows if s.representative)
             assert all(rep.ratio <= s.ratio + 1e-12 for s in rows)
 
     def test_single_cluster_nearest_is_zero(self):
