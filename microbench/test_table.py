@@ -1,10 +1,13 @@
-"""Micro-benchmarks of the table layers: generation, CSV parse, imputation,
-level extraction, split, varclus.
+"""Micro-benchmarks of the table layers: generation, CSV parse and write,
+JSON write, imputation, level extraction, split, varclus.
 
 The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
 less than half its rows.  The CSV is parsed whole, and with 10 named
-predictors, the most a ``tall`` model scores with.  Level extraction
+predictors, the most a ``tall`` model scores with, and written whole.
+The JSON write is the screening report of a ``wide``-shaped run (4000
+rows, 1500 predictors, the ``wide`` plan, op seed 11000), about 1 MB of
+indented JSON.  Level extraction
 runs ``discrete_levels`` once over every discrete predictor (105 of
 them), as the IV stage of screening does.  Clustering runs on
 the correlations of every other predictor (60 of them, all four kinds)
@@ -30,6 +33,7 @@ from screenfit.table import (
     load_table,
     save_table,
     split_train_validation,
+    write_json,
 )
 
 SPEC = SyntheticSpec(
@@ -42,6 +46,17 @@ SPEC = SyntheticSpec(
     seed=20210903,
 )
 N_CLUSTERED, N_CLUSTERS = 60, 20
+WIDE_SPEC = SyntheticSpec(
+    n_signal=400,
+    n_background=3600,
+    n_informative=20,
+    n_noise=1480,
+    kind_mix={"binary": 0.25, "categorical": 0.3, "likelihood": 0.2, "continuous": 0.25},
+    seed=11000,
+)
+WIDE_PLAN = screening.StagePlan(
+    retain_after_chi2=1300, retain_after_t=700, retain_after_iv=300, final_retain=40
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +86,21 @@ def test_load_table_model_columns(benchmark, table, csv_path):
     loaded = benchmark(load_table, csv_path, table.schema, names)
     assert loaded.n_records == table.n_records
     assert loaded.schema.names == names + [table.schema.target]
+
+
+def test_save_table(benchmark, table, tmp_path):
+    path = tmp_path / "data.csv"
+    benchmark(save_table, table, path)
+    assert load_table(path, table.schema).n_records == table.n_records
+
+
+def test_write_json(benchmark, tmp_path):
+    wide, _ = generate(WIDE_SPEC)
+    report = screening.run_screening(impute_numeric_columns(wide), WIDE_PLAN).to_dict()
+    del wide
+    path = tmp_path / "screening_report.json"
+    benchmark(write_json, report, path)
+    assert path.stat().st_size > 500_000
 
 
 def test_impute_numeric_columns(benchmark, table):

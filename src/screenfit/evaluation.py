@@ -14,12 +14,12 @@ p >= threshold.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComputationError, ValidationError
+from .table import write_csv
 
 N_DECILES = 10
 
@@ -205,7 +205,4 @@ def chart_rows(deciles: list[DecileRow]) -> list[list]:
 
 def export_chart_data(deciles: list[DecileRow], out_path) -> None:
     """Write the decile table as CSV with a random-model baseline column."""
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CHART_COLUMNS)
-        writer.writerows(chart_rows(deciles))
+    write_csv(CHART_COLUMNS, chart_rows(deciles), out_path)

@@ -125,7 +125,6 @@ class DesignMatrix:
             terms=tuple(self.terms[i] for i in indices),
             X=self.X[:, cols],
             y=self.y,
-            warnings=self.warnings,
         )
 
 
@@ -438,9 +437,7 @@ def _candidate_designs(design: DesignMatrix, current: list[int]):
         if j in current:
             continue
         buf[:, -1] = design.X[:, j + 1]
-        yield j, DesignMatrix(
-            terms=terms + (design.terms[j],), X=buf, y=design.y, warnings=design.warnings
-        )
+        yield j, DesignMatrix(terms=terms + (design.terms[j],), X=buf, y=design.y)
 
 
 def stepwise_select(

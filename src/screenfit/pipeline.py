@@ -21,9 +21,8 @@ only there, so all other files are byte-stable across identical runs).
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -50,7 +49,7 @@ from .logit import (
     stepwise_select,
 )
 from .screening import LevelMapping, apply_level_mapping, run_screening
-from .synthgen import generate, save_ground_truth
+from .synthgen import generate
 from .table import (
     DataTable,
     impute_numeric_columns,
@@ -60,6 +59,7 @@ from .table import (
     save_schema,
     save_table,
     split_train_validation,
+    write_csv,
     write_json,
 )
 
@@ -104,11 +104,6 @@ class PipelineResult:
     manifest: dict
 
 
-def _load_input(csv_path: str, schema_path: str, columns=None) -> DataTable:
-    schema = load_schema(schema_path)
-    return load_table(csv_path, schema, columns)
-
-
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,7 +120,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         table, _truth = clocked("generate", lambda: generate(config.synthetic))
     else:
         table = clocked(
-            "load", lambda: _load_input(config.input.csv, config.input.schema)
+            "load", lambda: load_table(config.input.csv, load_schema(config.input.schema))
         )
     table = clocked("impute", lambda: impute_numeric_columns(table))
 
@@ -140,8 +135,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     if config.out_of_sample is not None:
         oos_table = clocked(
             "out_of_sample_load",
-            lambda: _load_input(
-                config.out_of_sample.csv, config.out_of_sample.schema, final_vars
+            lambda: load_table(
+                config.out_of_sample.csv, load_schema(config.out_of_sample.schema), final_vars
             ),
         )
     elif config.synthetic is not None:
@@ -191,6 +186,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             ),
         )
     gnull = global_null_lr(model, train_design) if model.terms else None
+    # The encoder's warnings go ahead of the fit's own, without repeats.
+    warnings = train_design.warnings + valid_design.warnings + model.warnings
+    model = replace(model, warnings=tuple(dict.fromkeys(warnings)))
 
     model_doc = {
         "model": model_to_dict(model),
@@ -219,12 +217,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     timings["evaluate"] = round(time.perf_counter() - t0, 6)
 
     export_chart_data(deciles["validation"], out / "decile_table.csv")
-    with open(out / "charts.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset"] + CHART_COLUMNS)
-        for name in datasets:
-            for row in chart_rows(deciles[name]):
-                writer.writerow([name] + row)
+    charts = ([name] + row for name in datasets for row in chart_rows(deciles[name]))
+    write_csv(["dataset"] + CHART_COLUMNS, charts, out / "charts.csv")
     write_json(
         {"threshold": config.threshold, "datasets": confusion},
         out / "confusion_report.json",
@@ -273,7 +267,7 @@ def write_synthetic_dataset(config: PipelineConfig, out_dir: str | Path) -> list
     table, truth = generate(config.synthetic)
     save_table(table, out / "data.csv")
     save_schema(table.schema, out / "schema.json")
-    save_ground_truth(truth, out / "ground_truth.json")
+    write_json(truth.to_dict(), out / "ground_truth.json")
     return ["data.csv", "schema.json", "ground_truth.json"]
 
 
@@ -324,8 +318,6 @@ def score_table_file(
     table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
     ss = score(model, table)
     deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "probability", "decile"])
-        writer.writerows(zip(ss.ids.tolist(), map(repr, ss.p.tolist()), deciles))
+    rows = zip(ss.ids.tolist(), map(repr, ss.p.tolist()), deciles)
+    write_csv(["id", "probability", "decile"], rows, out_path)
     return ss.n

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .evaluation import ScoreSet
 from .logit import _sigmoid
-from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, write_json
+from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, _largest_remainder
 
 KINDS = ("binary", "categorical", "likelihood", "continuous")
 
@@ -126,17 +126,6 @@ class GroundTruth:
         return vars(self) | {"standardization": standardization}
 
 
-def _kind_counts(mix: dict[str, float], total: int) -> dict[str, int]:
-    """Largest-remainder apportionment of the kind fractions over the total."""
-    fracs = {k: mix.get(k, 0.0) for k in KINDS}
-    floors = {k: math.floor(fracs[k] * total) for k in KINDS}
-    leftover = total - sum(floors.values())
-    by_remainder = sorted(KINDS, key=lambda k: (-(fracs[k] * total - floors[k]), k))
-    for k in by_remainder[:leftover]:
-        floors[k] += 1
-    return floors
-
-
 def _calibrate_intercept(count, want: int) -> float:
     """Bisect [-MAX_INTERCEPT, MAX_INTERCEPT] for an intercept c with
     count(c) >= want, where count is non-decreasing in c; returns the upper end.
@@ -175,7 +164,8 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     structure = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     records = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 + sample_index]))
     n = spec.n_records
-    counts = _kind_counts(spec.kind_mix, spec.n_predictors)
+    total = spec.n_predictors
+    counts = _largest_remainder({k: spec.kind_mix.get(k, 0.0) * total for k in KINDS}, total)
 
     specs: list[ColumnSpec] = []
     columns: dict[str, np.ndarray] = {}
@@ -305,7 +295,3 @@ def oracle_metrics(truth: GroundTruth, table: DataTable) -> ScoreSet:
         latent += beta * np.nan_to_num(z)
     p = _sigmoid(latent)
     return ScoreSet(ids=np.arange(table.n_records), p=p, y=table.target_values)
-
-
-def save_ground_truth(truth: GroundTruth, path) -> None:
-    write_json(truth.to_dict(), path)

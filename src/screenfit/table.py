@@ -27,9 +27,11 @@ the missing markers, so neither may be a declared categorical level.
 A load may name the columns it needs: every row is still tokenized and
 checked for width, but only those columns and the target are parsed and
 validated.  The schema travels in a JSON sidecar listing
-name/kind/levels per column plus the target column name.  Every JSON
-file of the package -- schema, config, model and reports -- is written by
-:func:`write_json` and read by :func:`read_json`.
+name/kind/levels per column plus the target column name.  File I/O is
+one reader, :func:`_read`, which opens every input file (data, schema,
+config and model) and turns any failure to read it into a
+:class:`ValidationError`; one CSV writer, :func:`write_csv`; and one JSON
+writer, :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -205,6 +207,17 @@ def _in_domain(spec: ColumnSpec, values: np.ndarray) -> np.ndarray:
     return (values == np.floor(values)) & (values >= lo) & (values <= hi)
 
 
+def _from_floats(spec: ColumnSpec, values: np.ndarray, gaps: np.ndarray) -> tuple:
+    """A binary, likelihood or continuous column's float values, with a
+    gap wherever ``gaps`` is set, as the table stores them (a discrete
+    gap becomes -1), plus the rows out of the column's domain.  With any
+    such row the values come back as they were given."""
+    bad = np.flatnonzero(~(gaps | _in_domain(spec, values)))
+    if len(bad) or spec.kind is ColumnKind.CONTINUOUS:
+        return values, bad
+    return _freeze(np.where(gaps, -1, values).astype(_stored_dtype(spec))), bad
+
+
 def _bad_codes(spec: ColumnSpec, codes: np.ndarray) -> np.ndarray | tuple:
     """Rows of integer codes that are neither -1 nor a code of the column."""
     lo, hi = _code_range(spec)
@@ -261,9 +274,7 @@ def _stored(spec: ColumnSpec, values) -> np.ndarray:
         bad = np.flatnonzero(codes < -1)
     else:
         cells = np.asarray(values, dtype=np.float64)
-        gaps = np.isnan(cells)
-        codes = np.where(gaps, -1, cells)
-        bad = np.flatnonzero(~(gaps | _in_domain(spec, cells)))
+        codes, bad = _from_floats(spec, cells, np.isnan(cells))
     if len(bad):
         row, cell = bad[0], cells[bad[0] : bad[0] + 1].tolist()[0]
         if spec.kind is ColumnKind.CATEGORICAL:
@@ -431,22 +442,18 @@ def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray
         bad = np.flatnonzero(codes == -2)
         return codes, int(bad[0]) if len(bad) else None
     cells = np.array(tokens, dtype=object)
-    present = ~np.isin(cells, MISSING_TOKENS)
+    gaps = np.isin(cells, MISSING_TOKENS)
     values = np.full(len(cells), np.nan)
     try:
-        values[present] = cells[present].astype(float)
+        values[~gaps] = cells[~gaps].astype(float)
     except ValueError:
         first = next(
             i for i, token in enumerate(tokens)
             if token not in MISSING_TOKENS and _cell_error(token, spec)
         )
         return values, first
-    bad = np.flatnonzero(present & ~_in_domain(spec, values))
-    if len(bad):
-        return values, int(bad[0])
-    if spec.kind is not ColumnKind.CONTINUOUS:
-        values = np.where(present, values, -1).astype(_stored_dtype(spec))
-    return values, None
+    stored, bad = _from_floats(spec, values, gaps)
+    return stored, int(bad[0]) if len(bad) else None
 
 
 def load_table(
@@ -466,34 +473,32 @@ def load_table(
     offending token; of several such cells the lowest row, then the
     leftmost column, is named.  A row with the wrong number of cells
     raises :class:`ValidationError` unless a bad parsed cell comes before
-    it.
+    it, and so does a file :func:`_read` cannot read.
     """
     kept = schema if columns is None else schema.select(columns)
-    path = Path(csv_path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
     width = len(schema.columns)
     position = {name: j for j, name in enumerate(schema.names)}
     picked = None if columns is None else [position[name] for name in kept.names]
-    rows, ragged = [], None
-    with open(path, newline="", encoding="utf-8") as fh:
+
+    def cut_rows(fh):
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, no header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{csv_path}: empty file, no header row")
         if header != schema.names:
             raise ValidationError(
-                f"{path}: header {header} does not match schema columns {schema.names}"
+                f"{csv_path}: header {header} does not match schema columns {schema.names}"
             )
         # Rows are cut as they are read, so a load of a few columns never
         # holds every full-width row.
+        rows = []
         for i, row in enumerate(reader):
             if len(row) != width:
-                ragged = (i, len(row))
-                break
+                return rows, (i, len(row))
             rows.append(row if picked is None else [row[j] for j in picked])
+        return rows, None
 
+    rows, ragged = _read(csv_path, "data file", cut_rows, newline="")
     cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
     parsed = {}
     bad_cells = []
@@ -507,7 +512,7 @@ def load_table(
         raise CellParseError(row, spec.name, token, _cell_error(token, spec))
     if ragged is not None:
         raise ValidationError(
-            f"{path}: row {ragged[0]} has {ragged[1]} cells, expected {width}"
+            f"{csv_path}: row {ragged[0]} has {ragged[1]} cells, expected {width}"
         )
     return DataTable(kept, {name: _freeze(col) for name, col in parsed.items()})
 
@@ -529,10 +534,31 @@ def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:
 
 def save_table(table: DataTable, csv_path: str | Path) -> None:
     """Serialize back to CSV with identical header order; round-trips through load_table."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    columns = (_format_column(table, spec) for spec in table.schema.columns)
+    write_csv(table.schema.names, zip(*columns), csv_path)
+
+
+def _read(path: str | Path, what: str, parse, newline: str | None = None):
+    """``parse`` applied to the file at ``path`` opened as UTF-8 text.  A
+    missing file, a directory, bytes that are not UTF-8 or a line that
+    :mod:`csv` cannot split raise :class:`ValidationError` naming the path
+    and ``what`` the file is ("data file", "model file", ...)."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return parse(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"no such {what}: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: cannot read {what}: {exc}") from exc
+
+
+def write_csv(header: list[str], rows: Iterable, path: str | Path) -> None:
+    """Write a CSV the one way every CSV file of a run is written: UTF-8,
+    the header row, then the rows, each line ended by a bare newline."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.schema.names)
-        writer.writerows(zip(*(_format_column(table, spec) for spec in table.schema.columns)))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(obj: dict, path: str | Path) -> None:
@@ -545,22 +571,16 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 
 def read_json(path: str | Path, what: str) -> dict:
-    """The JSON object in a file.  A missing or unreadable file (a
-    directory, bytes that are not UTF-8), invalid JSON or a document that
-    is not an object raises :class:`ValidationError` naming the path and
-    ``what`` the file is ("config file", "model file", ...)."""
-    p = Path(path)
+    """The JSON object in a file.  Besides the failures of reading any
+    file, invalid JSON or a document that is not an object raises
+    :class:`ValidationError` naming the path and ``what`` the file is
+    ("config file", "model file", ...)."""
     try:
-        with open(p, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"no such {what}: {p}") from None
+        doc = _read(path, what, json.load)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{p}: invalid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{p}: cannot read {what}: {exc}") from exc
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{p}: {what} must be a JSON object")
+        raise ValidationError(f"{path}: {what} must be a JSON object")
     return doc
 
 
@@ -633,20 +653,15 @@ class SplitResult:
     seed: int
 
 
-def _train_counts_per_class(counts: dict[int, int], frac: float) -> dict[int, int]:
-    """Per-class train counts: floors of frac*n_c, topped up by largest
-    fractional remainder until the overall total is round-half-up(frac*n)."""
-    total = sum(counts.values())
-    want = math.floor(frac * total + 0.5)
-    floors = {c: math.floor(frac * n) for c, n in counts.items()}
-    leftover = want - sum(floors.values())
-    remainders = sorted(
-        counts, key=lambda c: (-(frac * counts[c] - floors[c]), c)
-    )
-    out = dict(floors)
-    for c in remainders[:leftover]:
-        out[c] += 1
-    return out
+def _largest_remainder(quotas: dict, total: int) -> dict:
+    """Largest-remainder apportionment of ``total``: each key gets the floor
+    of its quota, and the ``total`` minus the sum of the floors keys with
+    the largest fractional remainders (ties to the smaller key) one more."""
+    floors = {key: math.floor(q) for key, q in quotas.items()}
+    by_remainder = sorted(quotas, key=lambda key: (-(quotas[key] - floors[key]), key))
+    for key in by_remainder[: total - sum(floors.values())]:
+        floors[key] += 1
+    return floors
 
 
 def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitResult:
@@ -665,8 +680,8 @@ def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitRes
     n0, n1 = table.class_counts()
     if n0 == 0 or n1 == 0:
         raise ValidationError("both target classes must be present to split")
-    counts = {0: n0, 1: n1}
-    k = _train_counts_per_class(counts, frac)
+    # The classes' shares sum to round-half-up(frac * n).
+    k = _largest_remainder({0: frac * n0, 1: frac * n1}, math.floor(frac * (n0 + n1) + 0.5))
     rng = np.random.default_rng(seed)
     train_rows = []
     for cls in (0, 1):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from screenfit.cli import main
 
 SCHEMA = {
@@ -43,6 +45,41 @@ def test_missing_model_file_exits_2(tmp_path, capsys):
             "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
     assert main(argv) == 2
     assert "no such model file" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+# An intercept-only model: scoring it reads no column but the target.
+MODEL = {
+    "target": "y",
+    "model": {
+        "rows": [{"estimate": -1.0, "std_error": 0.5}],
+        "log_likelihood": -5.0,
+        "n": 10,
+        "converged": True,
+        "iterations": 4,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes("x,lik,y\ncaf\u00e9,5,0\n".encode("latin-1")),
+        lambda path: path.write_text("x,lik,y\n" + "1" * 131073 + ",5,0\n"),
+        lambda path: None,
+    ],
+    ids=["directory", "latin1", "field_over_limit", "missing"],
+)
+def test_unreadable_data_file_exits_2(tmp_path, capsys, make):
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps(MODEL), encoding="utf-8")
+    make(tmp_path / "data.csv")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "data.csv") in err
     assert not (tmp_path / "scores.csv").exists()
 
 

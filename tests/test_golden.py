@@ -1,10 +1,13 @@
-"""Byte-stability of a small end-to-end run and of scoring a saved CSV.
+"""Byte-stability of a small end-to-end run, of scoring a saved CSV, and
+of the synthetic dataset.
 
 The digests pin every artifact of ``run_pipeline`` except the manifest
-(which holds timings), and the ``scores.csv`` that ``score_table_file``
-writes for a sibling sample saved with ``save_table``.  A change that is
-meant to leave outputs alone must leave these digests alone; a change
-that alters outputs on purpose records the new digests here and says why.
+(which holds timings), the ``scores.csv`` that ``score_table_file``
+writes for a sibling sample saved with ``save_table``, and the three
+files ``write_synthetic_dataset`` writes for the same config.  A change
+that is meant to leave outputs alone must leave these digests alone; a
+change that alters outputs on purpose records the new digests here and
+says why.
 The same run's ``model.json`` is also read back: rewriting it from the
 loaded model gives the same document, and the loaded model scores the
 out-of-sample table exactly as the run did.
@@ -19,7 +22,13 @@ import pytest
 from screenfit.config import PipelineConfig
 from screenfit.evaluation import score
 from screenfit.logit import model_from_dict, model_to_dict
-from screenfit.pipeline import ARTIFACT_NAMES, load_model_file, run_pipeline, score_table_file
+from screenfit.pipeline import (
+    ARTIFACT_NAMES,
+    load_model_file,
+    run_pipeline,
+    score_table_file,
+    write_synthetic_dataset,
+)
 from screenfit.screening import apply_level_mapping
 from screenfit.synthgen import generate
 from screenfit.table import impute_numeric_columns, save_schema, save_table
@@ -57,6 +66,12 @@ GOLDEN = {
     "confusion_report.json": "cf6e36ab86b97fcd6b9831216591be28d715338b934cf1f836bdaf9e5b0a3afb",
     "charts.csv": "367d00a62c57d4196983e52f19c356b607ffbd58c69fa1519c778e768c3bcf23",
     "scores.csv": "c88bfb73bb34802bff35cdaadd2abd65656bb0d8cddf9b9a6dea25a753ab7b5b",
+}
+
+SYNTHETIC_GOLDEN = {
+    "data.csv": "9a16af6eccd0aba3d30e456a046bbc640d9b490ef124b577b89c55b05da1db21",
+    "schema.json": "979ae24cd407ad076657124ca74f51268720398a1a244a21286bf92538c77c84",
+    "ground_truth.json": "55b23ee5469cccf860956424e013e47892a500df5be0a335248ebe05fb3ecf27",
 }
 
 
@@ -99,3 +114,8 @@ def test_model_file_round_trips_and_scores_like_the_run(golden_run):
     oos, _ = generate(config.synthetic, sample_index=1)
     oos = apply_level_mapping(impute_numeric_columns(oos), *mappings.values())
     np.testing.assert_array_equal(score(model, oos).p, result.score_sets["out_of_sample"].p)
+
+
+def test_synthetic_dataset_is_byte_stable(tmp_path):
+    names = write_synthetic_dataset(PipelineConfig.from_dict(CONFIG), tmp_path)
+    assert {name: sha256(tmp_path / name) for name in names} == SYNTHETIC_GOLDEN

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import weakref
 
@@ -7,7 +8,7 @@ import screenfit.pipeline as pipeline
 from screenfit.config import PipelineConfig
 from screenfit.errors import CellParseError
 from screenfit.synthgen import generate
-from screenfit.table import load_schema, save_schema, save_table
+from screenfit.table import ColumnSpec, TableSchema, load_schema, save_schema, save_table
 
 CONFIG = {
     "plan": {"retain_after_chi2": 10, "retain_after_t": 8, "retain_after_iv": 6, "final_retain": 4},
@@ -114,6 +115,38 @@ def test_score_reads_only_the_model_columns(tmp_path):
     _corrupt_cell(csv_path, used[0], 7, "oops")
     with pytest.raises(CellParseError, match=rf"row 7, column '{used[0]}'"):
         pipeline.score_table_file(model_path, csv_path, schema_path, tmp_path / "scores.csv")
+
+
+def test_encoder_warnings_reach_the_model_file(tmp_path):
+    """Every categorical declares a level "z" the data never holds, so the
+    training design drops its dummy as constant and says so in model.json."""
+    synthetic = {
+        "n_signal": 150,
+        "n_background": 650,
+        "n_informative": 4,
+        "n_noise": 4,
+        "kind_mix": {"categorical": 0.5, "continuous": 0.5},
+        "seed": 4,
+    }
+    plan = {"retain_after_chi2": 8, "retain_after_t": 7, "retain_after_iv": 6, "final_retain": 4}
+    table, _ = generate(PipelineConfig.from_dict({"plan": plan, "synthetic": synthetic}).synthetic)
+    save_table(table, tmp_path / "data.csv")
+    columns = tuple(
+        ColumnSpec(c.name, c.kind, c.levels + ("z",)) if c.levels else c
+        for c in table.schema.columns
+    )
+    save_schema(TableSchema(columns=columns, target="target"), tmp_path / "schema.json")
+    data = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    result = pipeline.run_pipeline(
+        PipelineConfig.from_dict({"plan": plan, "input": data}), tmp_path / "run"
+    )
+    categoricals = [v for v in result.final_variables if v.startswith("cat_")]
+    assert categoricals
+    doc = json.loads((tmp_path / "run" / "model.json").read_text(encoding="utf-8"))
+    warnings = doc["model"]["warnings"]
+    assert warnings == list(result.model.warnings)
+    for v in categoricals:
+        assert f"{v}=z: constant dummy column dropped from the design" in warnings
 
 
 WIDE_CONFIG = {

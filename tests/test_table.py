@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from screenfit.table import (
     save_schema,
     save_table,
     split_train_validation,
+    _largest_remainder,
 )
 
 from conftest import make_table
@@ -507,6 +509,84 @@ def test_json_file_problems_raise_validation_error(tmp_path, load, what, make, p
     make(path)
     with pytest.raises(ValidationError, match=problem.format(what=what)):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "make, problem",
+    [
+        (lambda path: None, "no such data file: {path}"),
+        (lambda path: path.mkdir(), "{path}: cannot read data file: "),
+        (lambda path: path.write_bytes("x,y\ncaf\u00e9,0\n".encode("latin-1")),
+         "{path}: cannot read data file: "),
+        (lambda path: path.write_text("x,y\n" + "1" * 131073 + ",0\n"),
+         "{path}: cannot read data file: field larger than field limit"),
+    ],
+    ids=["missing", "directory", "latin1", "field_over_limit"],
+)
+def test_data_file_problems_raise_validation_error(tmp_path, make, problem):
+    schema = TableSchema(
+        columns=(ColumnSpec("x", ColumnKind.CONTINUOUS), ColumnSpec("y", ColumnKind.BINARY)),
+        target="y",
+    )
+    path = tmp_path / "data.csv"
+    make(path)
+    with pytest.raises(ValidationError, match=re.escape(problem.format(path=path))):
+        load_table(path, schema)
+
+
+KINDS = ("binary", "categorical", "likelihood", "continuous")
+
+
+def train_counts_per_class(counts, frac):
+    """The stratified split's former per-class rule, kept as a reference."""
+    total = sum(counts.values())
+    want = math.floor(frac * total + 0.5)
+    floors = {c: math.floor(frac * n) for c, n in counts.items()}
+    leftover = want - sum(floors.values())
+    remainders = sorted(counts, key=lambda c: (-(frac * counts[c] - floors[c]), c))
+    out = dict(floors)
+    for c in remainders[:leftover]:
+        out[c] += 1
+    return out
+
+
+def kind_counts(mix, total):
+    """The synthetic generator's former kind rule, kept as a reference."""
+    fracs = {k: mix.get(k, 0.0) for k in KINDS}
+    floors = {k: math.floor(fracs[k] * total) for k in KINDS}
+    leftover = total - sum(floors.values())
+    by_remainder = sorted(KINDS, key=lambda k: (-(fracs[k] * total - floors[k]), k))
+    for k in by_remainder[:leftover]:
+        floors[k] += 1
+    return floors
+
+
+def assert_apportioned(quotas, total, shares):
+    assert sum(shares.values()) == total
+    for key, quota in quotas.items():
+        assert shares[key] in (math.floor(quota), math.ceil(quota))
+
+
+class TestLargestRemainder:
+    @given(
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+    )
+    def test_split_classes(self, n0, n1, frac):
+        quotas = {0: frac * n0, 1: frac * n1}
+        total = math.floor(frac * (n0 + n1) + 0.5)
+        shares = _largest_remainder(quotas, total)
+        assert_apportioned(quotas, total, shares)
+        assert shares == train_counts_per_class({0: n0, 1: n1}, frac)
+
+    @given(st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any), st.integers(1, 5000))
+    def test_kind_mix(self, weights, total):
+        mix = {k: w / sum(weights) for k, w in zip(KINDS, weights) if w}
+        quotas = {k: mix.get(k, 0.0) * total for k in KINDS}
+        shares = _largest_remainder(quotas, total)
+        assert_apportioned(quotas, total, shares)
+        assert shares == kind_counts(mix, total)
 
 
 class TestImputeMedian:
