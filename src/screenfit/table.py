@@ -498,7 +498,7 @@ def load_table(
             rows.append(row if picked is None else [row[j] for j in picked])
         return rows, None
 
-    rows, ragged = _read(csv_path, "data file", cut_rows, newline="")
+    rows, ragged = _read(csv_path, "data file", cut_rows)
     cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
     parsed = {}
     bad_cells = []
@@ -538,13 +538,13 @@ def save_table(table: DataTable, csv_path: str | Path) -> None:
     write_csv(table.schema.names, zip(*columns), csv_path)
 
 
-def _read(path: str | Path, what: str, parse, newline: str | None = None):
-    """``parse`` applied to the file at ``path`` opened as UTF-8 text.  A
-    missing file, a directory, bytes that are not UTF-8 or a line that
-    :mod:`csv` cannot split raise :class:`ValidationError` naming the path
-    and ``what`` the file is ("data file", "model file", ...)."""
+def _read(path: str | Path, what: str, parse):
+    """``parse`` applied to the file at ``path`` opened as UTF-8, line ends
+    kept for :mod:`csv`.  A missing file, a directory, non-UTF-8 bytes or a
+    line :mod:`csv` cannot split raise :class:`ValidationError` naming the
+    path and ``what`` the file is ("data file", "model file", ...)."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return parse(fh)
     except FileNotFoundError:
         raise ValidationError(f"no such {what}: {path}") from None

@@ -61,20 +61,10 @@ MODEL = {
 }
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda path: path.mkdir(),
-        lambda path: path.write_bytes("x,lik,y\ncaf\u00e9,5,0\n".encode("latin-1")),
-        lambda path: path.write_text("x,lik,y\n" + "1" * 131073 + ",5,0\n"),
-        lambda path: None,
-    ],
-    ids=["directory", "latin1", "field_over_limit", "missing"],
-)
-def test_unreadable_data_file_exits_2(tmp_path, capsys, make):
+def test_data_directory_exits_2(tmp_path, capsys):
     (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
     (tmp_path / "model.json").write_text(json.dumps(MODEL), encoding="utf-8")
-    make(tmp_path / "data.csv")
+    (tmp_path / "data.csv").mkdir()
     argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
             "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
     assert main(argv) == 2
