@@ -43,6 +43,7 @@ from .logit import (
     LogisticModel,
     StepwiseTrace,
     Term,
+    chi2_sf,
     encode_design,
     fit_irls,
     global_null_lr,
@@ -77,9 +78,9 @@ __all__ = [
     "occupancy_filter", "run_screening", "t_test_multivalued", "woe_iv",
     "ClusterSelection", "CorrelationMatrix", "VariableCluster", "cluster_variables",
     "select_representatives",
-    "DesignMatrix", "LogisticModel", "StepwiseTrace", "Term", "encode_design",
-    "fit_irls", "global_null_lr", "log_likelihood", "prune_collinear", "sbc",
-    "stepwise_select",
+    "DesignMatrix", "LogisticModel", "StepwiseTrace", "Term", "chi2_sf",
+    "encode_design", "fit_irls", "global_null_lr", "log_likelihood",
+    "prune_collinear", "sbc", "stepwise_select",
     "ConfusionMatrix", "DecileRow", "Metrics", "ScoreSet", "assign_deciles",
     "confusion_matrix", "decile_table", "export_chart_data", "metrics", "score",
     "GroundTruth", "SyntheticSpec", "generate", "oracle_metrics",

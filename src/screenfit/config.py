@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, require_whole
 from .screening import StagePlan
 from .synthgen import SyntheticSpec
 from .table import read_json
@@ -38,6 +38,7 @@ class SplitConfig:
     def __post_init__(self):
         if not (0.0 < self.frac < 1.0):
             raise ValidationError(f"split.frac must be in (0, 1), got {self.frac}")
+        require_whole("split.seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class StepwiseConfig:
         for name, v in (("p_enter", self.p_enter), ("p_stay", self.p_stay)):
             if not (0.0 < v < 1.0):
                 raise ValidationError(f"stepwise.{name} must be in (0, 1), got {v}")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValidationError("stepwise.max_terms must be >= 1 when set")
+        if self.max_terms is not None:
+            require_whole("stepwise.max_terms", self.max_terms, 1)
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ class PipelineConfig:
     def with_seed(self, seed: int) -> "PipelineConfig":
         """Override every seed from one master value: the generator takes
         the seed itself, the split takes seed + 1."""
-        cfg = replace(self, split=replace(self.split, seed=seed + 1))
+        cfg = self
         if cfg.synthetic is not None:
             cfg = replace(cfg, synthetic=replace(cfg.synthetic, seed=seed))
-        return cfg
+        return replace(cfg, split=replace(cfg.split, seed=seed + 1))
 
     def to_dict(self) -> dict:
         return asdict(self)

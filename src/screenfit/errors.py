@@ -7,6 +7,8 @@ convergence -- the inputs were well-formed but the math cannot proceed).
 The CLI maps the former to exit code 2 and the latter to exit code 1.
 """
 
+import numbers
+
 
 class ScreenfitError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,3 +32,13 @@ class CellParseError(ValidationError):
 
 class ComputationError(ScreenfitError):
     """Well-formed input on which the computation is degenerate or fails."""
+
+
+def require_whole(name: str, value, minimum: int) -> None:
+    """Raise ValidationError unless value is an integer, not a bool, >= minimum."""
+    # the exact-type test spares the common case the slower ABC check
+    whole = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    if not whole or value < minimum:
+        raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")

@@ -15,6 +15,11 @@ The Wald chi-square, its p-value, exp(estimate), the standardized
 estimate and the SBC are properties derived from those fields, so they
 are computed once, only when read, and cannot disagree with the fit.
 
+Every chi-square tail probability in the package -- the Wald and
+likelihood-ratio p-values here and the screening p-values -- comes from
+``chi2_sf``, a closed form built on the standard library's ``math``
+module, so the package needs nothing beyond numpy.
+
 Selection is forward with backward elimination: a candidate enters when
 its single-term likelihood-ratio p-value clears p_enter AND the entry
 lowers the Schwarz Bayesian criterion; in-model terms whose Wald p-value
@@ -26,13 +31,13 @@ whichever member scores better on held-out decile statistics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_whole
 from .table import ColumnKind, DataTable
 
 PROB_CLAMP = 1e-12
@@ -165,7 +170,7 @@ class LogisticModel:
     @cached_property
     def p_values(self) -> np.ndarray:
         """Upper tail of chi-square(1) at the Wald statistic."""
-        return special.chdtrc(1, self.wald)
+        return np.array([chi2_sf(w, 1) for w in self.wald.tolist()])
 
     @cached_property
     def exp_est(self) -> np.ndarray:
@@ -317,6 +322,37 @@ def sbc(logL: float, k_params: int, n: int) -> float:
     return -2.0 * logL + k_params * math.log(n)
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail of chi-square(df) at x, for a whole number df >= 1.
+
+    This is the regularized upper incomplete gamma Q(df/2, x/2), which for
+    a whole or half-whole shape is a finite sum: with h = x/2 and a = 0
+    for even df, 1/2 for odd, it is h^(a+k) e^-h / Gamma(a+k+1) over
+    k = 0 .. df//2 - 1, plus erfc(sqrt(h)) for odd df.  Each term is the
+    exp of its logarithm, so no factor overflows or underflows on its own.
+
+    NaN for x < 0 or NaN, 1 at 0 and 0 at +inf.  A tail below the smallest
+    normal double is returned as 0: there erfc's subnormal results are not
+    monotone in x, and stepwise entry ranks candidates by this p-value.
+    """
+    require_whole("chi-square df", df, 1)
+    if not x >= 0.0:
+        return math.nan
+    h = 0.5 * x
+    if h == 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    m, odd = divmod(df, 2)
+    p = math.erfc(math.sqrt(h)) if odd else 0.0
+    if m:
+        a, log_h = 0.5 * odd, math.log(h)
+        p = math.fsum(
+            [p] + [math.exp((a + k) * log_h - h - math.lgamma(a + k + 1)) for k in range(m)]
+        )
+    return p if p >= sys.float_info.min else 0.0
+
+
 def fit_irls(design: DesignMatrix, beta0: np.ndarray | None = None) -> LogisticModel:
     """Newton/IRLS maximum-likelihood fit, from beta0 or from zero.
 
@@ -411,15 +447,6 @@ class StepwiseStep:
 class StepwiseTrace:
     steps: tuple[StepwiseStep, ...]
 
-    def net_terms(self) -> list[str]:
-        current: list[str] = []
-        for s in self.steps:
-            if s.action == "enter":
-                current.append(s.term)
-            else:
-                current.remove(s.term)
-        return current
-
 
 def _candidate_designs(design: DesignMatrix, current: list[int]):
     """Yield (j, design.select(current + [j])) for every term j not in current.
@@ -471,7 +498,7 @@ def stepwise_select(
                 for j, trial in _candidate_designs(design, current):
                     model_j = fit_irls(trial, beta0=warm)
                     lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
-                    p = float(special.chdtrc(1, lr))
+                    p = chi2_sf(lr, 1)
                     key = (p, model_j.sbc, design.terms[j].name)
                     if best is None or key < best[0]:
                         best = (key, j, model_j, p)
@@ -600,9 +627,9 @@ def global_null_lr(model: LogisticModel, design: DesignMatrix) -> dict:
     return {
         "statistic": float(statistic),
         "df": k,
-        # chdtrc is NaN below 0, where the chi-square tail is 1; a fit at the
-        # null can land a rounding error under logL0.
-        "p_value": float(special.chdtrc(k, max(statistic, 0.0))),
+        # chi2_sf is NaN below 0, where the chi-square tail is 1; a fit at
+        # the null can land a rounding error under logL0.
+        "p_value": chi2_sf(max(statistic, 0.0), k),
     }
 
 

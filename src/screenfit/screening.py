@@ -11,6 +11,10 @@ recorded in a :class:`ScreeningReport` whose stage sets are nested.  The
 report's JSON form is read off the fields of its result dataclasses, so
 each field name is also its key in ``screening_report.json``.
 
+Chi-square p-values, of the binary screen and of each level merge, come
+from :func:`screenfit.logit.chi2_sf`; the t screen ranks by |t| and
+needs no tail probability.
+
 Likelihood-scale columns (integers 1..99) are treated as numeric for the
 t screen and binned into seven equal-width bins for weight-of-evidence /
 information-value work.
@@ -21,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import varclus
 from .errors import ComputationError, ValidationError
+from .logit import chi2_sf
 from .table import (
     LIKELIHOOD_MAX,
     LIKELIHOOD_MIN,
@@ -297,7 +301,7 @@ def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
         raise ComputationError(
             f"degenerate 2x2 table for {variable!r}: a margin is zero"
         )
-    p = float(special.chdtrc(1, statistic))
+    p = chi2_sf(statistic, 1)
     return ChiSquareResult(variable=variable, statistic=statistic, df=1, p_value=p)
 
 
@@ -443,7 +447,7 @@ def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelM
         # margin means both groups have the same rate.
         pair = np.array([[counts0[i], counts1[i]], [counts0[j], counts1[j]]], dtype=float)
         statistic = _pearson_2x2(pair)
-        p = 1.0 if statistic is None else float(special.chdtrc(1, statistic))
+        p = 1.0 if statistic is None else chi2_sf(statistic, 1)
         if p <= alpha:
             break
         groups[i] = groups[i] + groups[j]

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_whole
 from .evaluation import ScoreSet
 from .logit import _sigmoid
 from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, _largest_remainder
@@ -85,6 +85,7 @@ class SyntheticSpec:
             raise ValidationError("n_correlated_pairs must be >= 0")
         if not (-1.0 < self.correlated_r < 1.0):
             raise ValidationError("correlated_r must be in (-1, 1)")
+        require_whole("synthetic.seed", self.seed, 0)
 
     @property
     def n_records(self) -> int:

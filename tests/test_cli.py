@@ -16,13 +16,15 @@ SCHEMA = {
 PLAN = {"retain_after_chi2": 4, "retain_after_t": 3, "retain_after_iv": 2, "final_retain": 1}
 
 
-def input_config(tmp_path, csv_text: str) -> str:
-    """A pipeline config on the given CSV text; returns the config path."""
+def input_config(tmp_path, csv_text: str, **sections) -> str:
+    """A pipeline config on the given CSV text, plus any further config
+    sections; returns the config path."""
     (tmp_path / "data.csv").write_text(csv_text, encoding="utf-8")
     (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
     config = {
         "plan": PLAN,
         "input": {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")},
+        **sections,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -83,3 +85,45 @@ def test_computation_error_exits_1(tmp_path, capsys):
     config = input_config(tmp_path, "x,lik,y\n,5,0\nNA,6,1\n")
     assert run_pipeline_command(tmp_path, config) == 1
     assert "no non-missing values" in capsys.readouterr().err
+
+
+SYNTHETIC = {
+    "n_signal": 20,
+    "n_background": 80,
+    "n_informative": 2,
+    "n_noise": 4,
+    "kind_mix": {"binary": 0.5, "continuous": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        ({"split": {"seed": -3}}, "split.seed"),
+        ({"stepwise": {"max_terms": 2.5}}, "stepwise.max_terms"),
+    ],
+)
+def test_bad_seed_or_max_terms_in_config_exits_2(tmp_path, capsys, sections, message):
+    config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,6,1\n", **sections)
+    assert run_pipeline_command(tmp_path, config) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_negative_synthetic_seed_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plan": PLAN, "synthetic": SYNTHETIC | {"seed": -1}}), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "synthetic.seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_negative_seed_option_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plan": PLAN, "synthetic": SYNTHETIC}), encoding="utf-8")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-5"]
+    assert main(argv) == 2
+    assert "synthetic.seed must be a whole number >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -8,6 +8,10 @@ files ``write_synthetic_dataset`` writes for the same config.  A change
 that is meant to leave outputs alone must leave these digests alone; a
 change that alters outputs on purpose records the new digests here and
 says why.
+The ``model.json`` and ``screening_report.json`` digests were re-recorded
+when the chi-square tails moved from ``scipy.special.chdtrc`` to
+``screenfit.logit.chi2_sf``: only p-value digits changed, each by less
+than 1e-12 relative, and every other artifact kept its digest.
 The same run's ``model.json`` is also read back: rewriting it from the
 loaded model gives the same document, and the loaded model scores the
 out-of-sample table exactly as the run did.
@@ -59,9 +63,9 @@ CONFIG = {
 SCORED_SAMPLE_INDEX = 2
 
 GOLDEN = {
-    "screening_report.json": "dee2f42399891b081eba13e6d799f2fa2f83a7bb1ca63c13e4f6d5111cf85f76",
+    "screening_report.json": "03c097e79de1807b4d3c2663ab0bc0ca8d541171c01f64996406c72b494fc6b0",
     "cluster_report.json": "be0432fd59cbff5a1209ab51c9bb0fb3b3d0a3d65188eacd3a7213d0ecc30f02",
-    "model.json": "8f48525357728cf345a8c676ee64e88a92222d037d2b7078ecc6dca23c91a8e6",
+    "model.json": "bb87a48de6b38f5c88a08e913a767d2291b6c83c6287ae20c5830e6124c660f6",
     "decile_table.csv": "423ca9b6c8784c86e3250962e3b49512028e62107fabe111c1055ac2d8aae3ce",
     "confusion_report.json": "cf6e36ab86b97fcd6b9831216591be28d715338b934cf1f836bdaf9e5b0a3afb",
     "charts.csv": "367d00a62c57d4196983e52f19c356b607ffbd58c69fa1519c778e768c3bcf23",

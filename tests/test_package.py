@@ -21,14 +21,15 @@ def test_all_lists_every_public_name_but_the_submodules():
     assert public == set(screenfit.__all__)
 
 
-def test_import_does_not_load_scipy_stats():
-    # in a fresh interpreter: other test modules import scipy.stats themselves
+def test_import_does_not_load_scipy():
+    # in a fresh interpreter: other test modules import scipy themselves.
+    # SciPy is a test-only dependency; the package runs on numpy alone.
     src = os.path.dirname(os.path.dirname(screenfit.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = (
         "import sys, screenfit, screenfit.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
