@@ -14,7 +14,7 @@ p >= threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,14 +107,9 @@ def assign_deciles(scores: ScoreSet) -> np.ndarray:
     """Decile number (1..10) per record; the first n % 10 deciles get the extra records."""
     if scores.n < N_DECILES:
         raise ValidationError(f"need at least {N_DECILES} records, got {scores.n}")
-    order = decile_order(scores)
-    base, extra = divmod(scores.n, N_DECILES)
-    sizes = [base + 1 if d < extra else base for d in range(N_DECILES)]
     out = np.empty(scores.n, dtype=int)
-    start = 0
-    for d, size in enumerate(sizes, start=1):
-        out[order[start : start + size]] = d
-        start += size
+    for d, rows in enumerate(np.array_split(decile_order(scores), N_DECILES), start=1):
+        out[rows] = d
     return out
 
 def decile_table(scores: ScoreSet) -> list[DecileRow]:
@@ -174,33 +169,12 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     )
 
 
-CHART_COLUMNS = [
-    "decile",
-    "n",
-    "responders",
-    "response_rate",
-    "lift",
-    "captured",
-    "cum_captured",
-    "baseline",
-]
+CHART_COLUMNS = [f.name for f in fields(DecileRow)] + ["baseline"]
 
 
 def chart_rows(deciles: list[DecileRow]) -> list[list]:
     """Decile rows as plottable lists; baseline d/10 is the random-model gain line."""
-    return [
-        [
-            d.decile,
-            d.n,
-            d.responders,
-            repr(d.response_rate),
-            repr(d.lift),
-            repr(d.captured),
-            repr(d.cum_captured),
-            repr(d.decile / N_DECILES),
-        ]
-        for d in deciles
-    ]
+    return [[*vars(d).values(), d.decile / N_DECILES] for d in deciles]
 
 
 def export_chart_data(deciles: list[DecileRow], out_path) -> None:

@@ -318,6 +318,6 @@ def score_table_file(
     table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
     ss = score(model, table)
     deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
-    rows = zip(ss.ids.tolist(), map(repr, ss.p.tolist()), deciles)
+    rows = zip(ss.ids.tolist(), ss.p.tolist(), deciles)
     write_csv(["id", "probability", "decile"], rows, out_path)
     return ss.n

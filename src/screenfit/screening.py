@@ -3,13 +3,14 @@
 Four filters are applied in a fixed order, each shrinking the retained
 variable set: a chi-square screen over binary predictors, a two-sample
 t screen over multivalued numeric predictors, an information-value band
-over discrete predictors, and a final stage that clusters the survivors
-(see :mod:`screenfit.varclus`), keeps one representative per cluster,
-drops sparse binary flags, and merges statistically indistinguishable
-categorical levels.  Every stage's statistics and retained set are
-recorded in a :class:`ScreeningReport` whose stage sets are nested.  The
-report's JSON form is read off the fields of its result dataclasses, so
-each field name is also its key in ``screening_report.json``.
+over discrete predictors, and a final stage that splits the survivors
+into ``final_retain`` clusters (see :mod:`screenfit.varclus`), keeps one
+representative per cluster, drops sparse binary flags, and merges
+statistically indistinguishable categorical levels.  Every stage's
+statistics and retained set are recorded in a :class:`ScreeningReport`
+whose stage sets are nested.  The report's JSON form is read off the
+fields of its result dataclasses, so each field name is also its key in
+``screening_report.json``.
 
 Chi-square p-values, of the binary screen and of each level merge, come
 from :func:`screenfit.logit.chi2_sf`; the t screen ranks by |t| and
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import varclus
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_whole
 from .logit import chi2_sf
 from .table import (
     LIKELIHOOD_MAX,
@@ -93,12 +94,6 @@ class LevelMapping:
     variable: str
     mapping: dict[str, str]
 
-    def groups(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for orig, merged in self.mapping.items():
-            out.setdefault(merged, []).append(orig)
-        return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
-
     @property
     def n_merged(self) -> int:
         return len(set(self.mapping.values()))
@@ -108,8 +103,10 @@ class LevelMapping:
 class StagePlan:
     """Retention targets and thresholds for the screening cascade.
 
-    Counts are totals after each stage and must decrease strictly:
-    retain_after_chi2 > retain_after_t > retain_after_iv > final_retain.
+    Counts are totals after each stage, whole numbers >= 1 that must
+    decrease strictly: retain_after_chi2 > retain_after_t >
+    retain_after_iv > final_retain.  final_retain is also the number of
+    clusters the cluster stage makes.
     """
 
     retain_after_chi2: int
@@ -123,14 +120,10 @@ class StagePlan:
     iv_smoothing: float = DEFAULT_IV_SMOOTHING
 
     def __post_init__(self):
-        counts = (
-            self.retain_after_chi2,
-            self.retain_after_t,
-            self.retain_after_iv,
-            self.final_retain,
-        )
-        if any(c < 1 for c in counts):
-            raise ValidationError("stage counts must be >= 1")
+        names = ("retain_after_chi2", "retain_after_t", "retain_after_iv", "final_retain")
+        counts = tuple(getattr(self, name) for name in names)
+        for name, count in zip(names, counts):
+            require_whole(f"plan.{name}", count, 1)
         if not all(a > b for a, b in zip(counts, counts[1:])):
             raise ValidationError(
                 f"stage counts must decrease strictly, got {counts}"
@@ -519,9 +512,9 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     pass through), |t| screen over multivalued numeric predictors, IV
     band [iv_min, iv_max] over discrete predictors capped at the stage
     count by IV rank (continuous pass through), then variable clustering
-    down to final_retain representatives followed by the binary occupancy
-    filter and categorical level merging.  Retained sets are nested and
-    listed in schema column order.
+    into final_retain clusters with one representative each, followed by
+    the binary occupancy filter and categorical level merging.  Retained
+    sets are nested and listed in schema column order.
     """
     _require_both_classes(table)
     schema_order = {name: i for i, name in enumerate(table.schema.names)}

@@ -64,10 +64,12 @@ class SyntheticSpec:
     correlated_r: float = 0.8
 
     def __post_init__(self):
-        if self.n_signal < 1 or self.n_background < 1:
-            raise ValidationError("n_signal and n_background must be >= 1")
-        if self.n_informative < 0 or self.n_noise < 0 or self.n_predictors < 1:
-            raise ValidationError("predictor counts must be non-negative and total >= 1")
+        for name in ("n_signal", "n_background"):
+            require_whole(f"synthetic.{name}", getattr(self, name), 1)
+        for name in ("n_informative", "n_noise", "n_correlated_pairs"):
+            require_whole(f"synthetic.{name}", getattr(self, name), 0)
+        if self.n_predictors < 1:
+            raise ValidationError("n_informative + n_noise must be >= 1")
         if set(self.kind_mix) - set(KINDS):
             raise ValidationError(
                 f"kind_mix keys must be among {KINDS}, got {sorted(self.kind_mix)}"
@@ -81,8 +83,6 @@ class SyntheticSpec:
             raise ValidationError("beta_range must satisfy 0 < low <= high")
         if not (0.0 <= self.missing_rate <= 0.5):
             raise ValidationError("missing_rate must be in [0, 0.5]")
-        if self.n_correlated_pairs < 0:
-            raise ValidationError("n_correlated_pairs must be >= 0")
         if not (-1.0 < self.correlated_r < 1.0):
             raise ValidationError("correlated_r must be in (-1, 1)")
         require_whole("synthetic.seed", self.seed, 0)

@@ -1,10 +1,10 @@
 """Divisive variable clustering with principal-component representatives.
 
-Starting from one cluster holding every variable, any cluster whose
-correlation submatrix has a second eigenvalue above a threshold (or, in
-count-driven mode, the worst such cluster until a target count is
-reached) is split along its first two principal components; members go
-to the component they correlate with more strongly, followed by a global
+Starting from one cluster holding every variable, the cluster whose
+correlation submatrix has the largest second eigenvalue is split along
+its first two principal components until a requested number of clusters
+exists, the role MAXCLUSTERS plays in PROC VARCLUS; members go to the
+component they correlate with more strongly, followed by a global
 reassignment pass to the nearest cluster component.  One representative
 per cluster is then chosen by the smallest (1 - R^2 own) / (1 - R^2
 nearest) ratio, i.e. the member that best stands in for its own cluster
@@ -27,14 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_whole
 
 DEGENERACY_TOL = 1e-10
-
-# A cluster splits while its second eigenvalue exceeds this: the PROC
-# VARCLUS MAXEIGEN default, under which a second component explains more
-# than one variable's worth of variance.
-SPLIT_THRESHOLD = 1.0
 
 REASSIGN_CAP = 20
 
@@ -225,21 +220,20 @@ def _canonical(clusters: list[list[int]], names: tuple[str, ...]) -> list[list[i
     return sorted(clusters, key=lambda c: min(names[i] for i in c))
 
 
-def cluster_variables(
-    corr: CorrelationMatrix, n_clusters: int | None = None
-) -> list[VariableCluster]:
-    """Divisively split variables into correlated clusters.
+def cluster_variables(corr: CorrelationMatrix, n_clusters: int) -> list[VariableCluster]:
+    """Divisively split variables into n_clusters correlated clusters.
 
-    With the default threshold rule, any cluster whose second eigenvalue
-    exceeds SPLIT_THRESHOLD is split, worst first, until none does.  With
-    n_clusters set, splitting instead continues (still worst-first) until
-    that many clusters exist or every cluster is a singleton; the
-    threshold is ignored.
+    Each round splits the cluster with the largest second eigenvalue and
+    reassigns every variable to its nearest cluster, until n_clusters
+    clusters exist, every cluster is a singleton, or twice as many rounds
+    as variables have run.  n_clusters must be a whole number in [1,
+    number of variables]; it plays the role of PROC VARCLUS's MAXCLUSTERS.
     """
     names = corr.names
     eigen = _BlockEigen(corr.values)
     k = len(names)
-    if n_clusters is not None and not (1 <= n_clusters <= k):
+    require_whole("n_clusters", n_clusters, 1)
+    if n_clusters > k:
         raise ValidationError(f"n_clusters must be in [1, {k}], got {n_clusters}")
     clusters: list[list[int]] = [list(range(k))]
 
@@ -250,15 +244,10 @@ def cluster_variables(
             for idx, c in enumerate(clusters)
             if len(c) >= 2
         ]
-        if not candidates:
-            return None
-        neg_second, _, idx = min(candidates)
-        if n_clusters is None and -neg_second <= SPLIT_THRESHOLD:
-            return None
-        return idx
+        return min(candidates)[2] if candidates else None
 
     for _ in range(2 * k):  # reassignment can undo splits; bound generously
-        if n_clusters is not None and len(clusters) >= n_clusters:
+        if len(clusters) >= n_clusters:
             break
         worst = pick_worst()
         if worst is None:

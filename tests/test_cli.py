@@ -120,6 +120,16 @@ def test_negative_synthetic_seed_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_fractional_synthetic_count_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    doc = {"plan": PLAN, "synthetic": SYNTHETIC | {"n_noise": 4.5}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "synthetic.n_noise must be a whole number >= 0, got 4.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
 def test_negative_seed_option_exits_2(tmp_path, capsys, command):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"plan": PLAN, "synthetic": SYNTHETIC}), encoding="utf-8")

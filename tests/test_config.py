@@ -59,6 +59,27 @@ def test_seeds_and_max_terms_must_be_whole_numbers(doc, field):
         PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"plan": PLAN | {"retain_after_chi2": 40.5}}, "plan.retain_after_chi2"),
+        ({"plan": PLAN | {"retain_after_t": 30.0}}, "plan.retain_after_t"),
+        ({"plan": PLAN | {"retain_after_iv": "20"}}, "plan.retain_after_iv"),
+        ({"plan": PLAN | {"final_retain": 8.5}}, "plan.final_retain"),
+        ({"plan": PLAN | {"final_retain": 0}}, "plan.final_retain"),
+        ({"synthetic": SYNTHETIC | {"n_signal": 100.5}}, "synthetic.n_signal"),
+        ({"synthetic": SYNTHETIC | {"n_background": 0}}, "synthetic.n_background"),
+        ({"synthetic": SYNTHETIC | {"n_informative": True}}, "synthetic.n_informative"),
+        ({"synthetic": SYNTHETIC | {"n_noise": 45.5}}, "synthetic.n_noise"),
+        ({"synthetic": SYNTHETIC | {"n_noise": -1}}, "synthetic.n_noise"),
+        ({"synthetic": SYNTHETIC | {"n_correlated_pairs": 1.5}}, "synthetic.n_correlated_pairs"),
+    ],
+)
+def test_counts_must_be_whole_numbers(doc, field):
+    with pytest.raises(ValidationError, match=field):
+        PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
+
+
 def test_with_seed_rejects_a_negative_seed():
     config = PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC})
     with pytest.raises(ValidationError, match="synthetic.seed"):

@@ -94,6 +94,7 @@ def test_pipeline_and_scoring_artifacts_are_byte_stable(golden_run, tmp_path):
     config, run_dir, result = golden_run
     assert any(t.encoding == "dummy" for t in result.model.terms)
     assert result.screening_report.level_mappings
+    assert len(result.screening_report.cluster_selection.clusters) == config.plan.final_retain
 
     sample, _ = generate(config.synthetic, sample_index=SCORED_SAMPLE_INDEX)
     save_table(sample, tmp_path / "data.csv")

@@ -265,7 +265,7 @@ class TestMergeLevels:
         merged_ab_vs_c = np.array([[1790, 210], [500, 500]])
         assert stats.chi2_contingency(merged_ab_vs_c, correction=False).pvalue < 0.05
         mapping = merge_levels(t, "c", alpha=0.05)
-        assert mapping.groups() == {"a": ("a", "b"), "c": ("c",)}
+        assert mapping.mapping == {"a": "a", "b": "a", "c": "c"}
 
     def test_single_level_identity(self):
         t = make_table(
@@ -388,6 +388,12 @@ class TestRunScreening:
         assert counts[3] <= 20
         assert counts[4] <= 12
         assert all(a > b for a, b in zip(counts, counts[1:]))
+
+    def test_cluster_stage_makes_final_retain_clusters(self, screened):
+        report, _ = screened
+        selection = report.cluster_selection
+        assert len(selection.clusters) == 12
+        assert len(selection.representatives()) == 12
 
     def test_report_is_ordered_by_schema(self, screened):
         report, table = screened

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from screenfit import varclus
-from screenfit.errors import ComputationError
+from screenfit.errors import ComputationError, ValidationError
 from screenfit.table import ColumnKind
 from screenfit.varclus import (
     CorrelationMatrix,
@@ -165,21 +165,15 @@ class TestClusterVariables:
             ]
         )
         corr = CorrelationMatrix(names=("a", "b", "c", "d"), values=values)
-        clusters = cluster_variables(corr)
+        clusters = cluster_variables(corr, n_clusters=2)
         members = sorted(sorted(c.members) for c in clusters)
         assert members == [["a", "b"], ["c", "d"]]
-
-    def test_identity_matrix_stays_single_cluster(self):
-        corr = CorrelationMatrix(names=("a", "b", "c"), values=np.eye(3))
-        clusters = cluster_variables(corr)  # second eigenvalue 1.0 is not > 1.0
-        assert len(clusters) == 1
-        assert sorted(clusters[0].members) == ["a", "b", "c"]
 
     def test_noisy_two_block_recovery(self):
         data = block_data(seed=0)
         names = [f"v{i}" for i in range(6)]
         corr = correlation_matrix_from_array(data, names)
-        clusters = cluster_variables(corr)
+        clusters = cluster_variables(corr, n_clusters=2)
         members = sorted(sorted(c.members) for c in clusters)
         assert members == [["v0", "v1", "v2"], ["v3", "v4", "v5"]]
         # brute-force: every variable correlates more with its own block's
@@ -197,11 +191,17 @@ class TestClusterVariables:
         clusters = cluster_variables(corr, n_clusters=6)
         assert len(clusters) == 6
 
+    @pytest.mark.parametrize("n_clusters", [0, 4, 2.5, True])
+    def test_count_must_be_whole_and_at_most_the_variables(self, n_clusters):
+        corr = CorrelationMatrix(names=("a", "b", "c"), values=np.eye(3))
+        with pytest.raises(ValidationError, match="n_clusters"):
+            cluster_variables(corr, n_clusters=n_clusters)
+
     def test_partition_property(self):
         data = block_data(seed=3, sizes=(2, 2, 3))
         names = [f"v{i}" for i in range(7)]
         corr = correlation_matrix_from_array(data, names)
-        clusters = cluster_variables(corr)
+        clusters = cluster_variables(corr, n_clusters=3)
         seen = [v for c in clusters for v in c.members]
         assert sorted(seen) == sorted(names)
 
@@ -209,13 +209,15 @@ class TestClusterVariables:
         data = block_data(seed=4)
         names = [f"v{i}" for i in range(6)]
         corr = correlation_matrix_from_array(data, names)
-        base = {frozenset(c.members) for c in cluster_variables(corr)}
-        base_reps = select_representatives(cluster_variables(corr), corr).representatives()
+        clusters = cluster_variables(corr, n_clusters=2)
+        base = {frozenset(c.members) for c in clusters}
+        base_reps = select_representatives(clusters, corr).representatives()
 
         perm = [3, 0, 5, 1, 4, 2]
         corr_p = correlation_matrix_from_array(data[:, perm], [names[i] for i in perm])
-        permuted = {frozenset(c.members) for c in cluster_variables(corr_p)}
-        perm_reps = select_representatives(cluster_variables(corr_p), corr_p).representatives()
+        clusters_p = cluster_variables(corr_p, n_clusters=2)
+        permuted = {frozenset(c.members) for c in clusters_p}
+        perm_reps = select_representatives(clusters_p, corr_p).representatives()
         assert base == permuted
         assert sorted(base_reps) == sorted(perm_reps)
 
@@ -261,7 +263,7 @@ def _pc1_corr(R, members, v):
 class TestSelectRepresentatives:
     def test_singleton_has_ratio_zero(self):
         corr = CorrelationMatrix(names=("a",), values=np.eye(1))
-        sel = select_representatives(cluster_variables(corr), corr)
+        sel = select_representatives(cluster_variables(corr, n_clusters=1), corr)
         assert sel.scores[0].r2_own == pytest.approx(1.0)
         assert sel.scores[0].ratio == 0.0
         assert sel.scores[0].representative
@@ -282,7 +284,7 @@ class TestSelectRepresentatives:
         data = block_data(seed=8, sizes=(3, 2, 2))
         names = [f"v{i}" for i in range(7)]
         corr = correlation_matrix_from_array(data, names)
-        clusters = cluster_variables(corr)
+        clusters = cluster_variables(corr, n_clusters=3)
         sel = select_representatives(clusters, corr)
 
         idx = {n: i for i, n in enumerate(names)}
