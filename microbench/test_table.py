@@ -5,6 +5,9 @@ The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
 less than half its rows.  The CSV is parsed whole, and with 10 named
 predictors, the most a ``tall`` model scores with, and written whole.
+The quoted parse reads the same table with one categorical level renamed
+to hold a comma: the first row has that level, so :mod:`csv` reads every
+data line.
 The JSON write is the screening report of a ``wide``-shaped run (4000
 rows, 1500 predictors, the ``wide`` plan, op seed 11000), about 1 MB of
 indented JSON.  Level extraction
@@ -20,6 +23,8 @@ run it with
 
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +91,23 @@ def test_load_table_model_columns(benchmark, table, csv_path):
     loaded = benchmark(load_table, csv_path, table.schema, names)
     assert loaded.n_records == table.n_records
     assert loaded.schema.names == names + [table.schema.target]
+
+
+def test_load_table_quoted(benchmark, table, tmp_path):
+    spec = next(
+        spec for spec in table.schema.columns
+        if spec.kind is ColumnKind.CATEGORICAL and table.codes(spec.name)[0] >= 0
+    )
+    code = table.codes(spec.name)[0]
+    levels = list(spec.levels)
+    levels[code] += ",1"
+    quoted = table.replace_columns(
+        {spec.name: table.codes(spec.name)}, (replace(spec, levels=tuple(levels)),)
+    )
+    path = tmp_path / "quoted.csv"
+    save_table(quoted, path)
+    loaded = benchmark(load_table, path, quoted.schema)
+    assert loaded.column(spec.name)[0] == levels[code]
 
 
 def test_save_table(benchmark, table, tmp_path):

@@ -106,7 +106,8 @@ class StagePlan:
     Counts are totals after each stage, whole numbers >= 1 that must
     decrease strictly: retain_after_chi2 > retain_after_t >
     retain_after_iv > final_retain.  final_retain is also the number of
-    clusters the cluster stage makes.
+    clusters the cluster stage asks for; when the variables split into
+    fewer, the report warns of it.
     """
 
     retain_after_chi2: int
@@ -573,6 +574,11 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     numeric = np.column_stack([table.numeric_view(v) for v in retained])
     corr = varclus.correlation_matrix_from_array(numeric, retained)
     clusters = varclus.cluster_variables(corr, n_clusters=plan.final_retain)
+    if len(clusters) < plan.final_retain:
+        report.warnings.append(
+            f"clustering stage: plan wants {plan.final_retain} clusters but the "
+            f"variables split into only {len(clusters)}"
+        )
     selection = varclus.select_representatives(clusters, corr)
     report.cluster_selection = selection
     retained = sorted(selection.representatives(), key=schema_order.__getitem__)

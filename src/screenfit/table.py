@@ -26,12 +26,17 @@ matches the schema exactly.  Empty cells and the literal token "NA" are
 the missing markers, so neither may be a declared categorical level.
 A load may name the columns it needs: every row is still tokenized and
 checked for width, but only those columns and the target are parsed and
-validated.  The schema travels in a JSON sidecar listing
-name/kind/levels per column plus the target column name.  File I/O is
-one reader, :func:`_read`, which opens every input file (data, schema,
-config and model) and turns any failure to read it into a
-:class:`ValidationError`; one CSV writer, :func:`write_csv`; and one JSON
-writer, :func:`write_json`.
+validated.  A line with no quote, carriage return or NUL is split on
+commas; from the first line with one on, :mod:`csv` reads the rest of the
+file, so quoted cells and CRLF line ends read as :mod:`csv` reads them.
+Rows are parsed in blocks of about :data:`BLOCK_CELLS` kept cells, and
+each column's blocks are joined at the end, so a load holds the parsed
+table plus one block of tokens, never every row as strings.  The schema
+travels in a JSON sidecar listing name/kind/levels per column plus the
+target column name.  File I/O is one reader, :func:`_read`, which
+opens every input file (data, schema, config and model) and turns any
+failure to read it into a :class:`ValidationError`; one CSV writer,
+:func:`write_csv`; and one JSON writer, :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -418,6 +423,11 @@ class DataTable:
 # ---------------------------------------------------------------------------
 # CSV and JSON I/O
 
+# Cells a load parses at a time: a block is this many cells of the kept
+# columns, rounded down to whole rows, so a load never holds more than
+# one block of tokens.
+BLOCK_CELLS = 1 << 19
+
 
 def _cell_error(token: str, spec: ColumnSpec) -> str | None:
     """Why a token that is not a missing marker breaks its column's kind, or None."""
@@ -456,6 +466,22 @@ def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray
     return stored, int(bad[0]) if len(bad) else None
 
 
+def _records(fh):
+    """The rows :func:`csv.reader` reads from ``fh``, a file opened with
+    ``newline=""``, with its errors.  While a line holds no quote,
+    carriage return or NUL and is no longer than the field limit, it is
+    split on commas.  From the first line that breaks this rule on, the
+    rest of the file goes to :mod:`csv`: no quoted field can have started
+    before that line, so the rows are the ones :mod:`csv` would read."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(itertools.chain([line], fh))
+            return
+        line = line.removesuffix("\n")
+        yield line.split(",") if line else []
+
+
 def load_table(
     csv_path: str | Path, schema: TableSchema, columns: Iterable[str] | None = None
 ) -> DataTable:
@@ -473,48 +499,60 @@ def load_table(
     offending token; of several such cells the lowest row, then the
     leftmost column, is named.  A row with the wrong number of cells
     raises :class:`ValidationError` unless a bad parsed cell comes before
-    it, and so does a file :func:`_read` cannot read.
+    it, and so does a file :func:`_read` cannot read.  Rows are parsed
+    in blocks as they are read, so a bad cell in one block is reported
+    before an undecodable byte, or a line :mod:`csv` cannot split, in a
+    later block.
     """
     kept = schema if columns is None else schema.select(columns)
     width = len(schema.columns)
     position = {name: j for j, name in enumerate(schema.names)}
     picked = None if columns is None else [position[name] for name in kept.names]
+    block = max(1, BLOCK_CELLS // len(kept.columns))
 
-    def cut_rows(fh):
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    def parse_blocks(fh):
+        records = _records(fh)
+        header = next(records, None)
         if header is None:
             raise ValidationError(f"{csv_path}: empty file, no header row")
         if header != schema.names:
             raise ValidationError(
                 f"{csv_path}: header {header} does not match schema columns {schema.names}"
             )
-        # Rows are cut as they are read, so a load of a few columns never
-        # holds every full-width row.
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != width:
-                return rows, (i, len(row))
-            rows.append(row if picked is None else [row[j] for j in picked])
-        return rows, None
+        parts = [[] for _ in kept.columns]
+        start = 0
+        while True:
+            # Rows are cut as they are read, so a load of a few columns
+            # never holds a block of full-width rows.
+            rows, ragged = [], None
+            for row in itertools.islice(records, block):
+                if len(row) != width:
+                    ragged = len(row)
+                    break
+                rows.append(row if picked is None else [row[j] for j in picked])
+            cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
+            bad_cells = []
+            for j, (spec, tokens) in enumerate(zip(kept.columns, cells)):
+                column, bad_row = _parse_column(spec, tokens)
+                parts[j].append(column)
+                if bad_row is not None:
+                    bad_cells.append((bad_row, j))
+            if bad_cells:
+                row, j = min(bad_cells)
+                spec, token = kept.columns[j], cells[j][row]
+                raise CellParseError(start + row, spec.name, token, _cell_error(token, spec))
+            start += len(rows)
+            if ragged is not None:
+                raise ValidationError(
+                    f"{csv_path}: row {start} has {ragged} cells, expected {width}"
+                )
+            if len(rows) < block:
+                return parts
 
-    rows, ragged = _read(csv_path, "data file", cut_rows)
-    cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
-    parsed = {}
-    bad_cells = []
-    for j, (spec, tokens) in enumerate(zip(kept.columns, cells)):
-        parsed[spec.name], bad_row = _parse_column(spec, tokens)
-        if bad_row is not None:
-            bad_cells.append((bad_row, j))
-    if bad_cells:
-        row, j = min(bad_cells)
-        spec, token = kept.columns[j], cells[j][row]
-        raise CellParseError(row, spec.name, token, _cell_error(token, spec))
-    if ragged is not None:
-        raise ValidationError(
-            f"{csv_path}: row {ragged[0]} has {ragged[1]} cells, expected {width}"
-        )
-    return DataTable(kept, {name: _freeze(col) for name, col in parsed.items()})
+    parts = _read(csv_path, "data file", parse_blocks)
+    return DataTable(
+        kept, {spec.name: _freeze(np.concatenate(p)) for spec, p in zip(kept.columns, parts)}
+    )
 
 
 def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:

@@ -342,6 +342,42 @@ class TestCollapsedCategorical:
         assert out.schema == table.schema
 
 
+def twin_pairs_table():
+    """Two exact pairs, a = a2 and b = -b2, that carry the signal, plus a
+    noise continuous and two noise binaries: the four pair members are
+    all that reach the cluster stage, and they split into two clusters."""
+    rng = np.random.default_rng(0)
+    n = 400
+    a = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    b = np.where(np.arange(n) // 2 % 2 == 0, 1.0, -1.0)
+    columns = {
+        "a": a,
+        "a2": a,
+        "b": b,
+        "b2": -b,
+        "c": rng.normal(0, 1, n),
+        "f": rng.integers(0, 2, n),
+        "g": rng.integers(0, 2, n),
+        "y": (rng.random(n) < 1 / (1 + np.exp(-(a + b)))).astype(int),
+    }
+    kinds = dict.fromkeys(("a", "a2", "b", "b2", "c"), ColumnKind.CONTINUOUS)
+    kinds |= dict.fromkeys(("f", "g", "y"), ColumnKind.BINARY)
+    return make_table(columns, kinds)
+
+
+class TestFewerClustersThanPlanned:
+    def test_warns_with_both_counts(self):
+        plan = StagePlan(retain_after_chi2=6, retain_after_t=5, retain_after_iv=4,
+                         final_retain=3)
+        report = run_screening(twin_pairs_table(), plan)
+        assert report.stages[-2][1] == ["a", "a2", "b", "b2"]
+        assert len(report.cluster_selection.clusters) == 2
+        assert report.final_variables == ["a", "b"]
+        assert report.warnings == [
+            "clustering stage: plan wants 3 clusters but the variables split into only 2"
+        ]
+
+
 class TestStagePlan:
     def test_counts_must_strictly_decrease(self):
         with pytest.raises(ValidationError, match="decrease"):

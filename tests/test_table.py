@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from screenfit import table as table_module
 from screenfit.config import load_config
 from screenfit.errors import CellParseError, ComputationError, ValidationError
 from screenfit.logit import DUMMY, encode_design
@@ -23,6 +26,7 @@ from screenfit.table import (
     save_table,
     split_train_validation,
     _largest_remainder,
+    _records,
 )
 
 from conftest import make_table
@@ -207,6 +211,164 @@ class TestLoadColumns:
             table = load_table(p, simple_schema, names)
             assert table.schema.names == ["y"]
             assert table.column("y").tolist() == [0.0, 1.0, 1.0]
+
+
+def _rows_and_error(reader, text):
+    """The rows ``reader`` yields from ``text`` read as a file opened with
+    ``newline=""``, and the message of the :class:`csv.Error` it stops
+    with (None when it reads to the end)."""
+    rows = []
+    try:
+        for row in reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+class TestRecords:
+    """``_records`` yields the rows :func:`csv.reader` yields, errors included."""
+
+    @given(
+        text=st.text(alphabet='a,"\n\r\0 ', max_size=40),
+        limit=st.sampled_from([2, 5, csv.field_size_limit()]),
+    )
+    def test_equals_csv_reader(self, text, limit):
+        default = csv.field_size_limit(limit)
+        try:
+            assert _rows_and_error(_records, text) == _rows_and_error(csv.reader, text)
+        finally:
+            csv.field_size_limit(default)
+
+    def test_line_over_the_field_limit(self):
+        limit = csv.field_size_limit()
+        # a line longer than the limit whose fields are all shorter reads
+        text = "x\n" + "a," * limit + "a\nb\n"
+        rows, error = _rows_and_error(_records, text)
+        assert (rows, error) == _rows_and_error(csv.reader, text)
+        assert error is None and len(rows) == 3 and len(rows[1]) == limit + 1
+        # a field longer than the limit stops the read where csv stops
+        text = "x\n" + "1" * (limit + 1) + "\nb\n"
+        rows, error = _rows_and_error(_records, text)
+        assert (rows, error) == _rows_and_error(csv.reader, text)
+        assert (rows, error) == ([["x"]], f"field larger than field limit ({limit})")
+
+
+class TestQuotedAndCrlfFiles:
+    """Files :mod:`csv` must read: quoted cells and CRLF line ends."""
+
+    def test_levels_with_commas_quotes_and_newlines_round_trip(self, tmp_path):
+        levels = ("plain", "a,b", 'say "hi"', "two\nlines")
+        schema = TableSchema(
+            columns=(
+                ColumnSpec("x", ColumnKind.CONTINUOUS),
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=levels),
+                ColumnSpec("y", ColumnKind.BINARY),
+            ),
+            target="y",
+        )
+        n = 40
+        rng = np.random.default_rng(5)
+        codes = np.concatenate([[0, 0], np.arange(-1, 4), rng.integers(-1, 4, n - 7)])
+        table = DataTable(
+            schema,
+            {"x": rng.standard_normal(n), "cat": codes, "y": (np.arange(n) % 2).astype(float)},
+        )
+        p = tmp_path / "d.csv"
+        save_table(table, p)
+        assert '"say ""hi"""' in p.read_text(encoding="utf-8")
+        _assert_same_table(load_table(p, schema), table)
+        for names in (["cat"], ["x"], []):
+            _assert_same_table(load_table(p, schema, names), table.select_columns(names))
+
+    def test_crlf_file(self, tmp_path, simple_schema):
+        lines = ["x,flag,lvl,cat,y", "1.5,0,10,a,0", ",1,,b,1", "3.5,NA,30,a,0"]
+        lf = write_csv(tmp_path / "lf.csv", "\n".join(lines) + "\n")
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        _assert_same_table(load_table(crlf, simple_schema), load_table(lf, simple_schema))
+        _assert_same_table(
+            load_table(crlf, simple_schema, ["cat"]), load_table(lf, simple_schema, ["cat"])
+        )
+
+    def test_quoting_that_starts_after_plain_lines(self, tmp_path, simple_schema):
+        plain = "x,flag,lvl,cat,y\n1.5,0,10,a,0\n2.5,1,20,b,1\n3.5,0,30,a,0\n4.5,1,,b,1\n"
+        quoted = plain.replace("3.5,0,30,a,0", '"3.5",0,"30","a",0')
+        expected = load_table(write_csv(tmp_path / "plain.csv", plain), simple_schema)
+        p = write_csv(tmp_path / "quoted.csv", quoted)
+        _assert_same_table(load_table(p, simple_schema), expected)
+        _assert_same_table(load_table(p, simple_schema, ["lvl"]), expected.select_columns(["lvl"]))
+        # rows read by csv keep their row numbers and the bad-cell rule
+        p = write_csv(tmp_path / "bad.csv", quoted.replace("4.5,1,,b,1", '4.5,1,,"zzz",1'))
+        with pytest.raises(CellParseError, match=r"row 3.*'cat'.*'zzz'"):
+            load_table(p, simple_schema)
+
+
+@pytest.fixture(
+    scope="class", params=[1, 2 * len(SIMPLE_SCHEMA.columns)], ids=["1_cell", "10_cells"]
+)
+def small_blocks(request):
+    """Loads parse a block of one row at a time, or of two full rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "BLOCK_CELLS", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadTableInBlocks(TestLoadTable):
+    """Every full-load case again, with rows parsed a block at a time."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadColumnsInBlocks(TestLoadColumns):
+    """Every cut-load case again, with rows parsed a block at a time."""
+
+
+def _assert_same_dtypes(a, b):
+    for spec in a.schema.columns:
+        stored = a.column if spec.kind is ColumnKind.CONTINUOUS else a.codes
+        other = b.column if spec.kind is ColumnKind.CONTINUOUS else b.codes
+        assert stored(spec.name).dtype == other(spec.name).dtype
+
+
+class TestBlockBoundaries:
+    """Loads in blocks of two full rows (five rows of a two-column cut)."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(table_module, "BLOCK_CELLS", 2 * len(SIMPLE_SCHEMA.columns))
+
+    def test_ragged_row_right_after_a_full_block(self, tmp_path, simple_schema):
+        full_block = "x,flag,lvl,cat,y\n1.0,0,10,a,0\n2.0,1,20,b,1\n"
+        p = write_csv(tmp_path / "d.csv", full_block + "3.0,0,30\nbad,0,10,a,0\n")
+        with pytest.raises(ValidationError, match="row 2 has 3 cells, expected 5"):
+            load_table(p, simple_schema)
+        with pytest.raises(ValidationError, match="row 2 has 3 cells, expected 5"):
+            load_table(p, simple_schema, ["x"])
+        # a bad cell in the block before it is reported first
+        p = write_csv(tmp_path / "d.csv", full_block.replace("b,1", "zzz,1") + "3.0,0,30\n")
+        with pytest.raises(CellParseError, match=r"row 1.*'cat'.*'zzz'"):
+            load_table(p, simple_schema)
+
+    def test_header_only_file(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,cat,y\n")
+        empty = _random_table(simple_schema, 0, 0)
+        for names in (None, ["cat"]):
+            loaded = load_table(p, simple_schema, names)
+            expected = empty if names is None else empty.select_columns(names)
+            _assert_same_table(loaded, expected)
+            _assert_same_dtypes(loaded, expected)
+
+    def test_row_count_an_exact_multiple_of_the_block(self, tmp_path, simple_schema):
+        source = _random_table(simple_schema, 6, 3)
+        p = tmp_path / "d.csv"
+        save_table(source, p)
+        # six rows: three blocks of a full load, two of a three-column cut
+        for names in (None, ["x", "cat"]):
+            loaded = load_table(p, simple_schema, names)
+            expected = source if names is None else source.select_columns(names)
+            _assert_same_table(loaded, expected)
+            _assert_same_dtypes(loaded, expected)
 
 
 class TestCategoricalStorage:
