@@ -7,6 +7,7 @@ convergence -- the inputs were well-formed but the math cannot proceed).
 The CLI maps the former to exit code 2 and the latter to exit code 1.
 """
 
+import math
 import numbers
 
 
@@ -42,3 +43,15 @@ def require_whole(name: str, value, minimum: int) -> None:
     )
     if not whole or value < minimum:
         raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+
+
+def require_string(name: str, value) -> None:
+    """Raise ValidationError unless value is a string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+
+
+def require_number(name: str, value) -> None:
+    """Raise ValidationError unless value is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError, require_whole
+from .errors import ComputationError, ValidationError, require_number, require_string, require_whole
 from .table import ColumnKind, DataTable
 
 PROB_CLAMP = 1e-12
@@ -68,6 +68,12 @@ class Term:
     reference: str | None = None
 
     def __post_init__(self):
+        # A model file sets these fields: names and levels must be strings,
+        # the mean and std finite numbers.
+        for key, value in vars(self).items():
+            if value is not None or key == "source":
+                require = require_number if key in ("mean", "std") else require_string
+                require(f"term field {key!r}", value)
         if self.encoding == STANDARDIZED:
             if self.std is None or self.std <= 0 or self.mean is None:
                 raise ValidationError(
@@ -676,6 +682,9 @@ def model_from_dict(d: dict) -> LogisticModel:
     """
     try:
         rows = d["rows"]
+        for i, r in enumerate(rows):
+            require_number(f"rows[{i}].estimate", r["estimate"])
+            require_number(f"rows[{i}].std_error", r["std_error"])
         return LogisticModel(
             terms=tuple(Term(**r["term"]) for r in rows[1:]),
             beta=np.array([r["estimate"] for r in rows]),

@@ -1,22 +1,25 @@
 """End-to-end orchestration: data -> screening -> split -> fit -> evaluation.
 
-Stages run strictly in order: median imputation of numeric columns, the
-screening cascade (which internally clusters survivors and selects
-representatives), the cut of the table to the screened variables plus
-the target, the out-of-sample table (loaded or generated, cut to the
-same columns, imputed from itself), application of the learned
-categorical level merges, the stratified train/validation split, design
-encoding with training statistics, stepwise selection, collinearity
-pruning against the validation set, and scoring of train, validation,
-and the out-of-sample table.  The training table is cut before the
-out-of-sample one is made, so at most one full-width table is alive at a
-time, and no artifact is written before both tables exist.  An
-out-of-sample CSV is read with only the screened columns and the target
-parsed and validated: its header and the width of every row are
-checked, but a bad cell in any other column is not read and raises
-nothing.  Each stage's outputs land in the run directory as plain JSON
-or CSV; the manifest written last lists every artifact (timings live
-only there, so all other files are byte-stable across identical runs).
+Stages run strictly in order: median imputation of numeric columns
+(continuous and likelihood; a gap in a binary or categorical predictor
+is not imputed, and one that survives screening stops the run at design
+encoding), the screening cascade (which internally clusters survivors
+and selects representatives), the cut of the table to the screened
+variables plus the target, the out-of-sample table (loaded or generated,
+cut to the same columns, imputed from itself), application of the
+learned categorical level merges, the stratified train/validation split,
+design encoding with training statistics, stepwise selection,
+collinearity pruning against the validation set, and scoring of train,
+validation, and the out-of-sample table.  The training table is cut
+before the out-of-sample one is made, so at most one full-width table is
+alive at a time.  No artifact is written before the fit: a run that
+stops earlier leaves none.  An out-of-sample CSV is read with only the
+screened columns and the target parsed and validated: its header and the
+width of every row are checked, but a bad cell in any other column is
+not read and raises nothing.  Each stage's outputs land in the run
+directory as plain JSON or CSV; the manifest written last lists every
+artifact (timings live only there, so all other files are byte-stable
+across identical runs).
 """
 
 from __future__ import annotations
@@ -153,9 +156,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             lambda: _scoring_table(oos_table, final_vars, report.level_mappings),
         )
 
-    screening_doc = report.to_dict()
-    write_json(screening_doc, out / "screening_report.json")
-    write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
     table = _apply_mappings(table, report.level_mappings)
 
     # --- split and encode
@@ -190,6 +190,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     warnings = train_design.warnings + valid_design.warnings + model.warnings
     model = replace(model, warnings=tuple(dict.fromkeys(warnings)))
 
+    screening_doc = report.to_dict()
+    write_json(screening_doc, out / "screening_report.json")
+    write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
     model_doc = {
         "model": model_to_dict(model),
         "target": table.schema.target,
@@ -278,11 +281,13 @@ def load_model_file(path: str | Path):
         model = model_from_dict(doc["model"])
         target = doc["target"]
         mappings = {
-            v: LevelMapping(variable=v, mapping=dict(m))
+            v: LevelMapping(variable=v, mapping=m)
             for v, m in doc.get("level_mappings", {}).items()
         }
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed model file: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return model, target, mappings
 
 

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellParseError, ComputationError, ValidationError
+from .errors import CellParseError, ComputationError, ValidationError, require_string
 
 MISSING_TOKENS = ("", "NA")
 
@@ -87,22 +87,30 @@ class ColumnSpec:
     levels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        require_string("column name", self.name)
         if self.kind is ColumnKind.CATEGORICAL:
             if self.levels is None or len(self.levels) < 2:
                 raise ValidationError(
                     f"categorical column {self.name!r} needs >= 2 declared levels"
                 )
+            # A CSV cell holding a missing marker is read as a gap, and the
+            # CSV writer leaves a lone carriage return unquoted, so neither
+            # level could survive a save and load.
+            for lvl in self.levels:
+                require_string(f"categorical column {self.name!r}: a level", lvl)
+                if lvl in MISSING_TOKENS:
+                    raise ValidationError(
+                        f"categorical column {self.name!r}: level {lvl!r} is a "
+                        f"CSV missing marker"
+                    )
+                if "\r" in lvl:
+                    raise ValidationError(
+                        f"categorical column {self.name!r}: level {lvl!r} holds a "
+                        f"carriage return"
+                    )
             if len(set(self.levels)) != len(self.levels):
                 raise ValidationError(
                     f"categorical column {self.name!r} has duplicate levels"
-                )
-            # A CSV cell holding a missing marker is read as a gap, so such
-            # a level could not survive a save and load.
-            clash = [lvl for lvl in self.levels if lvl in MISSING_TOKENS]
-            if clash:
-                raise ValidationError(
-                    f"categorical column {self.name!r}: level {clash[0]!r} is a "
-                    f"CSV missing marker"
                 )
         elif self.levels is not None:
             raise ValidationError(
@@ -162,6 +170,9 @@ class TableSchema:
     @classmethod
     def from_dict(cls, d: dict) -> "TableSchema":
         try:
+            for c in d["columns"]:
+                if "levels" in c and not isinstance(c["levels"], list):
+                    raise ValidationError(f"column {c['name']!r}: levels must be a list of strings")
             cols = tuple(
                 ColumnSpec(
                     name=c["name"],
@@ -627,7 +638,11 @@ def save_schema(schema: TableSchema, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> TableSchema:
-    return TableSchema.from_dict(read_json(path, "schema file"))
+    doc = read_json(path, "schema file")
+    try:
+        return TableSchema.from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,6 @@ class CorrelationMatrix:
     names: tuple[str, ...]
     values: np.ndarray  # symmetric, unit diagonal
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"no variable named {name!r} in correlation matrix") from None
-
 
 @dataclass(frozen=True)
 class VariableCluster:
@@ -279,38 +273,29 @@ def select_representatives(
     if not clusters:
         raise ValidationError("need at least one cluster")
     eigen = _BlockEigen(corr.values)
-    member_idx = [[corr.index(v) for v in c.members] for c in clusters]
-    pc1_corr = np.column_stack([_pc1_correlations(eigen, m) for m in member_idx]) ** 2
+    position = {name: i for i, name in enumerate(corr.names)}
+    try:
+        member_idx = [[position[v] for v in c.members] for c in clusters]
+    except KeyError as exc:
+        raise ValidationError(f"no variable named {exc.args[0]!r} in correlation matrix") from None
+    r2 = np.minimum(np.column_stack([_pc1_correlations(eigen, m) for m in member_idx]) ** 2, 1.0)
 
     scores: list[VariableScore] = []
-    for k, cluster in enumerate(clusters):
-        rows = []
-        for v in cluster.members:
-            i = corr.index(v)
-            r2_own = float(min(pc1_corr[i, k], 1.0))
-            if len(clusters) == 1:
-                r2_nearest = 0.0
-            else:
-                others = [pc1_corr[i, j] for j in range(len(clusters)) if j != k]
-                r2_nearest = float(min(max(others), 1.0))
-            num, den = 1.0 - r2_own, 1.0 - r2_nearest
-            if num <= DEGENERACY_TOL:
-                ratio = 0.0
-            elif den <= DEGENERACY_TOL:
-                ratio = float("inf")
-            else:
-                ratio = num / den
-            rows.append((v, r2_own, r2_nearest, ratio))
+    for k, (cluster, idx) in enumerate(zip(clusters, member_idx)):
+        own = r2[idx, k]
+        # r2 >= 0, so initial=0.0 only fills the single-cluster case, with no other column.
+        nearest = np.delete(r2[idx], k, axis=1).max(axis=1, initial=0.0)
+        num, den = 1.0 - own, 1.0 - nearest
+        ratio = np.where(
+            num <= DEGENERACY_TOL,
+            0.0,
+            np.where(den <= DEGENERACY_TOL, np.inf, num / np.maximum(den, DEGENERACY_TOL)),
+        )
+        rows = zip(cluster.members, own.tolist(), nearest.tolist(), ratio.tolist())
+        rows = sorted(rows, key=lambda r: r[0])
         best = min(rows, key=lambda r: (r[3], r[0]))[0]
-        for v, r2_own, r2_nearest, ratio in sorted(rows, key=lambda r: r[0]):
-            scores.append(
-                VariableScore(
-                    variable=v,
-                    cluster=k,
-                    r2_own=r2_own,
-                    r2_nearest=r2_nearest,
-                    ratio=ratio,
-                    representative=(v == best),
-                )
-            )
+        scores += [
+            VariableScore(v, k, r2_own, r2_nearest, ratio_v, representative=(v == best))
+            for v, r2_own, r2_nearest, ratio_v in rows
+        ]
     return ClusterSelection(clusters=tuple(clusters), scores=tuple(scores))

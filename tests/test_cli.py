@@ -137,3 +137,123 @@ def test_negative_seed_option_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     assert "synthetic.seed must be a whole number >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# A model with one standardized term, on a schema with a categorical
+# column the model does not read; its level mapping is applied to nothing.
+SCORED_SCHEMA = {
+    "target": "y",
+    "columns": SCHEMA["columns"][:2]
+    + [{"name": "c", "kind": "categorical", "levels": ["a", "b"]}, {"name": "y", "kind": "binary"}],
+}
+TERM_MODEL = {
+    "target": "y",
+    "level_mappings": {"c": {"a": "a", "b": "a"}},
+    "model": MODEL["model"]
+    | {
+        "rows": MODEL["model"]["rows"]
+        + [
+            {
+                "term": {"source": "x", "encoding": "standardized", "mean": 1.5, "std": 0.5},
+                "estimate": 0.3,
+                "std_error": 0.1,
+            }
+        ]
+    },
+}
+
+
+def score_command(tmp_path, model: dict, schema: dict) -> int:
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("x,lik,c,y\n1.0,5,a,0\n2.0,6,b,1\n", encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    return main(argv)
+
+
+def edited(doc: dict, where: tuple, value) -> dict:
+    """A deep copy of a JSON document with the value at a key path replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def test_well_formed_model_and_schema_score(tmp_path):
+    assert score_command(tmp_path, TERM_MODEL, SCORED_SCHEMA) == 0
+    assert (tmp_path / "scores.csv").read_text(encoding="utf-8").count("\n") == 3
+
+
+ROW = ("model", "rows", 1)
+NUMBER = "must be a finite number"
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        pytest.param(
+            (*ROW, "estimate"), "abc", f"rows[1].estimate {NUMBER}, got 'abc'", id="estimate-string"
+        ),
+        pytest.param(
+            (*ROW, "estimate"), None, f"rows[1].estimate {NUMBER}, got None", id="estimate-null"
+        ),
+        pytest.param(
+            (*ROW, "estimate"), float("nan"), f"rows[1].estimate {NUMBER}", id="estimate-nan"
+        ),
+        pytest.param(
+            (*ROW, "std_error"), True, f"rows[1].std_error {NUMBER}, got True", id="std-error-bool"
+        ),
+        pytest.param(
+            (*ROW, "term", "source"), 5, "term field 'source' must be a string, got 5",
+            id="term-source-number",
+        ),
+        pytest.param(
+            (*ROW, "term", "mean"), "abc", f"term field 'mean' {NUMBER}", id="term-mean-string"
+        ),
+        pytest.param(
+            (*ROW, "term", "std"), float("inf"), f"term field 'std' {NUMBER}",
+            id="term-std-infinite",
+        ),
+        pytest.param(
+            ("level_mappings", "c"), ["a"], "level mapping of 'c' must be an object of strings",
+            id="mapping-list",
+        ),
+        pytest.param(
+            ("level_mappings", "c", "b"), 1, "level mapping of 'c' must be an object of strings",
+            id="mapping-number-value",
+        ),
+        pytest.param(("level_mappings",), [], "malformed model file", id="mappings-list"),
+    ],
+)
+def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, message):
+    assert score_command(tmp_path, edited(TERM_MODEL, where, value), SCORED_SCHEMA) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'model.json'}: " in err and message in err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        pytest.param(
+            ("columns", 2, "levels"), "abc", "column 'c': levels must be a list of strings",
+            id="levels-string",
+        ),
+        pytest.param(
+            ("columns", 0, "name"), 5, "column name must be a string, got 5", id="name-number"
+        ),
+        pytest.param(
+            ("columns", 2, "levels"), [1, 2], "categorical column 'c': a level must be a string",
+            id="levels-numbers",
+        ),
+    ],
+)
+def test_schema_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, message):
+    assert score_command(tmp_path, TERM_MODEL, edited(SCORED_SCHEMA, where, value)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'schema.json'}: " in err and message in err
+    assert not (tmp_path / "scores.csv").exists()

@@ -2,13 +2,22 @@ import json
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 import screenfit.pipeline as pipeline
 from screenfit.config import PipelineConfig
-from screenfit.errors import CellParseError
+from screenfit.errors import CellParseError, ValidationError
 from screenfit.synthgen import generate
-from screenfit.table import ColumnSpec, TableSchema, load_schema, save_schema, save_table
+from screenfit.table import (
+    ColumnKind,
+    ColumnSpec,
+    DataTable,
+    TableSchema,
+    load_schema,
+    save_schema,
+    save_table,
+)
 
 CONFIG = {
     "plan": {"retain_after_chi2": 10, "retain_after_t": 8, "retain_after_iv": 6, "final_retain": 4},
@@ -205,3 +214,26 @@ def test_one_full_width_table_at_a_time(tmp_path, monkeypatch):
     [(first_table, first_columns)] = left
     assert first_table is None
     assert first_columns <= set(result.final_variables) | {"target"}
+
+
+def test_binary_gap_that_survives_screening_leaves_no_artifact(tmp_path):
+    """Binary gaps are not imputed; b0-b2 carry the signal, so they pass
+    screening with their gaps and the run stops at design encoding."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    columns = {f"b{i}": (rng.random(n) < 0.3).astype(float) for i in range(12)}
+    columns |= {f"c{i}": rng.normal(size=n) for i in range(6)}
+    eta = 0.8 * (columns["b0"] + columns["b1"] + columns["b2"]) + columns["c0"] - 2
+    columns["y"] = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    for name in ("b0", "b1", "b2"):
+        columns[name][:5] = np.nan
+    kind = {"b": ColumnKind.BINARY, "c": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY}
+    schema = TableSchema(tuple(ColumnSpec(name, kind[name[0]]) for name in columns), "y")
+    save_table(DataTable(schema, columns), tmp_path / "data.csv")
+    save_schema(schema, tmp_path / "schema.json")
+    plan = {"retain_after_chi2": 16, "retain_after_t": 14, "retain_after_iv": 10, "final_retain": 4}
+    inputs = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    config = PipelineConfig.from_dict({"plan": plan, "input": inputs})
+    with pytest.raises(ValidationError, match="variable 'b0' has missing values; impute first"):
+        pipeline.run_pipeline(config, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []

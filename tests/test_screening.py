@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
 from screenfit.errors import ComputationError, ValidationError
+from screenfit.logit import chi2_sf
 from screenfit.screening import (
+    LevelMapping,
     StagePlan,
     apply_level_mapping,
     chi_square_binary,
+    discrete_levels,
     merge_levels,
     occupancy_filter,
     run_screening,
@@ -120,7 +125,7 @@ class TestTTest:
         swapped = numeric_table([4, 5, 7], [1, 2, 3])
         res2 = t_test_multivalued(swapped, "x")
         assert res2.t_statistic == pytest.approx(-res.t_statistic)
-        assert res2.abs_rank_key == pytest.approx(res.abs_rank_key)
+        assert abs(res2.t_statistic) == pytest.approx(abs(res.t_statistic))
 
     def test_matches_scipy_oracle(self):
         rng = np.random.default_rng(1)
@@ -443,3 +448,160 @@ class TestRunScreening:
                          retain_after_iv=150, final_retain=50)
         with pytest.raises(ValidationError):
             run_screening(table, plan)
+
+
+# ---------------------------------------------------------------------------
+# The loop versions of chi-square and level merging, kept as reference
+# oracles: the count table must give the same floats and the same merges.
+
+
+def pearson_2x2_loop(obs):
+    col, row = obs.sum(axis=0), obs.sum(axis=1)
+    if (col == 0).any() or (row == 0).any():
+        return None
+    expected = np.outer(row, col) / obs.sum()
+    return float(((obs - expected) ** 2 / expected).sum())
+
+
+def chi_square_binary_loop(table, variable):
+    """The 2x2 table of a binary column's codes by one bincount of 2x + y."""
+    x = table.codes(variable)
+    keep = x >= 0
+    cell = 2 * x[keep] + table.target_values[keep]
+    statistic = pearson_2x2_loop(np.bincount(cell, minlength=4).reshape(2, 2).astype(float))
+    if statistic is None:
+        raise ComputationError(f"degenerate 2x2 table for {variable!r}: a margin is zero")
+    return statistic, chi2_sf(statistic, 1)
+
+
+LIKELIHOOD_BIN_LABELS = ["[1,15)", "[15,29)", "[29,43)", "[43,57)", "[57,71)", "[71,85)", "[85,99]"]
+
+
+def discrete_levels_loop(table, variable):
+    """Labels and row index through per-kind lookups, the occupied labels
+    found by a bincount of the non-missing rows and every row remapped."""
+    spec = table.schema.column(variable)
+    if spec.kind is ColumnKind.CATEGORICAL:
+        labels = sorted(spec.levels)
+        label_of_code = np.array([labels.index(lvl) for lvl in spec.levels] + [-1])
+    elif spec.kind is ColumnKind.BINARY:
+        labels, label_of_code = ["0", "1"], np.array([0, 1, -1])
+    else:
+        labels = LIKELIHOOD_BIN_LABELS
+        label_of_code = np.array([min(max(c - 1, 0) // 14, 6) for c in range(100)] + [-1])
+    raw = label_of_code[table.codes(variable)]
+    labels = np.array(labels, dtype=object)
+    occupied = np.flatnonzero(np.bincount(raw[raw >= 0], minlength=len(labels)))
+    remap = np.full(len(labels) + 1, -1)
+    remap[occupied] = np.arange(len(occupied))
+    return labels[occupied], remap[raw]
+
+
+def merge_levels_loop(table, variable, alpha):
+    """Greedy merging over parallel lists of groups and per-class counts,
+    the counts from two masked bincounts."""
+    labels, idx = discrete_levels_loop(table, variable)
+    y = table.target_values
+    keep = idx >= 0
+    n1 = np.bincount(idx[keep & (y == 1)], minlength=len(labels)).astype(float)
+    n0 = np.bincount(idx[keep & (y == 0)], minlength=len(labels)).astype(float)
+    groups = [[str(v)] for v in labels]
+    counts1, counts0 = list(n1), list(n0)
+    while alpha > 0.0 and len(groups) > 1:
+        rates = [c1 / (c1 + c0) if (c1 + c0) > 0 else 0.0 for c1, c0 in zip(counts1, counts0)]
+        best = None
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                key = (abs(rates[i] - rates[j]), min(groups[i]), min(groups[j]))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        pair = np.array([[counts0[i], counts1[i]], [counts0[j], counts1[j]]], dtype=float)
+        statistic = pearson_2x2_loop(pair)
+        p = 1.0 if statistic is None else chi2_sf(statistic, 1)
+        if p <= alpha:
+            break
+        groups[i] = groups[i] + groups[j]
+        counts1[i] += counts1[j]
+        counts0[i] += counts0[j]
+        del groups[j], counts1[j], counts0[j]
+    mapping = {}
+    for members in groups:
+        for lvl in members:
+            mapping[lvl] = min(members)
+    for lvl in table.schema.column(variable).levels:
+        mapping.setdefault(lvl, lvl)
+    return LevelMapping(variable=variable, mapping=mapping)
+
+
+class TestAgainstTheLoopVersions:
+    @given(
+        kind=st.sampled_from([ColumnKind.BINARY, ColumnKind.CATEGORICAL, ColumnKind.LIKELIHOOD]),
+        picks=st.lists(st.one_of(st.none(), st.integers(0, 99)), max_size=30),
+    )
+    def test_discrete_levels(self, kind, picks):
+        """Gaps, and declared levels or bins that no row has, included."""
+        declared = {"c": ("d", "b", "a", "c")}
+        if kind is ColumnKind.CATEGORICAL:
+            values = [None if v is None else declared["c"][v % 4] for v in picks]
+        elif kind is ColumnKind.BINARY:
+            values = [None if v is None else v % 2 for v in picks]
+        else:
+            values = [None if v is None else 1 + v % 99 for v in picks]
+        t = make_table(
+            {"c": values, "y": [i % 2 for i in range(len(values))]},
+            {"c": kind, "y": ColumnKind.BINARY},
+            levels=declared,
+        )
+        labels, idx = discrete_levels(t, "c")
+        expected_labels, expected_idx = discrete_levels_loop(t, "c")
+        assert labels.tolist() == expected_labels.tolist()
+        assert idx.tolist() == expected_idx.tolist() and idx.dtype == expected_idx.dtype
+
+    @given(
+        cells=st.lists(
+            st.tuples(st.sampled_from([0, 1, None]), st.integers(0, 1)), max_size=40
+        )
+    )
+    def test_chi_square_with_gaps(self, cells):
+        t = binary_table([x for x, _ in cells], [y for _, y in cells])
+        try:
+            expected = chi_square_binary_loop(t, "x")
+        except ComputationError as exc:
+            with pytest.raises(ComputationError, match=re.escape(str(exc))):
+                chi_square_binary(t, "x")
+        else:
+            res = chi_square_binary(t, "x")
+            assert (res.statistic, res.p_value, res.df) == (*expected, 1)
+
+    @given(
+        # (positives, negatives) per level; small counts make tied rates
+        # and groups with an empty target margin common, and (0, 0) is a
+        # declared level absent from the data
+        counts=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=7
+        ),
+        gaps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        alpha=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_merge_levels(self, counts, gaps, alpha):
+        level_counts = {f"l{i}": pair for i, pair in enumerate(counts)}
+        c, y = [], []
+        for level, (pos, neg) in level_counts.items():
+            c += [level] * (pos + neg)
+            y += [1] * pos + [0] * neg
+        c += [None] * sum(gaps)
+        y += [1] * gaps[0] + [0] * gaps[1]
+        t = make_table(
+            {"c": c, "y": y},
+            {"c": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY},
+            levels={"c": tuple(level_counts)},
+        )
+        if len(set(y)) < 2:
+            with pytest.raises(ComputationError, match="target is constant"):
+                merge_levels(t, "c", alpha=alpha)
+            return
+        mapping = merge_levels(t, "c", alpha=alpha)
+        expected = merge_levels_loop(t, "c", alpha)
+        assert mapping == expected
+        assert list(mapping.mapping.items()) == list(expected.mapping.items())

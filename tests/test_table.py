@@ -405,6 +405,13 @@ class TestCategoricalStorage:
             with pytest.raises(ValidationError, match="missing marker"):
                 ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", level))
 
+    def test_carriage_return_level_rejected(self):
+        # The CSV writer quotes a level holding "\n" but not one holding a
+        # lone "\r", so such a level would not load back.
+        for level in ("a\rb", "\r", "a\r\n"):
+            with pytest.raises(ValidationError, match="carriage return"):
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", level))
+
     def test_codes_of_a_numeric_column_rejected(self):
         t = make_table({"x": [1.0, 2.0], "y": [0, 1]}, {"x": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY})
         with pytest.raises(ValidationError, match="not categorical"):

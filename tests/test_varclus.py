@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from screenfit import varclus
 from screenfit.errors import ComputationError, ValidationError
 from screenfit.table import ColumnKind
 from screenfit.varclus import (
+    ClusterSelection,
     CorrelationMatrix,
+    VariableCluster,
+    VariableScore,
     cluster_variables,
     correlation_matrix_from_array,
     select_representatives,
@@ -319,3 +323,69 @@ class TestSelectRepresentatives:
         # (1 - 0.81) / (1 - 0.04) beats (1 - 0.64) / (1 - 0.04)
         assert (1 - 0.81) / (1 - 0.04) == pytest.approx(0.198, abs=5e-4)
         assert (1 - 0.64) / (1 - 0.04) == pytest.approx(0.375)
+
+
+def select_representatives_loop(clusters, corr):
+    """Each variable scored in a Python loop, names looked up one by one,
+    kept as a reference oracle for the array version."""
+    eigen = varclus._BlockEigen(corr.values)
+    member_idx = [[corr.names.index(v) for v in c.members] for c in clusters]
+    pc1_corr = np.column_stack([varclus._pc1_correlations(eigen, m) for m in member_idx]) ** 2
+    scores = []
+    for k, cluster in enumerate(clusters):
+        rows = []
+        for v in cluster.members:
+            i = corr.names.index(v)
+            r2_own = float(min(pc1_corr[i, k], 1.0))
+            if len(clusters) == 1:
+                r2_nearest = 0.0
+            else:
+                others = [pc1_corr[i, j] for j in range(len(clusters)) if j != k]
+                r2_nearest = float(min(max(others), 1.0))
+            num, den = 1.0 - r2_own, 1.0 - r2_nearest
+            if num <= varclus.DEGENERACY_TOL:
+                ratio = 0.0
+            elif den <= varclus.DEGENERACY_TOL:
+                ratio = float("inf")
+            else:
+                ratio = num / den
+            rows.append((v, r2_own, r2_nearest, ratio))
+        best = min(rows, key=lambda r: (r[3], r[0]))[0]
+        for v, r2_own, r2_nearest, ratio in sorted(rows, key=lambda r: r[0]):
+            scores.append(VariableScore(v, k, r2_own, r2_nearest, ratio, v == best))
+    return ClusterSelection(clusters=tuple(clusters), scores=tuple(scores))
+
+
+class TestSelectRepresentativesAgainstTheLoop:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 10),
+        n_clusters=st.integers(1, 6),
+        copies=st.integers(0, 3),
+    )
+    @example(seed=35, k=5, n_clusters=2, copies=3)  # a squared PC correlation above 1
+    def test_every_score_is_equal(self, seed, k, n_clusters, copies):
+        """Random correlations, some columns exact multiples of the first
+        (|r| = 1, so a ratio can be 0 or inf), split at random into 1-6
+        clusters with members in random order."""
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((30, k))
+        for j in range(1, min(copies, k - 1) + 1):
+            data[:, j] = data[:, 0] * rng.choice([-2.0, 3.0])
+        names = [f"v{i}" for i in rng.permutation(k)]
+        corr = correlation_matrix_from_array(data, names)
+        n_clusters = min(n_clusters, k)
+        label = np.concatenate([np.arange(n_clusters), rng.integers(0, n_clusters, k - n_clusters)])
+        order = rng.permutation(k)
+        clusters = [
+            VariableCluster(tuple(names[i] for i in order[label == c]), second_eigenvalue=0.0)
+            for c in range(n_clusters)
+        ]
+        assert select_representatives(clusters, corr) == select_representatives_loop(clusters, corr)
+
+    def test_unknown_member_rejected(self):
+        corr = CorrelationMatrix(names=("a", "b"), values=np.eye(2))
+        clusters = [VariableCluster(members=("a",), second_eigenvalue=0.0),
+                    VariableCluster(members=("zz",), second_eigenvalue=0.0)]
+        with pytest.raises(ValidationError, match="no variable named 'zz' in correlation matrix"):
+            select_representatives(clusters, corr)
