@@ -7,8 +7,8 @@ convergence -- the inputs were well-formed but the math cannot proceed).
 The CLI maps the former to exit code 2 and the latter to exit code 1.
 """
 
-import math
 import numbers
+import sys
 
 
 class ScreenfitError(Exception):
@@ -52,6 +52,8 @@ def require_string(name: str, value) -> None:
 
 
 def require_number(name: str, value) -> None:
-    """Raise ValidationError unless value is a finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Raise ValidationError unless value is a real number, not a bool, finite as a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # NaN fails the comparison, and so does an integer too large for a float.
+    if not (real and abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")

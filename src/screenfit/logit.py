@@ -687,8 +687,8 @@ def model_from_dict(d: dict) -> LogisticModel:
             require_number(f"rows[{i}].std_error", r["std_error"])
         return LogisticModel(
             terms=tuple(Term(**r["term"]) for r in rows[1:]),
-            beta=np.array([r["estimate"] for r in rows]),
-            se=np.array([r["std_error"] for r in rows]),
+            beta=np.array([r["estimate"] for r in rows], dtype=float),
+            se=np.array([r["std_error"] for r in rows], dtype=float),
             log_likelihood=d["log_likelihood"],
             n=d["n"],
             converged=d["converged"],

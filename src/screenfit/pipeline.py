@@ -280,11 +280,11 @@ def load_model_file(path: str | Path):
     try:
         model = model_from_dict(doc["model"])
         target = doc["target"]
-        mappings = {
-            v: LevelMapping(variable=v, mapping=m)
-            for v, m in doc.get("level_mappings", {}).items()
-        }
-    except (AttributeError, KeyError, TypeError) as exc:
+        mappings = doc.get("level_mappings", {})
+        if not isinstance(mappings, dict):
+            raise ValidationError(f"level_mappings must be an object, got {mappings!r}")
+        mappings = {v: LevelMapping(variable=v, mapping=m) for v, m in mappings.items()}
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed model file: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -239,8 +239,6 @@ def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.nda
     raw = label_of_code.take(table.codes(variable).astype(np.intp))
     # Keep the labels that occur, and index each row into the kept ones.
     occupied = np.flatnonzero(np.bincount(raw + 1, minlength=len(labels) + 1)[1:])
-    if len(occupied) == len(labels):
-        return labels, raw
     remap = np.full(len(labels) + 1, -1)
     remap[occupied] = np.arange(len(occupied))
     return labels[occupied], remap[raw]

@@ -93,20 +93,14 @@ class ColumnSpec:
                 raise ValidationError(
                     f"categorical column {self.name!r} needs >= 2 declared levels"
                 )
-            # A CSV cell holding a missing marker is read as a gap, and the
-            # CSV writer leaves a lone carriage return unquoted, so neither
-            # level could survive a save and load.
+            # A CSV cell holding a missing marker is read as a gap, so such
+            # a level could not survive a save and load.
             for lvl in self.levels:
                 require_string(f"categorical column {self.name!r}: a level", lvl)
                 if lvl in MISSING_TOKENS:
                     raise ValidationError(
                         f"categorical column {self.name!r}: level {lvl!r} is a "
                         f"CSV missing marker"
-                    )
-                if "\r" in lvl:
-                    raise ValidationError(
-                        f"categorical column {self.name!r}: level {lvl!r} holds a "
-                        f"carriage return"
                     )
             if len(set(self.levels)) != len(self.levels):
                 raise ValidationError(
@@ -584,7 +578,11 @@ def _format_column(table: DataTable, spec: ColumnSpec) -> np.ndarray:
 def save_table(table: DataTable, csv_path: str | Path) -> None:
     """Serialize back to CSV with identical header order; round-trips through load_table."""
     columns = (_format_column(table, spec) for spec in table.schema.columns)
-    write_csv(table.schema.names, zip(*columns), csv_path)
+    # csv.writer leaves a lone "\r" unquoted, which splits the row on reading,
+    # so a name or level holding one has every field of the file quoted.
+    texts = (*table.schema.names, *(lvl for c in table.schema.columns for lvl in c.levels or ()))
+    quoting = csv.QUOTE_ALL if any("\r" in text for text in texts) else csv.QUOTE_MINIMAL
+    write_csv(table.schema.names, zip(*columns), csv_path, quoting)
 
 
 def _read(path: str | Path, what: str, parse):
@@ -601,11 +599,12 @@ def _read(path: str | Path, what: str, parse):
         raise ValidationError(f"{path}: cannot read {what}: {exc}") from exc
 
 
-def write_csv(header: list[str], rows: Iterable, path: str | Path) -> None:
+def write_csv(header: list[str], rows: Iterable, path: str | Path, quoting=csv.QUOTE_MINIMAL) -> None:
     """Write a CSV the one way every CSV file of a run is written: UTF-8,
-    the header row, then the rows, each line ended by a bare newline."""
+    the header row, then the rows, each line ended by a bare newline, with
+    fields quoted as the :mod:`csv` constant ``quoting`` says."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)
 

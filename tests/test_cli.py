@@ -192,6 +192,12 @@ ROW = ("model", "rows", 1)
 NUMBER = "must be a finite number"
 
 
+def test_integer_estimate_that_a_float_holds_scores(tmp_path):
+    # Read into an array of Python ints, 10**300 made scoring fail in numpy.
+    assert score_command(tmp_path, edited(TERM_MODEL, (*ROW, "estimate"), 10**300), SCORED_SCHEMA) == 0
+    assert (tmp_path / "scores.csv").read_text(encoding="utf-8").count("\n") == 3
+
+
 @pytest.mark.parametrize(
     "where, value, message",
     [
@@ -226,7 +232,16 @@ NUMBER = "must be a finite number"
             ("level_mappings", "c", "b"), 1, "level mapping of 'c' must be an object of strings",
             id="mapping-number-value",
         ),
-        pytest.param(("level_mappings",), [], "malformed model file", id="mappings-list"),
+        pytest.param(
+            (*ROW, "estimate"), 10**400, f"rows[1].estimate {NUMBER}", id="estimate-huge-integer"
+        ),
+        pytest.param(
+            (*ROW, "term", "mean"), -(10**400), f"term field 'mean' {NUMBER}",
+            id="term-mean-huge-integer",
+        ),
+        pytest.param(
+            ("level_mappings",), [], "level_mappings must be an object, got []", id="mappings-list"
+        ),
     ],
 )
 def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, message):

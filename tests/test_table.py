@@ -405,12 +405,47 @@ class TestCategoricalStorage:
             with pytest.raises(ValidationError, match="missing marker"):
                 ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", level))
 
-    def test_carriage_return_level_rejected(self):
-        # The CSV writer quotes a level holding "\n" but not one holding a
-        # lone "\r", so such a level would not load back.
-        for level in ("a\rb", "\r", "a\r\n"):
-            with pytest.raises(ValidationError, match="carriage return"):
-                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a", level))
+    def test_quoted_carriage_return_level_loads(self, tmp_path):
+        schema = TableSchema(
+            columns=(
+                ColumnSpec("cat", ColumnKind.CATEGORICAL, levels=("a\rb", "z")),
+                ColumnSpec("y", ColumnKind.BINARY),
+            ),
+            target="y",
+        )
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'cat,y\n"a\rb",0\nz,1\n')
+        np.testing.assert_array_equal(load_table(p, schema).codes("cat"), [0, 1])
+
+    def test_carriage_return_level_and_name_round_trip(self, tmp_path):
+        # csv.writer quotes a field holding "\n" but not one holding a lone
+        # "\r", so save_table quotes every field when a name or level does.
+        for level, name in (("a\rb", "cat"), ("\r", "cat"), ("a\r\n", "cat"), ("b", "c\rt")):
+            schema = TableSchema(
+                columns=(
+                    ColumnSpec(name, ColumnKind.CATEGORICAL, levels=("a", level, "z")),
+                    ColumnSpec("x", ColumnKind.CONTINUOUS),
+                    ColumnSpec("y", ColumnKind.BINARY),
+                ),
+                target="y",
+            )
+            table = DataTable(
+                schema,
+                {
+                    name: np.array([level, "z", None], dtype=object),
+                    "x": np.array([1.5, np.nan, -2.0]),
+                    "y": np.array([0.0, 1.0, 1.0]),
+                },
+            )
+            p = tmp_path / "d.csv"
+            save_table(table, p)
+            _assert_same_table(load_table(p, schema), table)
+
+    def test_plain_table_is_not_quoted(self, tmp_path):
+        p = tmp_path / "d.csv"
+        kinds = {"cat": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY}
+        save_table(make_table({"cat": ["a", None], "y": [0, 1]}, kinds, levels={"cat": ("a", "b")}), p)
+        assert p.read_text(encoding="utf-8") == "cat,y\na,0\n,1\n"
 
     def test_codes_of_a_numeric_column_rejected(self):
         t = make_table({"x": [1.0, 2.0], "y": [0, 1]}, {"x": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY})
