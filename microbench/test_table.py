@@ -5,6 +5,10 @@ The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
 less than half its rows.  The CSV is parsed whole, and with 10 named
 predictors, the most a ``tall`` model scores with, and written whole.
+The paper-width parse reads a generated CSV of 2000 rows and 1000
+predictors of all four kinds with 5 % gaps, the width of the paper's
+vendor file, whole and with 10 named predictors: whole, every cell
+becomes a token; cut, most of the file is scanned and never tokenized.
 The quoted parse reads the same table with one categorical level renamed
 to hold a comma: the first row has that level, so :mod:`csv` reads every
 data line.
@@ -50,6 +54,7 @@ SPEC = SyntheticSpec(
     missing_rate=0.05,
     seed=20210903,
 )
+PAPER_WIDTH_SPEC = replace(SPEC, n_signal=200, n_background=1800, n_noise=980)
 N_CLUSTERED, N_CLUSTERS = 60, 20
 WIDE_SPEC = SyntheticSpec(
     n_signal=400,
@@ -91,6 +96,29 @@ def test_load_table_model_columns(benchmark, table, csv_path):
     loaded = benchmark(load_table, csv_path, table.schema, names)
     assert loaded.n_records == table.n_records
     assert loaded.schema.names == names + [table.schema.target]
+
+
+@pytest.fixture(scope="module")
+def paper_width(tmp_path_factory):
+    """The paper-width table's schema and the path of its CSV."""
+    table = generate(PAPER_WIDTH_SPEC)[0]
+    path = tmp_path_factory.mktemp("paper_width") / "data.csv"
+    save_table(table, path)
+    return table.schema, path
+
+
+def test_load_table_paper_width(benchmark, paper_width):
+    schema, path = paper_width
+    loaded = benchmark(load_table, path, schema)
+    assert (loaded.n_records, len(loaded.schema.columns)) == (2000, 1001)
+
+
+def test_load_table_paper_width_model_columns(benchmark, paper_width):
+    schema, path = paper_width
+    names = schema.predictors[::100]
+    loaded = benchmark(load_table, path, schema, names)
+    assert loaded.n_records == 2000
+    assert loaded.schema.names == names + [schema.target]
 
 
 def test_load_table_quoted(benchmark, table, tmp_path):

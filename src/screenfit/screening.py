@@ -264,16 +264,19 @@ def _require_both_classes(table: DataTable) -> None:
 # Per-variable statistics
 
 
-def _pearson_2x2(obs: np.ndarray) -> float | None:
-    """Pearson chi-square (df 1, no continuity correction) of a 2x2 table
-    of counts, rows a grouping and columns the target; None when a margin
-    is zero."""
-    col = obs.sum(axis=0)
-    row = obs.sum(axis=1)
-    if (col == 0).any() or (row == 0).any():
+def _pearson_2x2(a: float, b: float, c: float, d: float) -> float | None:
+    """Pearson chi-square (df 1, no continuity correction) of the 2x2 table
+    of counts with rows (a, b) and (c, d), rows a grouping and columns the
+    target; None when a margin is zero."""
+    row0, row1, col0, col1 = a + b, c + d, a + c, b + d
+    if 0 in (row0, row1, col0, col1):
         return None
-    expected = np.outer(row, col) / obs.sum()
-    return float(((obs - expected) ** 2 / expected).sum())
+    total = a + b + c + d
+    statistic = 0.0
+    for count, row, col in ((a, row0, col0), (b, row0, col1), (c, row1, col0), (d, row1, col1)):
+        expected = row * col / total
+        statistic += (count - expected) * (count - expected) / expected
+    return statistic
 
 
 def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
@@ -286,7 +289,7 @@ def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
     if spec.kind is not ColumnKind.BINARY:
         raise ValidationError(f"{variable!r} is not binary")
     labels, counts = _level_class_counts(table, variable)
-    statistic = _pearson_2x2(counts) if len(labels) == 2 else None
+    statistic = _pearson_2x2(*counts.ravel().tolist()) if len(labels) == 2 else None
     if statistic is None:
         raise ComputationError(
             f"degenerate 2x2 table for {variable!r}: a margin is zero"
@@ -409,7 +412,7 @@ def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelM
         )
         (members_i, n0_i, n1_i), (members_j, n0_j, n1_j) = groups[i], groups[j]
         # An empty target margin means both groups have the same rate.
-        statistic = _pearson_2x2(np.array([[n0_i, n1_i], [n0_j, n1_j]]))
+        statistic = _pearson_2x2(n0_i, n1_i, n0_j, n1_j)
         p = 1.0 if statistic is None else chi2_sf(statistic, 1)
         if p <= alpha:
             break

@@ -24,14 +24,22 @@ bytes across runs and machines.
 CSV interchange: comma-delimited UTF-8 with a header row whose order
 matches the schema exactly.  Empty cells and the literal token "NA" are
 the missing markers, so neither may be a declared categorical level.
-A load may name the columns it needs: every row is still tokenized and
-checked for width, but only those columns and the target are parsed and
-validated.  A line with no quote, carriage return or NUL is split on
-commas; from the first line with one on, :mod:`csv` reads the rest of the
-file, so quoted cells and CRLF line ends read as :mod:`csv` reads them.
-Rows are parsed in blocks of about :data:`BLOCK_CELLS` kept cells, and
-each column's blocks are joined at the end, so a load holds the parsed
-table plus one block of tokens, never every row as strings.  The schema
+A load may name the columns it needs: every row is still checked for
+width, but only those columns and the target become strings and are
+parsed and validated.  The file is read in binary, in slices of whole
+lines.  In one numpy pass a slice's commas and newlines give every
+cell's bounds, and the kept cells are gathered and decoded at once, so
+the others are never tokenized; a slice that is not ASCII is checked as
+UTF-8.  From the first line with a quote, carriage return or NUL, or
+one longer than :mod:`csv`'s field limit, :mod:`csv` reads the rest of
+the file, so quoted cells and CRLF line ends read as :mod:`csv` reads
+them.  Two bounds keep a load lean.  Rows are parsed in blocks of about
+:data:`BLOCK_CELLS` kept cells, large because each block costs a pass
+per column, and each column's blocks are joined at the end, so a load
+holds the parsed table plus one block of tokens, never every row as
+strings.  A slice is at most :data:`SCAN_BYTES` bytes and never crosses
+a block, small because the scan's arrays take several bytes per byte
+scanned.  The schema
 travels in a JSON sidecar listing name/kind/levels per column plus the
 target column name.  File I/O is one reader, :func:`_read`, which
 opens every input file (data, schema, config and model) and turns any
@@ -42,6 +50,7 @@ failure to read it into a :class:`ValidationError`; one CSV writer,
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -257,15 +266,21 @@ def _owned(values, dtype) -> np.ndarray:
     return _freeze(np.array(values, dtype=dtype))
 
 
-def _level_codes(spec: ColumnSpec, cells, missing: tuple) -> np.ndarray:
-    """Codes of cells into the spec's levels, in its stored dtype: -1 for a
-    missing marker, -2 for any other value that is not a declared level."""
-    index = {lvl: i for i, lvl in enumerate(spec.levels)} | dict.fromkeys(missing, -1)
+def _mapped_codes(spec: ColumnSpec, cells, index: dict) -> np.ndarray:
+    """The codes ``index`` maps cells to, in the spec's stored dtype, -2
+    for a cell it does not map."""
     return np.fromiter(
         map(index.get, cells, itertools.repeat(-2)),
         dtype=_stored_dtype(spec),
         count=len(cells),
     )
+
+
+def _level_codes(spec: ColumnSpec, cells, missing: tuple) -> np.ndarray:
+    """Codes of cells into the spec's levels, in its stored dtype: -1 for a
+    missing marker, -2 for any other value that is not a declared level."""
+    index = {lvl: i for i, lvl in enumerate(spec.levels)} | dict.fromkeys(missing, -1)
+    return _mapped_codes(spec, cells, index)
 
 
 def _stored(spec: ColumnSpec, values) -> np.ndarray:
@@ -338,6 +353,7 @@ class DataTable:
         self.schema = schema
         self._columns = {c.name: _stored(c, columns[c.name]) for c in schema.columns}
         self._n = lengths.pop() if lengths else 0
+        self._class_counts = None
         if (self._columns[schema.target] < 0).any():
             raise ValidationError(f"target column {schema.target!r} has missing values")
 
@@ -421,8 +437,12 @@ class DataTable:
         return DataTable(schema, {name: self._columns[name] for name in schema.names})
 
     def class_counts(self) -> tuple[int, int]:
-        y = self.target_values
-        return int((y == 0).sum()), int((y == 1).sum())
+        """Rows of target 0 and of target 1, counted on first use and kept,
+        since the table never changes."""
+        if self._class_counts is None:
+            y = self.target_values
+            self._class_counts = int((y == 0).sum()), int((y == 1).sum())
+        return self._class_counts
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +452,15 @@ class DataTable:
 # columns, rounded down to whole rows, so a load never holds more than
 # one block of tokens.
 BLOCK_CELLS = 1 << 19
+
+# Bytes a load scans at a time: a slice is whole lines of at most this
+# many bytes (one line when a line is longer) and never crosses a block.
+# Blocks stay large because each costs a pass per column.  Slices stay
+# small because the scan's arrays, several bytes per byte scanned, come
+# on top of the block's tokens: scoring the 10.8 MB benchmark CSV peaked
+# 1.8 MB above the line-splitting reader it replaced with 512 KB slices,
+# and level with it at 128 KB.
+SCAN_BYTES = 1 << 17
 
 
 def _cell_error(token: str, spec: ColumnSpec) -> str | None:
@@ -449,13 +478,30 @@ def _cell_error(token: str, spec: ColumnSpec) -> str | None:
     return None
 
 
-def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray, int | None]:
+# The code of each binary and likelihood value's canonical spelling, as
+# save_table writes it, and -1 for the missing markers.
+_SPELLED_CODES = {
+    kind: {str(code): code for code in range(lo, hi + 1)} | dict.fromkeys(MISSING_TOKENS, -1)
+    for kind, (lo, hi) in (
+        (ColumnKind.BINARY, (0, 1)),
+        (ColumnKind.LIKELIHOOD, (LIKELIHOOD_MIN, LIKELIHOOD_MAX)),
+    )
+}
+
+
+def _parse_column(spec: ColumnSpec, tokens: list[str]) -> tuple[np.ndarray, int | None]:
     """A column's tokens as the table stores them, plus the first row whose
-    token breaks the column's kind (None when every token fits)."""
+    token breaks the column's kind (None when every token fits).  A binary
+    or likelihood column spelled canonically is coded through a dict; one
+    with any other token is parsed as floats, as a continuous column is."""
     if spec.kind is ColumnKind.CATEGORICAL:
         codes = _level_codes(spec, tokens, MISSING_TOKENS)
         bad = np.flatnonzero(codes == -2)
         return codes, int(bad[0]) if len(bad) else None
+    if spec.kind in _SPELLED_CODES:
+        codes = _mapped_codes(spec, tokens, _SPELLED_CODES[spec.kind])
+        if not len(codes) or codes.min() > -2:
+            return _freeze(codes), None
     cells = np.array(tokens, dtype=object)
     gaps = np.isin(cells, MISSING_TOKENS)
     values = np.full(len(cells), np.nan)
@@ -471,20 +517,108 @@ def _parse_column(spec: ColumnSpec, tokens: tuple[str, ...]) -> tuple[np.ndarray
     return stored, int(bad[0]) if len(bad) else None
 
 
-def _records(fh):
-    """The rows :func:`csv.reader` reads from ``fh``, a file opened with
-    ``newline=""``, with its errors.  While a line holds no quote,
-    carriage return or NUL and is no longer than the field limit, it is
-    split on commas.  From the first line that breaks this rule on, the
-    rest of the file goes to :mod:`csv`: no quoted field can have started
-    before that line, so the rows are the ones :mod:`csv` would read."""
+def _csv_rows(fh, offset: int):
+    """:func:`csv.reader` over the binary file ``fh`` from byte ``offset``
+    on, decoded as UTF-8 with line ends kept."""
+    fh.seek(offset)
+    return csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+
+
+def _scan(data: bytes, width: int, picked: list[int], limit: int, max_rows: int) -> tuple:
+    """The leading rows of ``data``, whole lines each ended by a newline,
+    that are plain: no quote, carriage return or NUL, no longer than the
+    field ``limit``, and at most ``max_rows`` of them.
+
+    Returns the tokens of their ``picked`` cells, row by row; the number
+    of those rows; the bytes they take; and, when a row of the wrong width
+    ends them, its cell count (None otherwise).  An empty line is a row
+    of 0 cells, as :func:`csv.reader` reads it."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((arr == ord(",")) | (arr == ord("\n")))
+    ends = np.flatnonzero(arr[seps] == ord("\n"))  # each line's newline, in seps
+    lines = seps[ends]
+    odd = min((i for i in map(data.find, (b'"', b"\r", b"\0")) if i >= 0), default=len(data))
+    n = min(max_rows, int(np.searchsorted(lines, odd)))
+    lengths = np.diff(lines[:n], prepend=-1)
+    long = np.flatnonzero(lengths > limit)
+    n = int(long[0]) if len(long) else n
+    cells = np.where(lengths[:n] == 1, 0, np.diff(ends[:n], prepend=-1))
+    ragged = np.flatnonzero(cells != width)
+    rows = int(ragged[0]) if len(ragged) else n
+    used = int(lines[rows - 1]) + 1 if rows else 0
+    if not data.isascii():
+        # A ragged line is read too, as csv.reader reads it.
+        data[: int(lines[rows]) + 1 if len(ragged) else used].decode("utf-8")
+    if not rows:
+        tokens = []
+    elif len(picked) == width:
+        tokens = data[: used - 1].replace(b",", b"\n").decode("utf-8").split("\n")
+    else:
+        # Each kept cell with the separator after it, row by row.
+        bounds = np.concatenate(([-1], seps[: rows * width]))
+        cell = (np.arange(rows)[:, None] * width + picked).ravel()
+        starts, stops = bounds[cell] + 1, bounds[cell + 1] + 1
+        lens = stops - starts
+        at = np.cumsum(lens)
+        gather = np.arange(at[-1] - 1) + np.repeat(starts - (at - lens), lens)[:-1]
+        tokens = arr[gather].tobytes().replace(b",", b"\n").decode("utf-8").split("\n")
+    return tokens, rows, used, int(cells[rows]) if len(ragged) else None
+
+
+def _kept_blocks(fh, width: int, picked: list[int], block: int):
+    """The rows :func:`csv.reader` reads from the binary file ``fh``, cut
+    to the cells at ``picked``: first the header row (None for an empty
+    file), then one item per block of ``block`` rows.  An item is a list
+    of token lists that together hold the block's picked cells, row by
+    row, one list per slice read, and the cell count of the row of the
+    wrong width that ends the rows early (None when none does); the last
+    item holds fewer than ``block`` rows or ends at such a row.
+
+    The file is read in slices of whole lines, at most
+    :data:`SCAN_BYTES` bytes unless one line is longer, and never past a
+    block, and the plain lines of a slice are scanned by :func:`_scan`.
+    From the first line that is not plain on, :mod:`csv` reads the rest
+    of the file: no quoted field can have started before that line, so
+    the rows are the ones :mod:`csv` reads.  Errors are those of reading
+    UTF-8 and of :mod:`csv`."""
     limit = csv.field_size_limit()
-    for line in fh:
-        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
-            yield from csv.reader(itertools.chain([line], fh))
+    line = fh.readline()
+    rows = None
+    if b'"' in line or b"\r" in line or b"\0" in line or len(line) > limit:
+        rows = _csv_rows(fh, 0)
+        yield next(rows, None)
+    else:
+        text = line.decode("utf-8").removesuffix("\n")
+        yield text.split(",") if text else [] if line else None
+    pos = len(line)
+    while True:
+        pieces, n, ragged = [], 0, None
+        while rows is None and n < block and ragged is None:
+            fh.seek(pos)
+            data = fh.read(SCAN_BYTES)
+            end = data.rfind(b"\n") + 1
+            data = data[:end] if end else data + fh.readline()
+            if not data:
+                break
+            if not data.endswith(b"\n"):  # the last line of the file
+                data += b"\n"
+            cells, count, used, ragged = _scan(data, width, picked, limit, block - n)
+            pieces.append(cells)
+            n, pos = n + count, pos + used
+            if ragged is None and n < block and used < len(data):
+                rows = _csv_rows(fh, pos)
+        if rows is not None and ragged is None:
+            cells = []
+            for row in itertools.islice(rows, block - n):
+                if len(row) != width:
+                    ragged = len(row)
+                    break
+                cells += row if len(picked) == width else [row[j] for j in picked]
+                n += 1
+            pieces.append(cells)
+        yield pieces, ragged
+        if ragged is not None or n < block:
             return
-        line = line.removesuffix("\n")
-        yield line.split(",") if line else []
 
 
 def load_table(
@@ -497,7 +631,9 @@ def load_table(
     given, only the named columns and the target are kept, parsed and
     validated, and the table's schema is cut to them as
     :meth:`TableSchema.select` cuts it; the cells of the other columns are
-    not checked at all.  An unknown name raises :class:`ValidationError`.
+    not checked at all, and only the kept ones become strings.  An
+    unknown name raises :class:`ValidationError`.  Lines are split as
+    :mod:`csv` splits them, quoted cells and CRLF line ends included.
     Empty cells and "NA" become the missing marker.  Any parsed cell
     violating its column kind -- including a numeric cell that is not
     finite -- raises :class:`CellParseError` naming the row, column, and
@@ -512,12 +648,12 @@ def load_table(
     kept = schema if columns is None else schema.select(columns)
     width = len(schema.columns)
     position = {name: j for j, name in enumerate(schema.names)}
-    picked = None if columns is None else [position[name] for name in kept.names]
+    picked = [position[name] for name in kept.names]
     block = max(1, BLOCK_CELLS // len(kept.columns))
 
     def parse_blocks(fh):
-        records = _records(fh)
-        header = next(records, None)
+        blocks = _kept_blocks(fh, width, picked, block)
+        header = next(blocks)
         if header is None:
             raise ValidationError(f"{csv_path}: empty file, no header row")
         if header != schema.names:
@@ -526,33 +662,26 @@ def load_table(
             )
         parts = [[] for _ in kept.columns]
         start = 0
-        while True:
-            # Rows are cut as they are read, so a load of a few columns
-            # never holds a block of full-width rows.
-            rows, ragged = [], None
-            for row in itertools.islice(records, block):
-                if len(row) != width:
-                    ragged = len(row)
-                    break
-                rows.append(row if picked is None else [row[j] for j in picked])
-            cells = list(zip(*rows)) if rows else [()] * len(kept.columns)
+        for pieces, ragged in blocks:
             bad_cells = []
-            for j, (spec, tokens) in enumerate(zip(kept.columns, cells)):
+            for j, spec in enumerate(kept.columns):
+                # One column at a time, so a block's tokens are never
+                # held in a second, column-wise copy.
+                tokens = list(itertools.chain.from_iterable(p[j :: len(picked)] for p in pieces))
                 column, bad_row = _parse_column(spec, tokens)
                 parts[j].append(column)
                 if bad_row is not None:
-                    bad_cells.append((bad_row, j))
+                    bad_cells.append((bad_row, j, tokens[bad_row]))
             if bad_cells:
-                row, j = min(bad_cells)
-                spec, token = kept.columns[j], cells[j][row]
+                row, j, token = min(bad_cells)
+                spec = kept.columns[j]
                 raise CellParseError(start + row, spec.name, token, _cell_error(token, spec))
-            start += len(rows)
+            start += len(tokens)
             if ragged is not None:
                 raise ValidationError(
                     f"{csv_path}: row {start} has {ragged} cells, expected {width}"
                 )
-            if len(rows) < block:
-                return parts
+        return parts
 
     parts = _read(csv_path, "data file", parse_blocks)
     return DataTable(
@@ -586,12 +715,12 @@ def save_table(table: DataTable, csv_path: str | Path) -> None:
 
 
 def _read(path: str | Path, what: str, parse):
-    """``parse`` applied to the file at ``path`` opened as UTF-8, line ends
-    kept for :mod:`csv`.  A missing file, a directory, non-UTF-8 bytes or a
-    line :mod:`csv` cannot split raise :class:`ValidationError` naming the
-    path and ``what`` the file is ("data file", "model file", ...)."""
+    """``parse`` applied to the file at ``path`` opened in binary, which
+    ``parse`` reads as UTF-8.  A missing file, a directory, non-UTF-8 bytes
+    or a line :mod:`csv` cannot split raise :class:`ValidationError` naming
+    the path and ``what`` the file is ("data file", "model file", ...)."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, "rb") as fh:
             return parse(fh)
     except FileNotFoundError:
         raise ValidationError(f"no such {what}: {path}") from None
@@ -624,7 +753,7 @@ def read_json(path: str | Path, what: str) -> dict:
     :class:`ValidationError` naming the path and ``what`` the file is
     ("config file", "model file", ...)."""
     try:
-        doc = _read(path, what, json.load)
+        doc = _read(path, what, lambda fh: json.loads(fh.read().decode("utf-8")))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

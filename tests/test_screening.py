@@ -10,6 +10,7 @@ from screenfit.logit import chi2_sf
 from screenfit.screening import (
     LevelMapping,
     StagePlan,
+    _pearson_2x2,
     apply_level_mapping,
     chi_square_binary,
     discrete_levels,
@@ -557,6 +558,17 @@ class TestAgainstTheLoopVersions:
         expected_labels, expected_idx = discrete_levels_loop(t, "c")
         assert labels.tolist() == expected_labels.tolist()
         assert idx.tolist() == expected_idx.tolist() and idx.dtype == expected_idx.dtype
+
+    @given(
+        # small counts make zero margins and equal cells common
+        counts=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 10_000_000)), min_size=4, max_size=4
+        )
+    )
+    def test_pearson_2x2_bytes(self, counts):
+        """The scalar statistic equals the numpy formula's, bit for bit."""
+        floats = [float(c) for c in counts]
+        assert _pearson_2x2(*floats) == pearson_2x2_loop(np.array(floats).reshape(2, 2))
 
     @given(
         cells=st.lists(

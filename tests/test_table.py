@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 
@@ -25,8 +26,8 @@ from screenfit.table import (
     save_schema,
     save_table,
     split_train_validation,
+    _kept_blocks,
     _largest_remainder,
-    _records,
 )
 
 from conftest import make_table
@@ -213,45 +214,82 @@ class TestLoadColumns:
             assert table.column("y").tolist() == [0.0, 1.0, 1.0]
 
 
-def _rows_and_error(reader, text):
-    """The rows ``reader`` yields from ``text`` read as a file opened with
-    ``newline=""``, and the message of the :class:`csv.Error` it stops
-    with (None when it reads to the end)."""
-    rows = []
+def _csv_kept_blocks(fh, width, picked, block):
+    """``_kept_blocks``' items as :func:`csv.reader` alone reads them, the
+    whole file parsed by :mod:`csv` and cut row by row, each block's
+    cells in one piece: the reference."""
+    rows = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    yield next(rows, None)
+    while True:
+        cells, ragged, n = [], None, 0
+        for row in itertools.islice(rows, block):
+            if len(row) != width:
+                ragged = len(row)
+                break
+            cells += [row[j] for j in picked]
+            n += 1
+        yield [cells], ragged
+        if ragged is not None or n < block:
+            return
+
+
+def _items_and_error(reader, text, width, picked, block):
+    """The items ``reader`` yields from ``text`` saved as UTF-8, each
+    block's pieces joined, and the message of the :class:`csv.Error` it
+    stops with (None when it reads to the end)."""
+    items = []
     try:
-        for row in reader(io.StringIO(text, newline="")):
-            rows.append(row)
+        blocks = reader(io.BytesIO(text.encode("utf-8")), width, picked, block)
+        items.append(next(blocks))
+        for pieces, ragged in blocks:
+            items.append((list(itertools.chain.from_iterable(pieces)), ragged))
     except csv.Error as exc:
-        return rows, str(exc)
-    return rows, None
+        return items, str(exc)
+    return items, None
 
 
-class TestRecords:
-    """``_records`` yields the rows :func:`csv.reader` yields, errors included."""
+@st.composite
+def _cuts(draw):
+    """A row width, the picked cells (sorted, at least one) and a block."""
+    width = draw(st.integers(1, 4))
+    picked = draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+    return width, sorted(picked), draw(st.integers(1, 4))
+
+
+class TestKeptBlocks:
+    """``_kept_blocks`` yields what :func:`csv.reader` reads, cut to the
+    picked cells, errors included, wherever slices and blocks cut."""
 
     @given(
-        text=st.text(alphabet='a,"\n\r\0 ', max_size=40),
+        text=st.text(alphabet='a,"\n\r\0 \u00e9', max_size=40),
         limit=st.sampled_from([2, 5, csv.field_size_limit()]),
+        cut=_cuts(),
+        scan_bytes=st.sampled_from([1, 2, 7, 64]),
     )
-    def test_equals_csv_reader(self, text, limit):
-        default = csv.field_size_limit(limit)
+    def test_equals_csv_reader(self, text, limit, cut, scan_bytes):
+        default, scan = csv.field_size_limit(limit), table_module.SCAN_BYTES
+        table_module.SCAN_BYTES = scan_bytes
         try:
-            assert _rows_and_error(_records, text) == _rows_and_error(csv.reader, text)
+            assert _items_and_error(_kept_blocks, text, *cut) == _items_and_error(
+                _csv_kept_blocks, text, *cut
+            )
         finally:
             csv.field_size_limit(default)
+            table_module.SCAN_BYTES = scan
 
     def test_line_over_the_field_limit(self):
         limit = csv.field_size_limit()
         # a line longer than the limit whose fields are all shorter reads
         text = "x\n" + "a," * limit + "a\nb\n"
-        rows, error = _rows_and_error(_records, text)
-        assert (rows, error) == _rows_and_error(csv.reader, text)
-        assert error is None and len(rows) == 3 and len(rows[1]) == limit + 1
+        items, error = _items_and_error(_kept_blocks, text, limit + 1, [0, limit], 4)
+        assert (items, error) == _items_and_error(_csv_kept_blocks, text, limit + 1, [0, limit], 4)
+        # the long row has every cell, and the short row after it ends the rows
+        assert (items, error) == ([["x"], (["a", "a"], 1)], None)
         # a field longer than the limit stops the read where csv stops
         text = "x\n" + "1" * (limit + 1) + "\nb\n"
-        rows, error = _rows_and_error(_records, text)
-        assert (rows, error) == _rows_and_error(csv.reader, text)
-        assert (rows, error) == ([["x"]], f"field larger than field limit ({limit})")
+        items, error = _items_and_error(_kept_blocks, text, 1, [0], 4)
+        assert (items, error) == _items_and_error(_csv_kept_blocks, text, 1, [0], 4)
+        assert (items, error) == ([["x"]], f"field larger than field limit ({limit})")
 
 
 class TestQuotedAndCrlfFiles:
@@ -369,6 +407,130 @@ class TestBlockBoundaries:
             expected = source if names is None else source.select_columns(names)
             _assert_same_table(loaded, expected)
             _assert_same_dtypes(loaded, expected)
+
+
+@pytest.fixture(scope="class", params=[1, 20], ids=["1_byte", "20_bytes"])
+def small_slices(request):
+    """Loads scan slices of one line, or of the lines that fit in 20 bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "SCAN_BYTES", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("small_slices")
+class TestLoadTableInSlices(TestLoadTable):
+    """Every full-load case again, with the file scanned a few lines at a time."""
+
+
+@pytest.mark.usefixtures("small_slices")
+class TestLoadColumnsInSlices(TestLoadColumns):
+    """Every cut-load case again, with the file scanned a few lines at a time."""
+
+
+class TestSlices:
+    """Loads that scan 13-byte slices, one line of the files below, in
+    blocks of two full rows."""
+
+    HEADER = "x,flag,lvl,cat,y\n"
+
+    @pytest.fixture(autouse=True)
+    def small_slices_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(table_module, "SCAN_BYTES", 13)
+        monkeypatch.setattr(table_module, "BLOCK_CELLS", 2 * len(SIMPLE_SCHEMA.columns))
+
+    def test_quote_first_met_in_a_later_slice_keeps_its_row_numbers(
+        self, tmp_path, simple_schema
+    ):
+        plain = self.HEADER + "1.0,0,10,a,0\n2.0,1,20,b,1\n3.0,0,30,a,0\n4.0,1,40,b,1\n"
+        quoted = plain.replace("3.0,0,30,a,0", '"3.0",0,30,a,0')
+        expected = load_table(write_csv(tmp_path / "plain.csv", plain), simple_schema)
+        p = write_csv(tmp_path / "quoted.csv", quoted)
+        _assert_same_table(load_table(p, simple_schema), expected)
+        p = write_csv(tmp_path / "bad.csv", quoted.replace("4.0,1,40,b,1", "4.0,1,40,zzz,1"))
+        with pytest.raises(CellParseError, match=r"row 3.*'cat'.*'zzz'"):
+            load_table(p, simple_schema, ["cat"])
+
+    def test_ragged_row_right_after_a_slice_boundary(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", self.HEADER + "1.0,0,10,a,0\n2.0,1,20\n3.0,0,30,a,0\n")
+        for names in (None, ["lvl"]):
+            with pytest.raises(ValidationError, match="row 1 has 3 cells, expected 5"):
+                load_table(p, simple_schema, names)
+
+    def test_no_final_newline(self, tmp_path, simple_schema):
+        text = self.HEADER + "1.0,0,10,a,0\n2.0,1,20,b,1\n3.0,0,30,a,0"
+        p = write_csv(tmp_path / "d.csv", text)
+        expected = load_table(write_csv(tmp_path / "ended.csv", text + "\n"), simple_schema)
+        _assert_same_table(load_table(p, simple_schema), expected)
+        assert expected.column("x").tolist() == [1.0, 2.0, 3.0]
+        p = write_csv(tmp_path / "short.csv", text.removesuffix(",a,0"))
+        with pytest.raises(ValidationError, match="row 2 has 3 cells, expected 5"):
+            load_table(p, simple_schema, ["x"])
+
+    def test_empty_line(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", self.HEADER + "1.0,0,10,a,0\n\n2.0,1,20,b,1\n")
+        with pytest.raises(ValidationError, match="row 1 has 0 cells, expected 5"):
+            load_table(p, simple_schema)
+        # a one-column file holds an empty line as a row of 0 cells too
+        schema = TableSchema(columns=(ColumnSpec("y", ColumnKind.BINARY),), target="y")
+        p = write_csv(tmp_path / "y.csv", "y\n1\n\n0\n")
+        with pytest.raises(ValidationError, match="row 1 has 0 cells, expected 1"):
+            load_table(p, schema)
+
+    @pytest.mark.parametrize("scan_bytes", [13, 1 << 19], ids=["line_slices", "one_slice"])
+    def test_undecodable_byte_in_a_later_block_after_a_bad_cell(
+        self, tmp_path, simple_schema, monkeypatch, scan_bytes
+    ):
+        monkeypatch.setattr(table_module, "SCAN_BYTES", scan_bytes)
+        rows = self.HEADER + "1.0,0,10,a,0\n2.0,1,20,b,1\n3.0,0,30,a,0\n"
+        p = tmp_path / "d.csv"
+        p.write_bytes(rows.encode() + b"4.0,1,40,\xff,1\n")
+        for names in (None, ["x"]):  # an unread cell is decoded too
+            with pytest.raises(ValidationError, match="cannot read data file"):
+                load_table(p, simple_schema, names)
+        p.write_bytes(rows.replace("b,1", "zzz,1").encode() + b"4.0,1,40,\xff,1\n")
+        # a cut to four columns still parses two rows a block
+        for names in (None, ["flag", "lvl", "cat"]):
+            with pytest.raises(CellParseError, match=r"row 1.*'cat'.*'zzz'"):
+                load_table(p, simple_schema, names)
+
+
+def _parse_floats(spec, tokens):
+    """A binary or likelihood column's tokens parsed as floats, the former
+    ``_parse_column`` path for every such column: the reference."""
+    cells = np.array(tokens, dtype=object)
+    gaps = np.isin(cells, table_module.MISSING_TOKENS)
+    values = np.full(len(cells), np.nan)
+    try:
+        values[~gaps] = cells[~gaps].astype(float)
+    except ValueError:
+        first = next(
+            i for i, token in enumerate(tokens)
+            if token not in table_module.MISSING_TOKENS and table_module._cell_error(token, spec)
+        )
+        return values, first
+    stored, bad = table_module._from_floats(spec, values, gaps)
+    return stored, int(bad[0]) if len(bad) else None
+
+
+class TestParseColumn:
+    @given(
+        kind=st.sampled_from([ColumnKind.BINARY, ColumnKind.LIKELIHOOD]),
+        tokens=st.lists(
+            st.one_of(
+                st.integers(-1, 101).map(str),
+                st.sampled_from(["", "NA", "1.0", " 1", "1e0", "01", "abc", "nan", "inf", "0.5"]),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_equals_the_float_parse(self, kind, tokens):
+        spec = ColumnSpec("c", kind)
+        codes, bad = table_module._parse_column(spec, tokens)
+        expected, expected_bad = _parse_floats(spec, tokens)
+        assert bad == expected_bad
+        if bad is None:
+            assert codes.dtype == expected.dtype and not codes.flags.writeable
+        np.testing.assert_array_equal(codes, expected)
 
 
 class TestCategoricalStorage:
@@ -630,6 +792,15 @@ class TestSelectColumns:
     def test_unknown_name_rejected(self, binary_target_table):
         with pytest.raises(ValidationError, match="'nope'"):
             binary_target_table.select_columns(["flag", "nope"])
+
+
+class TestClassCounts:
+    def test_counts_of_a_table_its_subset_and_its_columns(self, binary_target_table):
+        assert binary_target_table.class_counts() == (4, 4)
+        assert binary_target_table.class_counts() == (4, 4)
+        assert binary_target_table.subset(np.array([0, 1, 2, 4])).class_counts() == (3, 1)
+        assert binary_target_table.select_columns(["flag"]).class_counts() == (4, 4)
+        assert binary_target_table.subset(np.array([], dtype=int)).class_counts() == (0, 0)
 
 
 class TestRoundTrip:
