@@ -353,7 +353,6 @@ class DataTable:
         self.schema = schema
         self._columns = {c.name: _stored(c, columns[c.name]) for c in schema.columns}
         self._n = lengths.pop() if lengths else 0
-        self._class_counts = None
         if (self._columns[schema.target] < 0).any():
             raise ValidationError(f"target column {schema.target!r} has missing values")
 
@@ -437,12 +436,9 @@ class DataTable:
         return DataTable(schema, {name: self._columns[name] for name in schema.names})
 
     def class_counts(self) -> tuple[int, int]:
-        """Rows of target 0 and of target 1, counted on first use and kept,
-        since the table never changes."""
-        if self._class_counts is None:
-            y = self.target_values
-            self._class_counts = int((y == 0).sum()), int((y == 1).sum())
-        return self._class_counts
+        """Rows of target 0 and of target 1."""
+        ones = int(np.count_nonzero(self._columns[self.schema.target]))
+        return self._n - ones, ones
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +454,11 @@ BLOCK_CELLS = 1 << 19
 # Blocks stay large because each costs a pass per column.  Slices stay
 # small because the scan's arrays, several bytes per byte scanned, come
 # on top of the block's tokens: scoring the 10.8 MB benchmark CSV peaked
-# 1.8 MB above the line-splitting reader it replaced with 512 KB slices,
-# and level with it at 128 KB.
-SCAN_BYTES = 1 << 17
+# 1.8 MB above the line-splitting reader it replaced with 512 KB slices.
+# A process that scores it again and again, between array-heavy work,
+# still peaked 0.4 MB above that reader with 128 KB slices, and level
+# with it at 64 KB.
+SCAN_BYTES = 1 << 16
 
 
 def _cell_error(token: str, spec: ColumnSpec) -> str | None:
@@ -552,6 +550,8 @@ def _scan(data: bytes, width: int, picked: list[int], limit: int, max_rows: int)
     if not rows:
         tokens = []
     elif len(picked) == width:
+        # Every cell is kept: the gather below would add about a tenth to
+        # a full-width load, for the same tokens.
         tokens = data[: used - 1].replace(b",", b"\n").decode("utf-8").split("\n")
     else:
         # Each kept cell with the separator after it, row by row.

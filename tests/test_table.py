@@ -797,7 +797,6 @@ class TestSelectColumns:
 class TestClassCounts:
     def test_counts_of_a_table_its_subset_and_its_columns(self, binary_target_table):
         assert binary_target_table.class_counts() == (4, 4)
-        assert binary_target_table.class_counts() == (4, 4)
         assert binary_target_table.subset(np.array([0, 1, 2, 4])).class_counts() == (3, 1)
         assert binary_target_table.select_columns(["flag"]).class_counts() == (4, 4)
         assert binary_target_table.subset(np.array([], dtype=int)).class_counts() == (0, 0)
