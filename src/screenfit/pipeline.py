@@ -18,13 +18,20 @@ screened columns and the target parsed and validated: its header and the
 width of every row are checked, but a bad cell in any other column is
 not read and raises nothing.  Each stage's outputs land in the run
 directory as plain JSON or CSV; the manifest written last lists every
-artifact (timings live only there, so all other files are byte-stable
-across identical runs).
+artifact and the seconds on each clock (timings live only there, so all
+other files are byte-stable across identical runs).  Every step but the
+manifest's own write runs under a clock: `generate` or `load`, `impute`,
+`screening` (with the cut), `out_of_sample_generate` or
+`out_of_sample_load`, `out_of_sample_impute`, `split` (with the level
+merges), `encode`, `stepwise`, `prune` (with the global-null test),
+`evaluate`, and `write` for the artifact writes before and after
+evaluation.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -112,96 +119,81 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
-    def clocked(name: str, fn):
+    @contextmanager
+    def clock(name: str):
         t0 = time.perf_counter()
-        result = fn()
-        timings[name] = round(time.perf_counter() - t0, 6)
-        return result
+        yield
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
     # --- data
     if config.synthetic is not None:
-        table, _truth = clocked("generate", lambda: generate(config.synthetic))
+        with clock("generate"):
+            table, _truth = generate(config.synthetic)
     else:
-        table = clocked(
-            "load", lambda: load_table(config.input.csv, load_schema(config.input.schema))
-        )
-    table = clocked("impute", lambda: impute_numeric_columns(table))
+        with clock("load"):
+            table = load_table(config.input.csv, load_schema(config.input.schema))
+    with clock("impute"):
+        table = impute_numeric_columns(table)
 
     # --- screening (includes clustering, occupancy, level merging)
-    report = clocked("screening", lambda: run_screening(table, config.plan))
-    final_vars = report.final_variables
-    # Only the screened columns are read from here on; cutting to them
-    # frees the full-width table before the out-of-sample one is made.
-    table = table.select_columns(final_vars)
+    with clock("screening"):
+        report = run_screening(table, config.plan)
+        final_vars = report.final_variables
+        # Only the screened columns are read from here on; cutting to them
+        # frees the full-width table before the out-of-sample one is made.
+        table = table.select_columns(final_vars)
 
     # --- out-of-sample table, before any artifact is written
+    oos_table = None
     if config.out_of_sample is not None:
-        oos_table = clocked(
-            "out_of_sample_load",
-            lambda: load_table(
-                config.out_of_sample.csv, load_schema(config.out_of_sample.schema), final_vars
-            ),
-        )
+        with clock("out_of_sample_load"):
+            oos_schema = load_schema(config.out_of_sample.schema)
+            oos_table = load_table(config.out_of_sample.csv, oos_schema, final_vars)
     elif config.synthetic is not None:
         # Out-of-sample sibling: same data-generating process, fresh records.
-        oos_table, _ = clocked(
-            "out_of_sample_generate",
-            lambda: generate(config.synthetic, sample_index=1),
-        )
-    else:
-        oos_table = None
+        with clock("out_of_sample_generate"):
+            oos_table, _ = generate(config.synthetic, sample_index=1)
     if oos_table is not None:
-        oos_table = clocked(
-            "out_of_sample_impute",
-            lambda: _scoring_table(oos_table, final_vars, report.level_mappings),
-        )
-
-    table = _apply_mappings(table, report.level_mappings)
+        with clock("out_of_sample_impute"):
+            oos_table = _scoring_table(oos_table, final_vars, report.level_mappings)
 
     # --- split and encode
-    split = clocked(
-        "split",
-        lambda: split_train_validation(table, config.split.frac, config.split.seed),
-    )
-    train_design = encode_design(split.train, final_vars)
-    valid_design = encode_design(
-        split.validation, final_vars, template=train_design.terms
-    )
+    with clock("split"):
+        table = _apply_mappings(table, report.level_mappings)
+        split = split_train_validation(table, config.split.frac, config.split.seed)
+    with clock("encode"):
+        train_design = encode_design(split.train, final_vars)
+        valid_design = encode_design(split.validation, final_vars, template=train_design.terms)
 
     # --- fit
-    model, trace = clocked(
-        "stepwise",
-        lambda: stepwise_select(
+    with clock("stepwise"):
+        model, trace = stepwise_select(
             train_design,
             p_enter=config.stepwise.p_enter,
             p_stay=config.stepwise.p_stay,
             max_terms=config.stepwise.max_terms,
-        ),
-    )
-    if len(model.terms) >= 2:
-        model = clocked(
-            "prune",
-            lambda: prune_collinear(
-                model, train_design, valid_design, cutoff=config.prune_cutoff
-            ),
         )
-    gnull = global_null_lr(model, train_design) if model.terms else None
+    with clock("prune"):
+        if len(model.terms) >= 2:
+            model = prune_collinear(model, train_design, valid_design, cutoff=config.prune_cutoff)
+        gnull = global_null_lr(model, train_design) if model.terms else None
     # The encoder's warnings go ahead of the fit's own, without repeats.
     warnings = train_design.warnings + valid_design.warnings + model.warnings
     model = replace(model, warnings=tuple(dict.fromkeys(warnings)))
 
-    screening_doc = report.to_dict()
-    write_json(screening_doc, out / "screening_report.json")
-    write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
-    model_doc = {
-        "model": model_to_dict(model),
-        "target": table.schema.target,
-        "variables": final_vars,
-        "level_mappings": screening_doc["level_mappings"],
-        "global_null": gnull,
-        "stepwise_trace": [asdict(step) for step in trace.steps],
-    }
-    write_json(model_doc, out / "model.json")
+    with clock("write"):
+        screening_doc = report.to_dict()
+        write_json(screening_doc, out / "screening_report.json")
+        write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
+        model_doc = {
+            "model": model_to_dict(model),
+            "target": table.schema.target,
+            "variables": final_vars,
+            "level_mappings": screening_doc["level_mappings"],
+            "global_null": gnull,
+            "stepwise_trace": [asdict(step) for step in trace.steps],
+        }
+        write_json(model_doc, out / "model.json")
 
     # --- evaluate
     datasets = {"train": split.train, "validation": split.validation}
@@ -210,22 +202,20 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     score_sets: dict[str, ScoreSet] = {}
     deciles: dict[str, list] = {}
     confusion: dict[str, dict] = {}
-    t0 = time.perf_counter()
-    for name, ds in datasets.items():
-        ss = score(model, ds)
-        score_sets[name] = ss
-        deciles[name] = decile_table(ss)
-        cm = confusion_matrix(ss, config.threshold)
-        confusion[name] = asdict(cm) | asdict(metrics(cm))
-    timings["evaluate"] = round(time.perf_counter() - t0, 6)
+    with clock("evaluate"):
+        for name, ds in datasets.items():
+            ss = score(model, ds)
+            score_sets[name] = ss
+            deciles[name] = decile_table(ss)
+            cm = confusion_matrix(ss, config.threshold)
+            confusion[name] = asdict(cm) | asdict(metrics(cm))
 
-    export_chart_data(deciles["validation"], out / "decile_table.csv")
-    charts = ([name] + row for name in datasets for row in chart_rows(deciles[name]))
-    write_csv(["dataset"] + CHART_COLUMNS, charts, out / "charts.csv")
-    write_json(
-        {"threshold": config.threshold, "datasets": confusion},
-        out / "confusion_report.json",
-    )
+    with clock("write"):
+        export_chart_data(deciles["validation"], out / "decile_table.csv")
+        charts = ([name] + row for name in datasets for row in chart_rows(deciles[name]))
+        write_csv(["dataset"] + CHART_COLUMNS, charts, out / "charts.csv")
+        confusion_doc = {"threshold": config.threshold, "datasets": confusion}
+        write_json(confusion_doc, out / "confusion_report.json")
 
     manifest = {
         "version": __version__,
@@ -237,7 +227,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             "validation_rows": split.validation.n_records,
         },
         "artifacts": ARTIFACT_NAMES,
-        "timings": timings,
+        "timings": {name: round(t, 6) for name, t in timings.items()},
     }
     write_json(manifest, out / "manifest.json")
 

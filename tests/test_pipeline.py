@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -33,6 +34,10 @@ CONFIG = {
 }
 
 
+# The clocks of every run, whatever its data source.
+ALWAYS_TIMED = {"impute", "screening", "split", "encode", "stepwise", "prune", "write", "evaluate"}
+
+
 def test_out_of_sample_file_replaces_the_generated_sibling(tmp_path, monkeypatch):
     spec = PipelineConfig.from_dict(CONFIG).synthetic
     oos, _ = generate(spec, sample_index=2)
@@ -52,13 +57,63 @@ def test_out_of_sample_file_replaces_the_generated_sibling(tmp_path, monkeypatch
     assert sample_indices == [0]
     assert result.score_sets["out_of_sample"].n == oos.n_records
     timings = result.manifest["timings"]
-    assert {"out_of_sample_load", "out_of_sample_impute"} <= timings.keys()
-    assert "out_of_sample_generate" not in timings
+    assert timings.keys() == ALWAYS_TIMED | {
+        "generate", "out_of_sample_load", "out_of_sample_impute"
+    }
 
 
 def test_generated_sibling_is_timed(tmp_path):
     result = pipeline.run_pipeline(PipelineConfig.from_dict(CONFIG), tmp_path / "run")
-    assert {"out_of_sample_generate", "out_of_sample_impute"} <= result.manifest["timings"].keys()
+    timings = result.manifest["timings"]
+    assert timings.keys() == ALWAYS_TIMED | {
+        "generate", "out_of_sample_generate", "out_of_sample_impute"
+    }
+
+
+# Everything run_pipeline calls through its module globals, to tick a fake clock.
+CLOCKED_CALLS = (
+    "generate", "load_schema", "load_table", "impute_numeric_columns", "run_screening",
+    "apply_level_mapping", "split_train_validation", "encode_design", "stepwise_select",
+    "prune_collinear", "global_null_lr", "score", "decile_table", "confusion_matrix",
+    "metrics", "write_json", "write_csv", "export_chart_data",
+)
+
+
+@pytest.mark.parametrize("from_files", [False, True])
+def test_clocks_cover_the_run(tmp_path, monkeypatch, from_files):
+    """Each call above advances a fake clock by one tick, and so does the
+    cut of a table to its columns; every tick but the one of the
+    manifest's own write lands in exactly one of the manifest's timings."""
+    config = PipelineConfig.from_dict(CONFIG)
+    if from_files:
+        paths = {}
+        for section, index in (("input", 0), ("out_of_sample", 1)):
+            table, _ = generate(config.synthetic, sample_index=index)
+            csv, schema = tmp_path / f"{section}.csv", tmp_path / f"{section}.json"
+            save_table(table, csv)
+            save_schema(table.schema, schema)
+            paths[section] = {"csv": str(csv), "schema": str(schema)}
+        config = PipelineConfig.from_dict({"plan": CONFIG["plan"]} | paths)
+
+    ticks = [0]
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: ticks[0]))
+
+    def ticking(fn):
+        def call(*args, **kwargs):
+            ticks[0] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in CLOCKED_CALLS:
+        monkeypatch.setattr(pipeline, name, ticking(getattr(pipeline, name)))
+    monkeypatch.setattr(DataTable, "select_columns", ticking(DataTable.select_columns))
+
+    timings = pipeline.run_pipeline(config, tmp_path / "run").manifest["timings"]
+    assert sum(timings.values()) == ticks[0] - 1
+    assert timings["encode"] == 2
+    assert timings["write"] == len(pipeline.ARTIFACT_NAMES) - 1
+    data = {"load", "out_of_sample_load"} if from_files else {"generate", "out_of_sample_generate"}
+    assert timings.keys() == ALWAYS_TIMED | data | {"out_of_sample_impute"}
 
 
 def test_bad_out_of_sample_cell_leaves_no_artifact(tmp_path):
