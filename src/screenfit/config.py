@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .errors import ValidationError, require_whole
+from .errors import ValidationError, require_number, require_string, require_whole
 from .screening import StagePlan
 from .synthgen import SyntheticSpec
 from .table import read_json
@@ -36,6 +36,7 @@ class SplitConfig:
     seed: int = 17
 
     def __post_init__(self):
+        require_number("split.frac", self.frac)
         if not (0.0 < self.frac < 1.0):
             raise ValidationError(f"split.frac must be in (0, 1), got {self.frac}")
         require_whole("split.seed", self.seed, 0)
@@ -49,6 +50,7 @@ class StepwiseConfig:
 
     def __post_init__(self):
         for name, v in (("p_enter", self.p_enter), ("p_stay", self.p_stay)):
+            require_number(f"stepwise.{name}", v)
             if not (0.0 < v < 1.0):
                 raise ValidationError(f"stepwise.{name} must be in (0, 1), got {v}")
         if self.max_terms is not None:
@@ -72,10 +74,15 @@ class PipelineConfig:
             raise ValidationError(
                 "exactly one of 'input' and 'synthetic' must be present"
             )
-        if not (0.0 <= self.prune_cutoff <= 1.0):
-            raise ValidationError("prune_cutoff must be in [0, 1]")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ValidationError("threshold must be in [0, 1]")
+        for name, value in (("prune_cutoff", self.prune_cutoff), ("threshold", self.threshold)):
+            require_number(name, value)
+            if not (0.0 <= value <= 1.0):
+                raise ValidationError(f"{name} must be in [0, 1]")
+        require_string("out_dir", self.out_dir)
+        for section, paths in (("input", self.input), ("out_of_sample", self.out_of_sample)):
+            if paths is not None:
+                require_string(f"{section}.csv", paths.csv)
+                require_string(f"{section}.schema", paths.schema)
 
     def with_seed(self, seed: int) -> "PipelineConfig":
         """Override every seed from one master value: the generator takes

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import varclus
-from .errors import ComputationError, ValidationError, require_whole
+from .errors import ComputationError, ValidationError, require_number, require_whole
 from .logit import chi2_sf
 from .table import (
     LIKELIHOOD_MAX,
@@ -139,6 +139,8 @@ class StagePlan:
             raise ValidationError(
                 f"stage counts must decrease strictly, got {counts}"
             )
+        for name in ("iv_min", "iv_max", "occupancy_min", "level_merge_alpha", "iv_smoothing"):
+            require_number(f"plan.{name}", getattr(self, name))
         if not (0.0 < self.iv_min < self.iv_max):
             raise ValidationError("need 0 < iv_min < iv_max")
         if not (0.0 <= self.occupancy_min <= 1.0):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError, require_whole
+from .errors import ComputationError, ValidationError, require_number, require_whole
 from .evaluation import ScoreSet
 from .logit import _sigmoid
 from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, _largest_remainder
@@ -74,11 +74,16 @@ class SyntheticSpec:
             raise ValidationError(
                 f"kind_mix keys must be among {KINDS}, got {sorted(self.kind_mix)}"
             )
+        for kind, frac in self.kind_mix.items():
+            require_number(f"synthetic.kind_mix.{kind}", frac)
         if any(v < 0 for v in self.kind_mix.values()):
             raise ValidationError("kind_mix fractions must be non-negative")
         if abs(sum(self.kind_mix.values()) - 1.0) > 1e-9:
             raise ValidationError("kind_mix fractions must sum to 1")
         lo, hi = self.beta_range
+        for name, value in (("beta_range[0]", lo), ("beta_range[1]", hi),
+                            ("missing_rate", self.missing_rate), ("correlated_r", self.correlated_r)):
+            require_number(f"synthetic.{name}", value)
         if not (0.0 < lo <= hi):
             raise ValidationError("beta_range must satisfy 0 < low <= high")
         if not (0.0 <= self.missing_rate <= 0.5):
@@ -104,10 +109,12 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
+        if not isinstance(d, dict):
+            raise ValidationError(f"malformed synthetic spec: expected an object, got {d!r}")
         try:
             beta_range = tuple(d.get("beta_range", cls.beta_range))
             return cls(**d | {"kind_mix": dict(d["kind_mix"]), "beta_range": beta_range})
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed synthetic spec: {exc}") from exc
 
 

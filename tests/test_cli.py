@@ -110,6 +110,24 @@ def test_bad_seed_or_max_terms_in_config_exits_2(tmp_path, capsys, sections, mes
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        ({"threshold": True, "prune_cutoff": False}, "prune_cutoff must be a finite number"),
+        ({"plan": PLAN | {"level_merge_alpha": False}}, "plan.level_merge_alpha must be a finite"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"out_of_sample": {"csv": 0, "schema": 0}}, "out_of_sample.csv must be a string, got 0"),
+        # a descriptor number is not a path: the schema is not read from stdin
+        ({"input": {"csv": 0, "schema": 0}}, "input.csv must be a string, got 0"),
+    ],
+)
+def test_non_number_or_non_string_in_config_exits_2(tmp_path, capsys, sections, message):
+    config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,6,1\n", **sections)
+    assert run_pipeline_command(tmp_path, config) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "synth"])
 def test_negative_synthetic_seed_exits_2(tmp_path, capsys, command):
     path = tmp_path / "config.json"

@@ -80,6 +80,55 @@ def test_counts_must_be_whole_numbers(doc, field):
         PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"threshold": True}, "threshold"),
+        ({"prune_cutoff": False}, "prune_cutoff"),
+        ({"split": {"frac": "0.6"}}, "split.frac"),
+        ({"stepwise": {"p_enter": True}}, "stepwise.p_enter"),
+        ({"stepwise": {"p_stay": "0.01"}}, "stepwise.p_stay"),
+        ({"plan": PLAN | {"iv_min": False}}, "plan.iv_min"),
+        ({"plan": PLAN | {"iv_max": True}}, "plan.iv_max"),
+        ({"plan": PLAN | {"occupancy_min": False}}, "plan.occupancy_min"),
+        ({"plan": PLAN | {"level_merge_alpha": False}}, "plan.level_merge_alpha"),
+        ({"plan": PLAN | {"iv_smoothing": "0.5"}}, "plan.iv_smoothing"),
+        ({"synthetic": SYNTHETIC | {"missing_rate": False}}, "synthetic.missing_rate"),
+        ({"synthetic": SYNTHETIC | {"correlated_r": "0.8"}}, "synthetic.correlated_r"),
+        ({"synthetic": SYNTHETIC | {"beta_range": [True, 0.9]}}, r"synthetic.beta_range\[0\]"),
+        ({"synthetic": SYNTHETIC | {"beta_range": [0.2, "0.9"]}}, r"synthetic.beta_range\[1\]"),
+        ({"synthetic": SYNTHETIC | {"kind_mix": {"binary": True}}}, "synthetic.kind_mix.binary"),
+    ],
+)
+def test_real_valued_fields_must_be_numbers(doc, field):
+    with pytest.raises(ValidationError, match=f"{field} must be a finite number"):
+        PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
+
+
+@pytest.mark.parametrize("synthetic", [SYNTHETIC | {"beta_range": [0.5]}, [SYNTHETIC]])
+def test_malformed_synthetic_spec(synthetic):
+    with pytest.raises(ValidationError, match="malformed synthetic spec"):
+        PipelineConfig.from_dict({"plan": PLAN, "synthetic": synthetic})
+
+
+INPUT = {"csv": "train.csv", "schema": "schema.json"}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"synthetic": SYNTHETIC, "out_dir": 5}, "out_dir"),
+        ({"input": INPUT | {"csv": 0}}, "input.csv"),
+        ({"input": INPUT | {"schema": 0}}, "input.schema"),
+        ({"input": INPUT, "out_of_sample": INPUT | {"csv": ["a.csv"]}}, "out_of_sample.csv"),
+        ({"input": INPUT, "out_of_sample": INPUT | {"schema": 1.5}}, "out_of_sample.schema"),
+    ],
+)
+def test_paths_must_be_strings(doc, field):
+    with pytest.raises(ValidationError, match=f"{field} must be a string"):
+        PipelineConfig.from_dict({"plan": PLAN} | doc)
+
+
 def test_with_seed_rejects_a_negative_seed():
     config = PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC})
     with pytest.raises(ValidationError, match="synthetic.seed"):
