@@ -65,21 +65,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _config_and_out_dir(args):
+    """The config with --seed applied, and --out or else the config's out_dir."""
     config = load_config(args.config)
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    out_dir = args.out or config.out_dir
+    return config, args.out or config.out_dir
+
+
+def _cmd_synth(args) -> int:
+    config, out_dir = _config_and_out_dir(args)
     files = write_synthetic_dataset(config, out_dir)
     print(f"wrote {', '.join(files)} to {out_dir}")
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    out_dir = args.out or config.out_dir
+    config, out_dir = _config_and_out_dir(args)
     result = run_pipeline(config, out_dir)
     terms = result.model.term_names()
     print(f"wrote {len(result.manifest['artifacts'])} artifacts to {out_dir}")

@@ -198,11 +198,7 @@ class LogisticModel:
         return [t.name for t in self.terms]
 
     def source_variables(self) -> list[str]:
-        seen: list[str] = []
-        for t in self.terms:
-            if t.source not in seen:
-                seen.append(t.source)
-        return seen
+        return list(dict.fromkeys(t.source for t in self.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -493,60 +489,54 @@ def stepwise_select(
         raise ValidationError("need at least one candidate term")
     steps: list[StepwiseStep] = []
     current: list[int] = []
-    try:
-        cur_model = fit_irls(design.select(current))
-        for _ in range(2 * len(design.terms)):
-            changed = False
+    cur_model = fit_irls(design.select(current))
+    for _ in range(2 * len(design.terms)):
+        changed = False
 
-            if max_terms is None or len(current) < max_terms:
-                best = None
-                warm = np.append(cur_model.beta, 0.0)
-                for j, trial in _candidate_designs(design, current):
-                    model_j = fit_irls(trial, beta0=warm)
-                    lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
-                    p = chi2_sf(lr, 1)
-                    key = (p, model_j.sbc, design.terms[j].name)
-                    if best is None or key < best[0]:
-                        best = (key, j, model_j, p)
-                if best is not None:
-                    _, j, model_j, p = best
-                    if p < p_enter and model_j.sbc < cur_model.sbc:
-                        current.append(j)
-                        cur_model = model_j
-                        steps.append(
-                            StepwiseStep("enter", design.terms[j].name, p, model_j.sbc)
-                        )
-                        changed = True
+        if max_terms is None or len(current) < max_terms:
+            best = None
+            warm = np.append(cur_model.beta, 0.0)
+            for j, trial in _candidate_designs(design, current):
+                model_j = fit_irls(trial, beta0=warm)
+                lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
+                p = chi2_sf(lr, 1)
+                key = (p, model_j.sbc, design.terms[j].name)
+                if best is None or key < best[0]:
+                    best = (key, j, model_j, p)
+            if best is not None:
+                _, j, model_j, p = best
+                if p < p_enter and model_j.sbc < cur_model.sbc:
+                    current.append(j)
+                    cur_model = model_j
+                    steps.append(StepwiseStep("enter", design.terms[j].name, p, model_j.sbc))
+                    changed = True
 
-            while current:
-                p_in = cur_model.p_values[1:]  # aligned with current order
-                worst = int(np.argmax(p_in))
-                if p_in[worst] <= p_stay:
-                    break
-                removed = current.pop(worst)
-                cur_model = fit_irls(design.select(current))
-                steps.append(
-                    StepwiseStep(
-                        "remove",
-                        design.terms[removed].name,
-                        float(p_in[worst]),
-                        cur_model.sbc,
-                    )
-                )
-                changed = True
-
-            if not changed:
+        while current:
+            p_in = cur_model.p_values[1:]  # aligned with current order
+            worst = int(np.argmax(p_in))
+            if p_in[worst] <= p_stay:
                 break
-        else:
-            cur_model = replace(
-                cur_model,
-                warnings=cur_model.warnings
-                + (f"stepwise stopped at its cap of {2 * len(design.terms)} passes "
-                   "while the model was still changing",),
+            removed = current.pop(worst)
+            cur_model = fit_irls(design.select(current))
+            steps.append(
+                StepwiseStep(
+                    "remove",
+                    design.terms[removed].name,
+                    float(p_in[worst]),
+                    cur_model.sbc,
+                )
             )
-    except ComputationError as exc:
-        exc.trace = StepwiseTrace(steps=tuple(steps))  # type: ignore[attr-defined]
-        raise
+            changed = True
+
+        if not changed:
+            break
+    else:
+        cur_model = replace(
+            cur_model,
+            warnings=cur_model.warnings
+            + (f"stepwise stopped at its cap of {2 * len(design.terms)} passes "
+               "while the model was still changing",),
+        )
     return cur_model, StepwiseTrace(steps=tuple(steps))
 
 
