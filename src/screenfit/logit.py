@@ -545,13 +545,11 @@ def stepwise_select(
 
 
 def _term_indices(design: DesignMatrix, terms: tuple[Term, ...]) -> list[int]:
-    names = [t.name for t in design.terms]
-    out = []
-    for t in terms:
-        if t.name not in names:
-            raise ValidationError(f"term {t.name!r} not present in the design")
-        out.append(names.index(t.name))
-    return out
+    position = {t.name: i for i, t in enumerate(design.terms)}
+    try:
+        return [position[t.name] for t in terms]
+    except KeyError as exc:
+        raise ValidationError(f"term {exc.args[0]!r} not present in the design") from None
 
 
 def prune_collinear(
@@ -634,22 +632,21 @@ def global_null_lr(model: LogisticModel, design: DesignMatrix) -> dict:
 
 
 def model_to_dict(model: LogisticModel) -> dict:
-    rows = []
-    names = ["Intercept"] + [t.name for t in model.terms]
-    term_dicts = [None] + [t.to_dict() for t in model.terms]
-    for i, name in enumerate(names):
-        rows.append(
-            {
-                "name": name,
-                "term": term_dicts[i],
-                "estimate": float(model.beta[i]),
-                "std_error": float(model.se[i]),
-                "wald_chi_square": float(model.wald[i]),
-                "p_value": float(model.p_values[i]),
-                "standardized_estimate": model.standardized_estimate[i],
-                "exp_estimate": float(model.exp_est[i]),
-            }
+    rows = [
+        {
+            "name": name,
+            "term": term,
+            "estimate": float(model.beta[i]),
+            "std_error": float(model.se[i]),
+            "wald_chi_square": float(model.wald[i]),
+            "p_value": float(model.p_values[i]),
+            "standardized_estimate": model.standardized_estimate[i],
+            "exp_estimate": float(model.exp_est[i]),
+        }
+        for i, (name, term) in enumerate(
+            [("Intercept", None)] + [(t.name, t.to_dict()) for t in model.terms]
         )
+    ]
     return {
         "rows": rows,
         "log_likelihood": model.log_likelihood,

@@ -455,33 +455,6 @@ def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
 # The cascade
 
 
-def _drop_to_count(
-    retained: list[str],
-    droppable_ranked: list[str],
-    want_total: int,
-    stage: str,
-) -> list[str]:
-    """Remove the lowest-ranked droppable variables until len == want_total.
-
-    droppable_ranked is ordered best-first; variables not in it are kept
-    unconditionally.
-    """
-    n_drop = len(retained) - want_total
-    if n_drop < 0:
-        raise ValidationError(
-            f"{stage}: plan wants {want_total} variables but only {len(retained)} remain"
-        )
-    if n_drop == 0:
-        return list(retained)
-    if n_drop > len(droppable_ranked):
-        raise ValidationError(
-            f"{stage}: plan needs {n_drop} variables dropped but only "
-            f"{len(droppable_ranked)} are eligible"
-        )
-    dropped = set(droppable_ranked[len(droppable_ranked) - n_drop :])
-    return [v for v in retained if v not in dropped]
-
-
 def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     """Run the full screening cascade and record every stage.
 
@@ -504,9 +477,21 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
 
     def cut(results: dict, score, retained: list[str], want: int, stage: str) -> list[str]:
         """Rank the results' variables by score, ties in schema order, and
-        drop the lowest-ranked until want variables are retained."""
+        drop the lowest-ranked until want variables are retained; variables
+        without a result are kept."""
+        n_drop = len(retained) - want
+        if n_drop < 0:
+            raise ValidationError(
+                f"{stage}: plan wants {want} variables but only {len(retained)} remain"
+            )
+        if n_drop > len(results):
+            raise ValidationError(
+                f"{stage}: plan needs {n_drop} variables dropped but only "
+                f"{len(results)} are eligible"
+            )
         ranks = sorted(results, key=lambda v: (-score(results[v]), schema_order[v]))
-        return _drop_to_count(retained, ranks, want, stage)
+        dropped = set(ranks[len(ranks) - n_drop :])
+        return [v for v in retained if v not in dropped]
 
     # --- stage 1: chi-square over binary predictors
     report.chi_square = {

@@ -177,48 +177,35 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
 
     specs: list[ColumnSpec] = []
     columns: dict[str, np.ndarray] = {}
-    names_by_kind: dict[str, list[str]] = {k: [] for k in KINDS}
+    for kind in ColumnKind:
+        for i in range(counts[kind.value]):
+            name, levels = f"{kind.value[:3]}_{i:03d}", None
+            if kind is ColumnKind.BINARY:
+                occupancy = structure.uniform(0.05, 0.6)
+                columns[name] = (records.random(n) < occupancy).astype(np.int8)
+            elif kind is ColumnKind.CATEGORICAL:
+                n_levels = int(structure.integers(3, len(CATEGORY_LABELS) + 1))
+                levels = tuple(CATEGORY_LABELS[:n_levels])
+                probs = structure.dirichlet(np.full(n_levels, 2.0))
+                columns[name] = records.choice(n_levels, size=n, p=probs).astype(np.int8)
+            elif kind is ColumnKind.LIKELIHOOD:
+                skew = structure.uniform(0.5, 2.0)
+                u = records.random(n)
+                columns[name] = np.clip(np.floor(u**skew * 99.0) + 1.0, 1.0, 99.0).astype(np.int8)
+            else:
+                columns[name] = records.standard_normal(n)
+            specs.append(ColumnSpec(name=name, kind=kind, levels=levels))
 
-    for i in range(counts["binary"]):
-        name = f"bin_{i:03d}"
-        occupancy = structure.uniform(0.05, 0.6)
-        columns[name] = (records.random(n) < occupancy).astype(np.int8)
-        specs.append(ColumnSpec(name=name, kind=ColumnKind.BINARY))
-        names_by_kind["binary"].append(name)
-    for i in range(counts["categorical"]):
-        name = f"cat_{i:03d}"
-        n_levels = int(structure.integers(3, len(CATEGORY_LABELS) + 1))
-        levels = tuple(CATEGORY_LABELS[:n_levels])
-        probs = structure.dirichlet(np.full(n_levels, 2.0))
-        columns[name] = records.choice(n_levels, size=n, p=probs).astype(np.int8)
-        specs.append(ColumnSpec(name=name, kind=ColumnKind.CATEGORICAL, levels=levels))
-        names_by_kind["categorical"].append(name)
-    for i in range(counts["likelihood"]):
-        name = f"lik_{i:03d}"
-        skew = structure.uniform(0.5, 2.0)
-        u = records.random(n)
-        columns[name] = np.clip(np.floor(u**skew * 99.0) + 1.0, 1.0, 99.0).astype(np.int8)
-        specs.append(ColumnSpec(name=name, kind=ColumnKind.LIKELIHOOD))
-        names_by_kind["likelihood"].append(name)
-    for i in range(counts["continuous"]):
-        name = f"con_{i:03d}"
-        columns[name] = records.standard_normal(n)
-        specs.append(ColumnSpec(name=name, kind=ColumnKind.CONTINUOUS))
-        names_by_kind["continuous"].append(name)
+    def names_of(kind: ColumnKind) -> list[str]:
+        return [s.name for s in specs if s.kind is kind]
 
-    all_names = [s.name for s in specs]
-    planted_names = sorted(
-        structure.choice(
-            np.array(all_names, dtype=object), size=spec.n_informative, replace=False
-        )
-    )
+    all_names = np.array(list(columns), dtype=object)
+    planted_names = sorted(structure.choice(all_names, size=spec.n_informative, replace=False))
 
     # Correlated pairs are built from continuous noise columns so the
     # redundancy is informative-free by construction.
     if spec.n_correlated_pairs:
-        noise_cont = [
-            v for v in names_by_kind["continuous"] if v not in set(planted_names)
-        ]
+        noise_cont = [v for v in names_of(ColumnKind.CONTINUOUS) if v not in planted_names]
         if len(noise_cont) < 2 * spec.n_correlated_pairs:
             raise ValidationError(
                 f"{spec.n_correlated_pairs} correlated pairs need "
@@ -266,8 +253,8 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
         )
 
     if spec.missing_rate > 0.0:
-        for kind, gap in (("likelihood", -1), ("continuous", np.nan)):
-            for name in names_by_kind[kind]:
+        for kind, gap in ((ColumnKind.LIKELIHOOD, -1), (ColumnKind.CONTINUOUS, np.nan)):
+            for name in names_of(kind):
                 mask = records.random(n) < spec.missing_rate
                 if mask.all():
                     mask[0] = False  # keep the column imputable

@@ -16,13 +16,16 @@ member correlation submatrix R, top eigenpair (lambda, u), is
 (R[v, members] @ u) / sqrt(lambda).
 
 Eigenvalues come from symmetric eigendecomposition; magnitudes below
-DEGENERACY_TOL are treated as zero.  The cluster report is read off the
+DEGENERACY_TOL are treated as zero.  A cluster is a tuple of variable
+indices, and each block's top two eigenpairs are memoized per member
+tuple, since splitting and reassignment revisit the same blocks.  The cluster report is read off the
 fields of :class:`VariableCluster` and :class:`VariableScore`, so each
 field name is also its key in ``cluster_report.json``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,56 +136,40 @@ def correlation_matrix_from_array(values: np.ndarray, names: list[str]) -> Corre
 # Clustering
 
 
-def _top_eigenpairs(sub: np.ndarray, k: int = 2):
-    """Leading eigenvalues (descending) and unit eigenvectors of a symmetric matrix."""
+def _top_eigenpairs(sub: np.ndarray):
+    """The top two eigenvalues (descending) and their unit eigenvectors of a symmetric matrix."""
     if not np.isfinite(sub).all():
         raise ComputationError("non-finite entries in correlation submatrix")
     try:
         w, v = np.linalg.eigh(sub)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    return w[:k], v[:, :k]
+    top = np.argsort(w)[::-1][:2]
+    return w[top], v[:, top]
 
 
-class _BlockEigen:
-    """The top two eigenpairs of member blocks of one correlation matrix,
-    memoized per member tuple: splitting and reassignment revisit the same
-    blocks many times, and the same block always gives the same pairs."""
-
-    def __init__(self, corr: np.ndarray):
-        self.corr = corr
-        self._memo: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def __call__(self, members: list[int], k: int):
-        key = tuple(members)
-        if key not in self._memo:
-            self._memo[key] = _top_eigenpairs(self.corr[np.ix_(members, members)], k=2)
-        w, v = self._memo[key]
-        return w[:k], v[:, :k]
+def _block_eigen(corr: np.ndarray):
+    """The top two eigenpairs of the block of ``corr`` that a member index
+    tuple picks, as a function of the tuple memoized per tuple."""
+    return functools.cache(lambda members: _top_eigenpairs(corr[np.ix_(members, members)]))
 
 
-def _pc1_correlations(eigen: _BlockEigen, members: list[int]) -> np.ndarray:
+def _pc1_correlations(corr: np.ndarray, eigen, members: tuple[int, ...]) -> np.ndarray:
     """Correlation of every variable with the first PC of the member block."""
-    w, v = eigen(members, k=1)
+    w, v = eigen(members)
     lam = float(w[0])
     if lam <= DEGENERACY_TOL:
         raise ComputationError("degenerate cluster: leading eigenvalue is zero")
-    return (eigen.corr[:, members] @ v[:, 0]) / np.sqrt(lam)
+    return (corr[:, members] @ v[:, 0]) / np.sqrt(lam)
 
 
-def _second_eigenvalue(eigen: _BlockEigen, members: list[int]) -> float:
-    if len(members) < 2:
-        return 0.0
-    w, _ = eigen(members, k=2)
-    return float(w[1])
+def _second_eigenvalue(eigen, members: tuple[int, ...]) -> float:
+    return float(eigen(members)[0][1]) if len(members) >= 2 else 0.0
 
 
-def _split_cluster(eigen: _BlockEigen, members: list[int]) -> tuple[list[int], list[int]]:
+def _split_cluster(eigen, members: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two-way split along the first two principal components."""
-    w, v = eigen(members, k=2)
-    lam1, lam2 = float(w[0]), float(w[1])
+    (lam1, lam2), v = eigen(members)
     r2_pc1 = lam1 * v[:, 0] ** 2
     r2_pc2 = lam2 * v[:, 1] ** 2
     side2 = r2_pc2 > r2_pc1
@@ -190,28 +177,21 @@ def _split_cluster(eigen: _BlockEigen, members: list[int]) -> tuple[list[int], l
         # Degenerate assignment; peel off the variable most aligned with PC2.
         side2 = np.zeros(len(members), dtype=bool)
         side2[int(np.argmax(r2_pc2 - r2_pc1))] = True
-    a = [m for m, s in zip(members, side2) if not s]
-    b = [m for m, s in zip(members, side2) if s]
+    a = tuple(m for m, s in zip(members, side2) if not s)
+    b = tuple(m for m, s in zip(members, side2) if s)
     return a, b
 
 
-def _reassign(eigen: _BlockEigen, clusters: list[list[int]]) -> list[list[int]]:
+def _reassign(corr: np.ndarray, eigen, clusters: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Move each variable to the cluster whose first PC it correlates with most; repeat until stable."""
     for _ in range(REASSIGN_CAP):
-        comps = np.column_stack([_pc1_correlations(eigen, c) for c in clusters]) ** 2
+        comps = np.column_stack([_pc1_correlations(corr, eigen, c) for c in clusters]) ** 2
         assign = np.argmax(comps, axis=1)
-        new_clusters = [sorted(np.flatnonzero(assign == k).tolist()) for k in range(len(clusters))]
-        new_clusters = [c for c in new_clusters if c]
-        if new_clusters == clusters:
-            break
+        new_clusters = [tuple(np.flatnonzero(assign == k).tolist()) for k in np.unique(assign)]
+        if new_clusters == clusters or len(new_clusters) == 1:
+            return new_clusters
         clusters = new_clusters
-        if len(clusters) == 1:
-            break
     return clusters
-
-
-def _canonical(clusters: list[list[int]], names: tuple[str, ...]) -> list[list[int]]:
-    return sorted(clusters, key=lambda c: min(names[i] for i in c))
 
 
 def cluster_variables(corr: CorrelationMatrix, n_clusters: int) -> list[VariableCluster]:
@@ -224,37 +204,32 @@ def cluster_variables(corr: CorrelationMatrix, n_clusters: int) -> list[Variable
     number of variables]; it plays the role of PROC VARCLUS's MAXCLUSTERS.
     """
     names = corr.names
-    eigen = _BlockEigen(corr.values)
+    eigen = _block_eigen(corr.values)
     k = len(names)
     require_whole("n_clusters", n_clusters, 1)
     if n_clusters > k:
         raise ValidationError(f"n_clusters must be in [1, {k}], got {n_clusters}")
-    clusters: list[list[int]] = [list(range(k))]
+    clusters = [tuple(range(k))]
 
-    def pick_worst() -> int | None:
-        """Index of the splittable cluster with the largest second eigenvalue."""
-        candidates = [
-            (-_second_eigenvalue(eigen, c), min(names[i] for i in c), idx)
-            for idx, c in enumerate(clusters)
-            if len(c) >= 2
-        ]
-        return min(candidates)[2] if candidates else None
+    def first_name(c: tuple[int, ...]) -> str:
+        return min(names[i] for i in c)
 
     for _ in range(2 * k):  # reassignment can undo splits; bound generously
         if len(clusters) >= n_clusters:
             break
-        worst = pick_worst()
-        if worst is None:
-            break
+        # The clusters split k >= n_clusters variables, so one has two members.
+        worst = min(
+            (idx for idx, c in enumerate(clusters) if len(c) >= 2),
+            key=lambda idx: (-_second_eigenvalue(eigen, clusters[idx]), first_name(clusters[idx])),
+        )
         a, b = _split_cluster(eigen, clusters[worst])
-        clusters = clusters[:worst] + [a, b] + clusters[worst + 1 :]
-        clusters = _reassign(eigen, clusters)
+        clusters = _reassign(corr.values, eigen, clusters[:worst] + [a, b] + clusters[worst + 1 :])
 
     return [
         VariableCluster(
             members=tuple(names[i] for i in c), second_eigenvalue=_second_eigenvalue(eigen, c)
         )
-        for c in _canonical(clusters, names)
+        for c in sorted(clusters, key=first_name)
     ]
 
 
@@ -272,19 +247,21 @@ def select_representatives(
     """
     if not clusters:
         raise ValidationError("need at least one cluster")
-    eigen = _BlockEigen(corr.values)
+    eigen = _block_eigen(corr.values)
     position = {name: i for i, name in enumerate(corr.names)}
     try:
-        member_idx = [[position[v] for v in c.members] for c in clusters]
+        member_idx = [tuple(position[v] for v in c.members) for c in clusters]
     except KeyError as exc:
         raise ValidationError(f"no variable named {exc.args[0]!r} in correlation matrix") from None
-    r2 = np.minimum(np.column_stack([_pc1_correlations(eigen, m) for m in member_idx]) ** 2, 1.0)
+    pc1 = [_pc1_correlations(corr.values, eigen, m) for m in member_idx]
+    r2 = np.minimum(np.column_stack(pc1) ** 2, 1.0)
 
     scores: list[VariableScore] = []
     for k, (cluster, idx) in enumerate(zip(clusters, member_idx)):
         own = r2[idx, k]
-        # r2 >= 0, so initial=0.0 only fills the single-cluster case, with no other column.
-        nearest = np.delete(r2[idx], k, axis=1).max(axis=1, initial=0.0)
+        # idx is a tuple, so r2[idx] would index axes; r2 >= 0, so initial=0.0
+        # only fills the single-cluster case, with no other column.
+        nearest = np.delete(r2[idx, :], k, axis=1).max(axis=1, initial=0.0)
         num, den = 1.0 - own, 1.0 - nearest
         ratio = np.where(
             num <= DEGENERACY_TOL,

@@ -231,29 +231,32 @@ class TestEigenMemo:
         data = block_data(seed=5, sizes=(3, 3, 4, 2))
         corr = correlation_matrix_from_array(data, [f"v{i}" for i in range(12)])
         original_eigenpairs = varclus._top_eigenpairs
-        original_call = varclus._BlockEigen.__call__
-        decompositions, requested = [], []
+        original_memo = varclus._block_eigen
+        decompositions, memos = [], []
 
-        def counting_eigenpairs(sub, k=2):
+        def counting_eigenpairs(sub):
             decompositions.append(sub.shape[0])
-            return original_eigenpairs(sub, k)
+            return original_eigenpairs(sub)
 
-        def recording_call(self, members, k):
-            requested.append(tuple(members))
-            return original_call(self, members, k)
+        def recording_memo(values):
+            memos.append(original_memo(values))
+            return memos[-1]
 
         monkeypatch.setattr(varclus, "_top_eigenpairs", counting_eigenpairs)
-        monkeypatch.setattr(varclus._BlockEigen, "__call__", recording_call)
+        monkeypatch.setattr(varclus, "_block_eigen", recording_memo)
         memoized = cluster_variables(corr, n_clusters=6)
-        assert len(decompositions) == len(set(requested)) < len(requested)
+        (memo,) = memos
+        info = memo.cache_info()
+        requested = info.hits + info.misses
+        assert len(decompositions) == info.currsize < requested
 
-        def unmemoized_call(self, members, k):
-            return varclus._top_eigenpairs(self.corr[np.ix_(members, members)], k)
+        def unmemoized(values):
+            return lambda members: varclus._top_eigenpairs(values[np.ix_(members, members)])
 
         decompositions.clear()
-        monkeypatch.setattr(varclus._BlockEigen, "__call__", unmemoized_call)
+        monkeypatch.setattr(varclus, "_block_eigen", unmemoized)
         reference = cluster_variables(corr, n_clusters=6)
-        assert len(decompositions) == len(requested)
+        assert len(decompositions) == requested
         assert memoized == reference
 
 
@@ -328,9 +331,11 @@ class TestSelectRepresentatives:
 def select_representatives_loop(clusters, corr):
     """Each variable scored in a Python loop, names looked up one by one,
     kept as a reference oracle for the array version."""
-    eigen = varclus._BlockEigen(corr.values)
-    member_idx = [[corr.names.index(v) for v in c.members] for c in clusters]
-    pc1_corr = np.column_stack([varclus._pc1_correlations(eigen, m) for m in member_idx]) ** 2
+    eigen = varclus._block_eigen(corr.values)
+    member_idx = [tuple(corr.names.index(v) for v in c.members) for c in clusters]
+    pc1_corr = np.column_stack(
+        [varclus._pc1_correlations(corr.values, eigen, m) for m in member_idx]
+    ) ** 2
     scores = []
     for k, cluster in enumerate(clusters):
         rows = []
