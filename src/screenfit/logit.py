@@ -665,10 +665,13 @@ def model_from_dict(d: dict) -> LogisticModel:
     log-likelihood, n and the convergence facts.  The Wald chi-square,
     p-value, exp(estimate), standardized estimate and SBC columns of
     ``model.json`` are report columns; they are recomputed from the
-    stored fields, not read.
+    stored fields, not read.  The first row must be the intercept's, the
+    one row without a term (no ``term`` key, or ``term: null``).
     """
     try:
         rows = d["rows"]
+        if not (rows and isinstance(rows[0], dict) and rows[0].get("term") is None):
+            raise ValidationError("rows must start with the intercept row, which has no term")
         for i, r in enumerate(rows):
             require_number(f"rows[{i}].estimate", r["estimate"])
             require_number(f"rows[{i}].std_error", r["std_error"])

@@ -100,6 +100,17 @@ def _scoring_table(
     return _apply_mappings(table, mappings)
 
 
+def _make_dir(out_dir: str | Path) -> Path:
+    """The output directory, made with its parents if missing; a path that
+    cannot be one raises :class:`ValidationError` naming it."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{out}: cannot make the output directory: {exc.strerror}") from exc
+    return out
+
+
 @dataclass
 class PipelineResult:
     """In-memory view of a finished run, for library callers and tests."""
@@ -115,8 +126,7 @@ class PipelineResult:
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     timings: dict[str, float] = {}
 
     @contextmanager
@@ -255,8 +265,7 @@ def write_synthetic_dataset(config: PipelineConfig, out_dir: str | Path) -> list
     """Materialize the synthetic table (data.csv, schema.json, ground_truth.json)."""
     if config.synthetic is None:
         raise ValidationError("config has no 'synthetic' section")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     table, truth = generate(config.synthetic)
     save_table(table, out / "data.csv")
     save_schema(table.schema, out / "schema.json")

@@ -44,7 +44,9 @@ travels in a JSON sidecar listing name/kind/levels per column plus the
 target column name.  File I/O is one reader, :func:`_read`, which
 opens every input file (data, schema, config and model) and turns any
 failure to read it into a :class:`ValidationError`; one CSV writer,
-:func:`write_csv`; and one JSON writer, :func:`write_json`.
+:func:`write_csv`; and one JSON writer, :func:`write_json`.  Both
+writers open their file with :func:`_create`, which turns a path that
+cannot be written into a :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -728,11 +730,20 @@ def _read(path: str | Path, what: str, parse):
         raise ValidationError(f"{path}: cannot read {what}: {exc}") from exc
 
 
+def _create(path: str | Path, **kwargs):
+    """The file at ``path`` opened for writing as UTF-8 text; a path that
+    cannot be opened raises :class:`ValidationError` naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write: {exc.strerror}") from exc
+
+
 def write_csv(header: list[str], rows: Iterable, path: str | Path, quoting=csv.QUOTE_MINIMAL) -> None:
     """Write a CSV the one way every CSV file of a run is written: UTF-8,
     the header row, then the rows, each line ended by a bare newline, with
     fields quoted as the :mod:`csv` constant ``quoting`` says."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)
@@ -742,7 +753,7 @@ def write_json(obj: dict, path: str | Path) -> None:
     """Write a JSON document the one way every file of a run is written:
     indent 2, keys sorted at every level, and a final newline.  The text
     is streamed to the file, never held whole in memory."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

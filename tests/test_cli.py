@@ -181,12 +181,12 @@ TERM_MODEL = {
 }
 
 
-def score_command(tmp_path, model: dict, schema: dict) -> int:
+def score_command(tmp_path, model: dict, schema: dict, out=None) -> int:
     (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
     (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
     (tmp_path / "data.csv").write_text("x,lik,c,y\n1.0,5,a,0\n2.0,6,b,1\n", encoding="utf-8")
     argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
-            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+            "--schema", str(tmp_path / "schema.json"), "--out", str(out or tmp_path / "scores.csv")]
     return main(argv)
 
 
@@ -208,6 +208,7 @@ def test_well_formed_model_and_schema_score(tmp_path):
 
 ROW = ("model", "rows", 1)
 NUMBER = "must be a finite number"
+INTERCEPT_FIRST = "rows must start with the intercept row, which has no term"
 
 
 def test_integer_estimate_that_a_float_holds_scores(tmp_path):
@@ -260,6 +261,12 @@ def test_integer_estimate_that_a_float_holds_scores(tmp_path):
         pytest.param(
             ("level_mappings",), [], "level_mappings must be an object, got []", id="mappings-list"
         ),
+        pytest.param(("model", "rows"), [], INTERCEPT_FIRST, id="no-rows"),
+        # scored as is, the first term's estimate would be read as the intercept
+        pytest.param(
+            ("model", "rows"), TERM_MODEL["model"]["rows"][1:], INTERCEPT_FIRST,
+            id="intercept-row-missing",
+        ),
     ],
 )
 def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, message):
@@ -267,6 +274,39 @@ def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, me
     err = capsys.readouterr().err
     assert f"error: {tmp_path / 'model.json'}: " in err and message in err
     assert not (tmp_path / "scores.csv").exists()
+
+
+def test_model_row_with_a_null_term_is_the_intercept(tmp_path):
+    model = edited(TERM_MODEL, ("model", "rows", 0, "term"), None)
+    assert score_command(tmp_path, model, SCORED_SCHEMA) == 0
+    assert (tmp_path / "scores.csv").read_text(encoding="utf-8").count("\n") == 3
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        pytest.param("absent/scores.csv", "No such file or directory", id="missing-directory"),
+        pytest.param("outdir", "Is a directory", id="directory"),
+    ],
+)
+def test_score_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, out, message):
+    (tmp_path / "outdir").mkdir()
+    assert score_command(tmp_path, TERM_MODEL, SCORED_SCHEMA, out=tmp_path / out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / out}: cannot write: {message}")
+    assert not (tmp_path / "scores.csv").exists()
+    assert not (tmp_path / "absent").exists() and not any((tmp_path / "outdir").iterdir())
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"plan": PLAN, "synthetic": SYNTHETIC}), encoding="utf-8")
+    (tmp_path / "out").write_text("not a directory\n", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'out'}: cannot make the output directory: ")
+    assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory\n"
 
 
 @pytest.mark.parametrize(
