@@ -18,9 +18,10 @@ member correlation submatrix R, top eigenpair (lambda, u), is
 Eigenvalues come from symmetric eigendecomposition; magnitudes below
 DEGENERACY_TOL are treated as zero.  A cluster is a tuple of variable
 indices, and each block's top two eigenpairs are memoized per member
-tuple, since splitting and reassignment revisit the same blocks.  The cluster report is read off the
-fields of :class:`VariableCluster` and :class:`VariableScore`, so each
-field name is also its key in ``cluster_report.json``.
+tuple, since splitting and reassignment revisit the same blocks.  The
+cluster report is read off the fields of :class:`VariableCluster` and
+:class:`VariableScore`, so each field name is also its key in
+``cluster_report.json``.
 """
 
 from __future__ import annotations
