@@ -3,8 +3,8 @@ table and the chart rows.
 
 The scores are 10,000 records with 10 % responders, the size of the
 ``score`` benchmark workload's scored table; some probabilities repeat,
-so the id tie-break is exercised.  The directory is outside the tier-1
-``testpaths``; run it with
+so the row-order tie-break is exercised.  The directory is outside the
+tier-1 ``testpaths``; run it with
 
     PYTHONPATH=src python -m pytest microbench --benchmark-only
 """
@@ -22,7 +22,7 @@ def scores():
     rng = np.random.default_rng(20210903)
     p = np.round(rng.beta(1.0, 9.0, N_RECORDS), 4)
     y = (rng.random(N_RECORDS) < p).astype(np.int8)
-    return ScoreSet(ids=np.arange(N_RECORDS), p=p, y=y)
+    return ScoreSet(p=p, y=y)
 
 
 def test_assign_deciles(benchmark, scores):

@@ -55,13 +55,10 @@ from .logit import (
 from .evaluation import (
     ConfusionMatrix,
     DecileRow,
-    Metrics,
     ScoreSet,
     assign_deciles,
     confusion_matrix,
     decile_table,
-    export_chart_data,
-    metrics,
     score,
 )
 from .synthgen import GroundTruth, SyntheticSpec, generate, oracle_metrics
@@ -81,8 +78,8 @@ __all__ = [
     "DesignMatrix", "LogisticModel", "StepwiseTrace", "Term", "chi2_sf",
     "encode_design", "fit_irls", "global_null_lr", "log_likelihood",
     "prune_collinear", "sbc", "stepwise_select",
-    "ConfusionMatrix", "DecileRow", "Metrics", "ScoreSet", "assign_deciles",
-    "confusion_matrix", "decile_table", "export_chart_data", "metrics", "score",
+    "ConfusionMatrix", "DecileRow", "ScoreSet", "assign_deciles",
+    "confusion_matrix", "decile_table", "score",
     "GroundTruth", "SyntheticSpec", "generate", "oracle_metrics",
     "PipelineConfig", "SplitConfig", "StepwiseConfig", "load_config",
     "PipelineResult", "run_pipeline",

@@ -122,4 +122,4 @@ _SECTIONS = {
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return PipelineConfig.from_dict(read_json(path, "config file"))
+    return read_json(path, "config file", PipelineConfig.from_dict)

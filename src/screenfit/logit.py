@@ -159,13 +159,9 @@ class LogisticModel:
     warnings: tuple[str, ...] = ()
     deviance_path: tuple[float, ...] = field(default=(), repr=False)
 
-    @property
-    def k_params(self) -> int:
-        return len(self.beta)
-
     @cached_property
     def sbc(self) -> float:
-        return sbc(self.log_likelihood, self.k_params, self.n)
+        return sbc(self.log_likelihood, len(self.beta), self.n)
 
     @cached_property
     def wald(self) -> np.ndarray:
@@ -574,10 +570,8 @@ def prune_collinear(
 
     def captured_and_lift(m: LogisticModel, idx: list[int]) -> tuple[float, float]:
         sub = validation.select(idx)
-        p = m.predict_proba(sub.X)
-        scores = ScoreSet(ids=np.arange(len(p)), p=p, y=sub.y)
-        rows = decile_table(scores)
-        return rows[0].cum_captured, rows[0].lift
+        top = decile_table(ScoreSet(p=m.predict_proba(sub.X), y=sub.y))[0]
+        return top.cum_captured, top.lift
 
     while len(current) >= 2:
         cols = design.X[:, [i + 1 for i in current]]

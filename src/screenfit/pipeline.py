@@ -45,8 +45,6 @@ from .evaluation import (
     chart_rows,
     confusion_matrix,
     decile_table,
-    export_chart_data,
-    metrics,
     score,
 )
 from .logit import (
@@ -217,11 +215,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             ss = score(model, ds)
             score_sets[name] = ss
             deciles[name] = decile_table(ss)
-            cm = confusion_matrix(ss, config.threshold)
-            confusion[name] = asdict(cm) | asdict(metrics(cm))
+            confusion[name] = asdict(confusion_matrix(ss, config.threshold))
 
     with clock("write"):
-        export_chart_data(deciles["validation"], out / "decile_table.csv")
+        write_csv(CHART_COLUMNS, chart_rows(deciles["validation"]), out / "decile_table.csv")
         charts = ([name] + row for name in datasets for row in chart_rows(deciles[name]))
         write_csv(["dataset"] + CHART_COLUMNS, charts, out / "charts.csv")
         confusion_doc = {"threshold": config.threshold, "datasets": confusion}
@@ -275,19 +272,14 @@ def write_synthetic_dataset(config: PipelineConfig, out_dir: str | Path) -> list
 
 def load_model_file(path: str | Path):
     """(model, target name, level mappings) from a model.json written by a run."""
-    doc = read_json(path, "model file")
-    try:
-        model = model_from_dict(doc["model"])
-        target = doc["target"]
+    def build(doc: dict):
+        model, target = model_from_dict(doc["model"]), doc["target"]
         mappings = doc.get("level_mappings", {})
         if not isinstance(mappings, dict):
             raise ValidationError(f"level_mappings must be an object, got {mappings!r}")
-        mappings = {v: LevelMapping(variable=v, mapping=m) for v, m in mappings.items()}
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed model file: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    return model, target, mappings
+        return model, target, {v: LevelMapping(variable=v, mapping=m) for v, m in mappings.items()}
+
+    return read_json(path, "model file", build)
 
 
 def score_table_file(
@@ -296,7 +288,8 @@ def score_table_file(
     schema_path: str | Path,
     out_path: str | Path,
 ) -> int:
-    """Score a CSV with a saved model; writes id, probability, decile per record.
+    """Score a CSV with a saved model; writes id (the row position),
+    probability and decile per record.
 
     The data must carry the training schema (outcome column included).
     The header and the width of every row are checked, but only the
@@ -322,6 +315,6 @@ def score_table_file(
     table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
     ss = score(model, table)
     deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
-    rows = zip(ss.ids.tolist(), ss.p.tolist(), deciles)
+    rows = zip(range(ss.n), ss.p.tolist(), deciles)
     write_csv(["id", "probability", "decile"], rows, out_path)
     return ss.n

@@ -288,5 +288,4 @@ def oracle_metrics(truth: GroundTruth, table: DataTable) -> ScoreSet:
         mean, std = truth.standardization[name]
         z = (table.numeric_view(name) - mean) / std
         latent += beta * np.nan_to_num(z)
-    p = _sigmoid(latent)
-    return ScoreSet(ids=np.arange(table.n_records), p=p, y=table.target_values)
+    return ScoreSet(p=_sigmoid(latent), y=table.target_values)

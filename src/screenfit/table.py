@@ -56,7 +56,7 @@ import io
 import itertools
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -758,18 +758,25 @@ def write_json(obj: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def read_json(path: str | Path, what: str) -> dict:
-    """The JSON object in a file.  Besides the failures of reading any
-    file, invalid JSON or a document that is not an object raises
+def read_json(path: str | Path, what: str, build: Callable[[dict], object]):
+    """``build`` applied to the JSON object in a file.  Besides the
+    failures of reading any file, invalid JSON, a document that is not
+    an object, or a ``KeyError`` or ``TypeError`` from ``build`` raises
     :class:`ValidationError` naming the path and ``what`` the file is
-    ("config file", "model file", ...)."""
+    ("config file", "model file", ...); a :class:`ValidationError` from
+    ``build`` gains the path in front."""
     try:
         doc = _read(path, what, lambda fh: json.loads(fh.read().decode("utf-8")))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
-    return doc
+    try:
+        return build(doc)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed {what}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_schema(schema: TableSchema, path: str | Path) -> None:
@@ -777,11 +784,7 @@ def save_schema(schema: TableSchema, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> TableSchema:
-    doc = read_json(path, "schema file")
-    try:
-        return TableSchema.from_dict(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return read_json(path, "schema file", TableSchema.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +845,6 @@ def impute_numeric_columns(table: DataTable) -> DataTable:
 class SplitResult:
     train: DataTable
     validation: DataTable
-    seed: int
 
 
 def _largest_remainder(quotas: dict, total: int) -> dict:
@@ -884,5 +886,5 @@ def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitRes
     train_mask[np.concatenate(train_rows)] = True
     train = table.subset(np.flatnonzero(train_mask))
     validation = table.subset(np.flatnonzero(~train_mask))
-    return SplitResult(train=train, validation=validation, seed=seed)
+    return SplitResult(train=train, validation=validation)
 

@@ -124,7 +124,9 @@ def test_bad_seed_or_max_terms_in_config_exits_2(tmp_path, capsys, sections, mes
 def test_non_number_or_non_string_in_config_exits_2(tmp_path, capsys, sections, message):
     config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,6,1\n", **sections)
     assert run_pipeline_command(tmp_path, config) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,26 +4,23 @@ from hypothesis import given, strategies as st
 
 from screenfit.errors import ComputationError, ValidationError
 from screenfit.evaluation import (
+    CHART_COLUMNS,
     ConfusionMatrix,
     ScoreSet,
     assign_deciles,
+    chart_rows,
     confusion_matrix,
     decile_table,
-    export_chart_data,
-    metrics,
     score,
 )
 from screenfit.logit import DesignMatrix, Term, fit_irls
-from screenfit.table import ColumnKind
+from screenfit.table import ColumnKind, write_csv
 
 from conftest import make_table
 
 
-def score_set(p, y, ids=None):
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=int)
-    ids = np.arange(len(p)) if ids is None else np.asarray(ids)
-    return ScoreSet(ids=ids, p=p, y=y)
+def score_set(p, y):
+    return ScoreSet(p=np.asarray(p, dtype=float), y=np.asarray(y, dtype=int))
 
 
 @st.composite
@@ -101,8 +98,22 @@ class TestAssignDeciles:
         p = [0.5] * 20
         ss = score_set(p, [0, 1] * 10)
         d = assign_deciles(ss)
-        # constant scores: deciles follow ascending id
+        # constant scores: deciles follow row order
         np.testing.assert_array_equal(d, np.repeat(np.arange(1, 11), 2))
+
+    @given(
+        st.integers(11, 400).filter(lambda n: n % 10),
+        st.integers(0, 2),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_ties_keep_row_order(self, n, decimals, seed):
+        # Rounded scores tie heavily; the reference sorts by p descending,
+        # then by row position, and cuts the order into ten near-equal runs.
+        p = np.round(np.random.default_rng(seed).random(n), decimals)
+        reference = np.empty(n, dtype=int)
+        for d, rows in enumerate(np.array_split(np.lexsort((np.arange(n), -p)), 10), start=1):
+            reference[rows] = d
+        np.testing.assert_array_equal(assign_deciles(score_set(p, [1] * n)), reference)
 
 
 class TestDecileTable:
@@ -163,7 +174,7 @@ class TestDecileTable:
     @given(random_scores())
     def test_monotone_transform_invariance(self, ss):
         d1 = assign_deciles(ss)
-        squared = score_set(ss.p**2, ss.y, ss.ids)
+        squared = score_set(ss.p**2, ss.y)
         d2 = assign_deciles(squared)
         np.testing.assert_array_equal(d1, d2)
 
@@ -209,18 +220,17 @@ class TestConfusionMatrix:
 
 class TestMetrics:
     def test_reference_counts(self):
-        cm = ConfusionMatrix(tp=13819, tn=37140, fp=7264, fn=5323)
-        m = metrics(cm)
+        m = ConfusionMatrix(tp=13819, tn=37140, fp=7264, fn=5323)
         assert m.sensitivity == pytest.approx(0.7219, abs=5e-5)
         assert m.accuracy == pytest.approx(0.8019, abs=5e-5)
         assert m.specificity == pytest.approx(0.8364, abs=5e-5)
 
     def test_perfect_classifier(self):
-        m = metrics(ConfusionMatrix(tp=5, tn=7, fp=0, fn=0))
+        m = ConfusionMatrix(tp=5, tn=7, fp=0, fn=0)
         assert m.accuracy == m.sensitivity == m.specificity == 1.0
 
     def test_zero_denominator_flagged(self):
-        m = metrics(ConfusionMatrix(tp=0, tn=3, fp=2, fn=0))
+        m = ConfusionMatrix(tp=0, tn=3, fp=2, fn=0)
         assert m.sensitivity is None
         assert m.accuracy == pytest.approx(0.6)
 
@@ -233,7 +243,7 @@ class TestMetrics:
     def test_accuracy_identity(self, tp, fp, tn, fn):
         if tp + fp + tn + fn == 0 or tp + fn == 0 or tn + fp == 0:
             return
-        m = metrics(ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn))
+        m = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
         P, N = tp + fn, tn + fp
         assert m.accuracy == pytest.approx(
             (m.sensitivity * P + m.specificity * N) / (P + N), abs=1e-12
@@ -245,8 +255,7 @@ class TestMetrics:
         y = rng.integers(0, 2, 300)
         while y.sum() in (0, len(y)):
             y = rng.integers(0, 2, 300)
-        cm = confusion_matrix(score_set(p, y), 0.5)
-        m = metrics(cm)
+        m = confusion_matrix(score_set(p, y), 0.5)
         wrong = sum(1 for pi, yi in zip(p, y) if (pi >= 0.5) != bool(yi))
         assert m.accuracy == pytest.approx(1.0 - wrong / 300)
 
@@ -256,7 +265,7 @@ class TestExportChartData:
         rng = np.random.default_rng(5)
         rows = decile_table(score_set(rng.random(100), rng.integers(0, 2, 100)))
         out = tmp_path / "chart.csv"
-        export_chart_data(rows, out)
+        write_csv(CHART_COLUMNS, chart_rows(rows), out)
         lines = out.read_text().splitlines()
         assert len(lines) == 11
         header = lines[0].split(",")
@@ -268,16 +277,16 @@ class TestExportChartData:
         rng = np.random.default_rng(6)
         rows = decile_table(score_set(rng.random(73), rng.integers(0, 2, 73)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_chart_data(rows, a)
-        export_chart_data(rows, b)
+        write_csv(CHART_COLUMNS, chart_rows(rows), a)
+        write_csv(CHART_COLUMNS, chart_rows(rows), b)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestScoreSetValidation:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            score_set([0.1, 0.2], [0, 1], ids=[7, 7])
-
     def test_probability_range_enforced(self):
         with pytest.raises(ValidationError):
             score_set([0.1, 1.2], [0, 1])
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValidationError):
+            score_set([0.1, np.nan], [0, 1])

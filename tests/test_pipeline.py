@@ -75,7 +75,7 @@ CLOCKED_CALLS = (
     "generate", "load_schema", "load_table", "impute_numeric_columns", "run_screening",
     "apply_level_mapping", "split_train_validation", "encode_design", "stepwise_select",
     "prune_collinear", "global_null_lr", "score", "decile_table", "confusion_matrix",
-    "metrics", "write_json", "write_csv", "export_chart_data",
+    "write_json", "write_csv",
 )
 
 
