@@ -33,14 +33,20 @@ the others are never tokenized; a slice that is not ASCII is checked as
 UTF-8.  From the first line with a quote, carriage return or NUL, or
 one longer than :mod:`csv`'s field limit, :mod:`csv` reads the rest of
 the file, so quoted cells and CRLF line ends read as :mod:`csv` reads
-them.  Two bounds keep a load lean.  Rows are parsed in blocks of about
-:data:`BLOCK_CELLS` kept cells, large because each block costs a pass
-per column, and each column's blocks are joined at the end, so a load
-holds the parsed table plus one block of tokens, never every row as
-strings.  A slice is at most :data:`SCAN_BYTES` bytes and never crosses
-a block, small because the scan's arrays take several bytes per byte
-scanned.  The schema
-travels in a JSON sidecar listing name/kind/levels per column plus the
+them.  Every discrete kind is coded through one map from the spelling of
+each code to the code: a categorical's declared levels, or the integers
+:func:`save_table` writes for binary and likelihood values.  A
+continuous column, and a binary or likelihood column with a token
+spelled otherwise, is parsed as floats, and float values, loaded or
+built, meet one domain rule, which for a continuous column is
+finiteness.  Two bounds keep a load lean.  Rows are parsed in blocks of
+about :data:`BLOCK_CELLS` kept cells, each block one flat token list,
+large because each block costs a pass per column, and each column's
+blocks are joined at the end, so a load holds the parsed table plus one
+block of tokens, never every row as strings.  A slice is at most
+:data:`SCAN_BYTES` bytes and never crosses a block, small because the
+scan's arrays take several bytes per byte scanned.  The schema travels
+in a JSON sidecar listing name/kind/levels per column plus the
 target column name.  File I/O is one reader, :func:`_read`, which
 opens every input file (data, schema, config and model) and turns any
 failure to read it into a :class:`ValidationError`; one CSV writer,
@@ -260,29 +266,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _owned(values, dtype) -> np.ndarray:
-    """A read-only array of the dtype: read-only input of that dtype is
-    shared as it is, anything else is copied."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
-    return _freeze(np.array(values, dtype=dtype))
-
-
-def _mapped_codes(spec: ColumnSpec, cells, index: dict) -> np.ndarray:
-    """The codes ``index`` maps cells to, in the spec's stored dtype, -2
-    for a cell it does not map."""
-    return np.fromiter(
-        map(index.get, cells, itertools.repeat(-2)),
-        dtype=_stored_dtype(spec),
-        count=len(cells),
+def _mapped_codes(spec: ColumnSpec, cells, missing: tuple) -> tuple:
+    """A discrete column's cells coded through the spelling of each code:
+    a declared level, or the integer :func:`save_table` writes.  The codes
+    are read-only in the spec's stored dtype, -1 for a cell in ``missing``
+    and -2 for any other cell; the rows of the -2s come with them."""
+    lo, hi = _code_range(spec)
+    spellings = spec.levels or map(str, range(lo, hi + 1))
+    index = dict(zip(spellings, range(lo, hi + 1))) | dict.fromkeys(missing, -1)
+    codes = np.fromiter(
+        map(index.get, cells, itertools.repeat(-2)), dtype=_stored_dtype(spec), count=len(cells)
     )
-
-
-def _level_codes(spec: ColumnSpec, cells, missing: tuple) -> np.ndarray:
-    """Codes of cells into the spec's levels, in its stored dtype: -1 for a
-    missing marker, -2 for any other value that is not a declared level."""
-    index = {lvl: i for i, lvl in enumerate(spec.levels)} | dict.fromkeys(missing, -1)
-    return _mapped_codes(spec, cells, index)
+    return _freeze(codes), np.flatnonzero(codes == -2)
 
 
 def _stored(spec: ColumnSpec, values) -> np.ndarray:
@@ -291,16 +286,12 @@ def _stored(spec: ColumnSpec, values) -> np.ndarray:
     naming the column and the first bad row."""
     continuous = spec.kind is ColumnKind.CONTINUOUS
     cells = np.asarray(values, dtype=np.float64 if continuous else None)
-    if continuous:
-        # NaN is the gap, so an infinity is the one value out of domain.
-        codes, bad = cells, np.flatnonzero(np.isinf(cells))
-    elif cells.dtype.kind in "iu":
+    if cells.dtype.kind in "iu":
         codes, bad = cells, _bad_codes(spec, cells)
     elif spec.kind is ColumnKind.CATEGORICAL:
-        codes = _level_codes(spec, cells, (None,))
-        bad = np.flatnonzero(codes < -1)
+        codes, bad = _mapped_codes(spec, cells, (None,))
     else:
-        cells = np.asarray(values, dtype=np.float64)
+        cells = np.asarray(cells, dtype=np.float64)
         codes, bad = _from_floats(spec, cells, np.isnan(cells))
     if len(bad):
         row, cell = bad[0], cells[bad[0] : bad[0] + 1].tolist()[0]
@@ -310,7 +301,9 @@ def _stored(spec: ColumnSpec, values) -> np.ndarray:
             gap = "NaN" if continuous else "NaN or -1"
             why = f"is out of domain ({_domain(spec.kind)}; a gap is {gap})"
         raise ValidationError(f"{spec.kind.value} column {spec.name!r}, row {row}: {cell!r} {why}")
-    return _owned(codes, _stored_dtype(spec))
+    if codes.dtype != _stored_dtype(spec) or codes.flags.writeable:
+        codes = _freeze(codes.astype(_stored_dtype(spec)))
+    return codes
 
 
 class DataTable:
@@ -478,30 +471,16 @@ def _cell_error(token: str, spec: ColumnSpec) -> str | None:
     return None
 
 
-# The code of each binary and likelihood value's canonical spelling, as
-# save_table writes it, and -1 for the missing markers.
-_SPELLED_CODES = {
-    kind: {str(code): code for code in range(lo, hi + 1)} | dict.fromkeys(MISSING_TOKENS, -1)
-    for kind, (lo, hi) in (
-        (ColumnKind.BINARY, (0, 1)),
-        (ColumnKind.LIKELIHOOD, (LIKELIHOOD_MIN, LIKELIHOOD_MAX)),
-    )
-}
-
-
 def _parse_column(spec: ColumnSpec, tokens: list[str]) -> tuple[np.ndarray, int | None]:
     """A column's tokens as the table stores them, plus the first row whose
-    token breaks the column's kind (None when every token fits).  A binary
-    or likelihood column spelled canonically is coded through a dict; one
-    with any other token is parsed as floats, as a continuous column is."""
-    if spec.kind is ColumnKind.CATEGORICAL:
-        codes = _level_codes(spec, tokens, MISSING_TOKENS)
-        bad = np.flatnonzero(codes == -2)
-        return codes, int(bad[0]) if len(bad) else None
-    if spec.kind in _SPELLED_CODES:
-        codes = _mapped_codes(spec, tokens, _SPELLED_CODES[spec.kind])
-        if not len(codes) or codes.min() > -2:
-            return _freeze(codes), None
+    token breaks the column's kind (None when every token fits).  A
+    discrete column is coded through :func:`_mapped_codes`.  A continuous
+    column, and a binary or likelihood one with a token that is not a
+    canonical spelling, is parsed as floats."""
+    if spec.kind is not ColumnKind.CONTINUOUS:
+        codes, bad = _mapped_codes(spec, tokens, MISSING_TOKENS)
+        if spec.kind is ColumnKind.CATEGORICAL or not len(bad):
+            return codes, int(bad[0]) if len(bad) else None
     cells = np.array(tokens, dtype=object)
     gaps = np.isin(cells, MISSING_TOKENS)
     values = np.full(len(cells), np.nan)
@@ -570,11 +549,11 @@ def _scan(data: bytes, width: int, picked: list[int], limit: int, max_rows: int)
 def _kept_blocks(fh, width: int, picked: list[int], block: int):
     """The rows :func:`csv.reader` reads from the binary file ``fh``, cut
     to the cells at ``picked``: first the header row (None for an empty
-    file), then one item per block of ``block`` rows.  An item is a list
-    of token lists that together hold the block's picked cells, row by
-    row, one list per slice read, and the cell count of the row of the
-    wrong width that ends the rows early (None when none does); the last
-    item holds fewer than ``block`` rows or ends at such a row.
+    file), then one item per block of ``block`` rows.  An item is one
+    token list that holds the block's picked cells, row by row, and the
+    cell count of the row of the wrong width that ends the rows early
+    (None when none does); the last item holds fewer than ``block`` rows
+    or ends at such a row.
 
     The file is read in slices of whole lines, at most
     :data:`SCAN_BYTES` bytes unless one line is longer, and never past a
@@ -594,7 +573,7 @@ def _kept_blocks(fh, width: int, picked: list[int], block: int):
         yield text.split(",") if text else [] if line else None
     pos = len(line)
     while True:
-        pieces, n, ragged = [], 0, None
+        cells, n, ragged = [], 0, None
         while rows is None and n < block and ragged is None:
             fh.seek(pos)
             data = fh.read(SCAN_BYTES)
@@ -604,21 +583,19 @@ def _kept_blocks(fh, width: int, picked: list[int], block: int):
                 break
             if not data.endswith(b"\n"):  # the last line of the file
                 data += b"\n"
-            cells, count, used, ragged = _scan(data, width, picked, limit, block - n)
-            pieces.append(cells)
+            tokens, count, used, ragged = _scan(data, width, picked, limit, block - n)
+            cells += tokens
             n, pos = n + count, pos + used
             if ragged is None and n < block and used < len(data):
                 rows = _csv_rows(fh, pos)
         if rows is not None and ragged is None:
-            cells = []
             for row in itertools.islice(rows, block - n):
                 if len(row) != width:
                     ragged = len(row)
                     break
                 cells += row if len(picked) == width else [row[j] for j in picked]
                 n += 1
-            pieces.append(cells)
-        yield pieces, ragged
+        yield cells, ragged
         if ragged is not None or n < block:
             return
 
@@ -628,7 +605,8 @@ def load_table(
 ) -> DataTable:
     """Read a CSV into a typed table, validating its cells against the schema.
 
-    The header row must equal the schema's column names, in order, and
+    The header row must equal the schema's column names, in order, or a
+    :class:`ValidationError` names the first column that differs, and
     every row must have one cell per schema column.  With ``columns``
     given, only the named columns and the target are kept, parsed and
     validated, and the table's schema is cut to them as
@@ -643,7 +621,9 @@ def load_table(
     leftmost column, is named.  A row with the wrong number of cells
     raises :class:`ValidationError` unless a bad parsed cell comes before
     it, and so does a file :func:`_read` cannot read.  Rows are parsed
-    in blocks as they are read, so a bad cell in one block is reported
+    in blocks as they are read, each block one token list that holds its
+    kept cells row by row, so that a column is every k-th token of it,
+    for k kept columns.  A bad cell in one block is reported
     before an undecodable byte, or a line :mod:`csv` cannot split, in a
     later block.
     """
@@ -659,17 +639,28 @@ def load_table(
         if header is None:
             raise ValidationError(f"{csv_path}: empty file, no header row")
         if header != schema.names:
+            # Only the first difference is named: a paper-width header
+            # holds a thousand names or more, and a byte-order mark would
+            # hide among them.
+            pairs = enumerate(zip(header, schema.names))
+            at = next((i for i, (a, b) in pairs if a != b), min(len(header), width))
+            found, expected = (
+                repr(names[at]) if at < len(names) else "no column"
+                for names in (header, schema.names)
+            )
             raise ValidationError(
-                f"{csv_path}: header {header} does not match schema columns {schema.names}"
+                f"{csv_path}: header does not match the schema at column {at}: found "
+                f"{found}, expected {expected} ({len(header)} header columns, {width} "
+                f"in the schema)"
             )
         parts = [[] for _ in kept.columns]
         start = 0
-        for pieces, ragged in blocks:
+        for cells, ragged in blocks:
             bad_cells = []
             for j, spec in enumerate(kept.columns):
                 # One column at a time, so a block's tokens are never
                 # held in a second, column-wise copy.
-                tokens = list(itertools.chain.from_iterable(p[j :: len(picked)] for p in pieces))
+                tokens = cells[j :: len(picked)]
                 column, bad_row = _parse_column(spec, tokens)
                 parts[j].append(column)
                 if bad_row is not None:

@@ -75,6 +75,16 @@ def test_data_directory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "scores.csv").exists()
 
 
+def test_header_with_a_byte_order_mark_exits_2(tmp_path, capsys):
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps(MODEL), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("\ufeffx,lik,y\n1.0,5,0\n", encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == 2
+    assert r"column 0: found '\ufeffx', expected 'x'" in capsys.readouterr().err
+
+
 def test_non_finite_likelihood_cell_exits_2(tmp_path, capsys):
     config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,inf,1\n")
     assert run_pipeline_command(tmp_path, config) == 2

@@ -69,9 +69,18 @@ class TestLoadTable:
         assert np.isnan(table.column("lvl")).tolist() == [False, True]
 
     def test_header_mismatch(self, tmp_path, simple_schema):
-        p = write_csv(tmp_path / "d.csv", "x,flag,lvl,y\n1,0,10,0\n")
-        with pytest.raises(ValidationError, match="header"):
-            load_table(p, simple_schema)
+        # the message names the first column that differs, not the whole
+        # header, so a byte-order mark shows at the front of the first name
+        for header, message in (
+            ("x,flag,lvl,y", "column 3: found 'y', expected 'cat' (4 header columns, 5"),
+            ("\ufeffx,flag,lvl,cat,y", r"column 0: found '\ufeffx', expected 'x' (5 header columns, 5"),
+            ("x,lvl,flag,cat,y", "column 1: found 'lvl', expected 'flag' (5 header columns, 5"),
+            ("x,flag,lvl,cat,y,z", "column 5: found 'z', expected no column (6 header columns, 5"),
+        ):
+            p = write_csv(tmp_path / "d.csv", f"{header}\n1.0,0,10,a,0\n")
+            with pytest.raises(ValidationError, match="header") as info:
+                load_table(p, simple_schema)
+            assert message in str(info.value) and "'cat', 'y'" not in str(info.value)
 
     def test_unparseable_cell_names_row_column_token(self, tmp_path, simple_schema):
         # a continuous cell must be a finite number: "nan" is not a gap marker
@@ -216,8 +225,7 @@ class TestLoadColumns:
 
 def _csv_kept_blocks(fh, width, picked, block):
     """``_kept_blocks``' items as :func:`csv.reader` alone reads them, the
-    whole file parsed by :mod:`csv` and cut row by row, each block's
-    cells in one piece: the reference."""
+    whole file parsed by :mod:`csv` and cut row by row: the reference."""
     rows = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
     yield next(rows, None)
     while True:
@@ -228,21 +236,19 @@ def _csv_kept_blocks(fh, width, picked, block):
                 break
             cells += [row[j] for j in picked]
             n += 1
-        yield [cells], ragged
+        yield cells, ragged
         if ragged is not None or n < block:
             return
 
 
 def _items_and_error(reader, text, width, picked, block):
-    """The items ``reader`` yields from ``text`` saved as UTF-8, each
-    block's pieces joined, and the message of the :class:`csv.Error` it
-    stops with (None when it reads to the end)."""
+    """The items ``reader`` yields from ``text`` saved as UTF-8, and the
+    message of the :class:`csv.Error` it stops with (None when it reads
+    to the end)."""
     items = []
     try:
-        blocks = reader(io.BytesIO(text.encode("utf-8")), width, picked, block)
-        items.append(next(blocks))
-        for pieces, ragged in blocks:
-            items.append((list(itertools.chain.from_iterable(pieces)), ragged))
+        for item in reader(io.BytesIO(text.encode("utf-8")), width, picked, block):
+            items.append(item)
     except csv.Error as exc:
         return items, str(exc)
     return items, None
@@ -512,9 +518,29 @@ def _parse_floats(spec, tokens):
     return stored, int(bad[0]) if len(bad) else None
 
 
+def _parse_levels(spec, tokens):
+    """A categorical column's tokens coded by their index in the declared
+    levels, -1 for a missing marker and -2 for an undeclared token, plus
+    the first row of such a token: the reference."""
+    codes = [
+        -1 if token in table_module.MISSING_TOKENS
+        else spec.levels.index(token) if token in spec.levels
+        else -2
+        for token in tokens
+    ]
+    bad = next((i for i, code in enumerate(codes) if code == -2), None)
+    return np.array(codes, dtype=np.int8), bad
+
+
+# The categorical case's levels: "1" is also a binary and a likelihood
+# spelling, and "0.5" parses as a float, so each must be coded by its
+# place in the level list and by no number rule.
+CATEGORICAL_LEVELS = ("1", "abc", "0.5")
+
+
 class TestParseColumn:
     @given(
-        kind=st.sampled_from([ColumnKind.BINARY, ColumnKind.LIKELIHOOD]),
+        kind=st.sampled_from([ColumnKind.BINARY, ColumnKind.LIKELIHOOD, ColumnKind.CATEGORICAL]),
         tokens=st.lists(
             st.one_of(
                 st.integers(-1, 101).map(str),
@@ -524,9 +550,12 @@ class TestParseColumn:
         ),
     )
     def test_equals_the_float_parse(self, kind, tokens):
-        spec = ColumnSpec("c", kind)
+        """Binary and likelihood tokens code as the float parse reads them,
+        and categorical tokens by their index in the declared levels."""
+        categorical = kind is ColumnKind.CATEGORICAL
+        spec = ColumnSpec("c", kind, CATEGORICAL_LEVELS if categorical else None)
         codes, bad = table_module._parse_column(spec, tokens)
-        expected, expected_bad = _parse_floats(spec, tokens)
+        expected, expected_bad = (_parse_levels if categorical else _parse_floats)(spec, tokens)
         assert bad == expected_bad
         if bad is None:
             assert codes.dtype == expected.dtype and not codes.flags.writeable
