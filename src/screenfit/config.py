@@ -15,7 +15,7 @@ from the same generator structure with sample index 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ValidationError, require_number, require_string, require_whole
@@ -91,9 +91,6 @@ class PipelineConfig:
         if cfg.synthetic is not None:
             cfg = replace(cfg, synthetic=replace(cfg.synthetic, seed=seed))
         return replace(cfg, split=replace(cfg.split, seed=seed + 1))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

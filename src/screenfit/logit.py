@@ -351,6 +351,15 @@ def chi2_sf(x: float, df: int) -> float:
     return p if p >= sys.float_info.min else 0.0
 
 
+def _with_information(hessian: np.ndarray, op, *args) -> np.ndarray:
+    """``op(info, *args)`` on the ridge-jittered information matrix ``info``;
+    a singular ``info`` raises ComputationError."""
+    try:
+        return op(-hessian + IRLS_RIDGE * np.eye(len(hessian)), *args)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"singular information matrix: {exc}") from exc
+
+
 def fit_irls(design: DesignMatrix, beta0: np.ndarray | None = None) -> LogisticModel:
     """Newton/IRLS maximum-likelihood fit, from beta0 or from zero.
 
@@ -371,18 +380,13 @@ def fit_irls(design: DesignMatrix, beta0: np.ndarray | None = None) -> LogisticM
         raise ValidationError("response has a single class; cannot fit")
 
     beta = np.zeros(k) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    jitter = IRLS_RIDGE * np.eye(k)
     logL, gradient, hessian = log_likelihood(design, beta)
     deviances = [-2.0 * logL]
     warnings = []
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        info = -hessian + jitter
-        try:
-            delta = np.linalg.solve(info, gradient)
-        except np.linalg.LinAlgError as exc:
-            raise ComputationError(f"singular information matrix: {exc}") from exc
+        delta = _with_information(hessian, np.linalg.solve, gradient)
         step = 1.0
         for _ in range(40):
             candidate = beta + step * delta
@@ -403,11 +407,7 @@ def fit_irls(design: DesignMatrix, beta0: np.ndarray | None = None) -> LogisticM
             converged = True
             break
 
-    info = -hessian + jitter
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"singular information matrix: {exc}") from exc
+    cov = _with_information(hessian, np.linalg.inv)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     if np.any(np.abs(beta) > SEPARATION_BETA):
@@ -449,20 +449,20 @@ class StepwiseTrace:
 def _candidate_designs(design: DesignMatrix, current: list[int]):
     """Yield (j, design.select(current + [j])) for every term j not in current.
 
-    The intercept and current columns are copied once into a column-major
-    buffer with one spare column, and each candidate only writes its own
-    column into the spare one; the layout matches ``select``, so fits are
+    ``design.select(current)`` is copied once into a column-major buffer
+    with one spare column, and each candidate only writes its own column
+    into the spare one; the layout matches ``select``, so fits are
     bit-identical.  Every yielded design shares the buffer, so it is valid
     only until the next one is drawn.
     """
+    base = design.select(current)
     buf = np.empty((design.n, len(current) + 2), order="F")
-    buf[:, :-1] = design.X[:, [0] + [i + 1 for i in current]]
-    terms = tuple(design.terms[i] for i in current)
+    buf[:, :-1] = base.X
     for j in range(len(design.terms)):
         if j in current:
             continue
         buf[:, -1] = design.X[:, j + 1]
-        yield j, DesignMatrix(terms=terms + (design.terms[j],), X=buf, y=design.y)
+        yield j, DesignMatrix(terms=base.terms + (design.terms[j],), X=buf, y=design.y)
 
 
 def stepwise_select(
@@ -567,33 +567,24 @@ def prune_collinear(
 
     current = _term_indices(design, model.terms)
     cur_model = model
-
-    def captured_and_lift(m: LogisticModel, idx: list[int]) -> tuple[float, float]:
-        sub = validation.select(idx)
-        top = decile_table(ScoreSet(p=m.predict_proba(sub.X), y=sub.y))[0]
-        return top.cum_captured, top.lift
-
     while len(current) >= 2:
         cols = design.X[:, [i + 1 for i in current]]
-        corr = np.nan_to_num(np.corrcoef(cols, rowvar=False))
-        np.fill_diagonal(corr, 0.0)
-        flat = np.abs(corr)
-        worst = float(flat.max())
-        if worst <= cutoff:
+        # Each pair is read once, above the diagonal, so a_pos < b_pos.
+        corr = np.triu(np.abs(np.nan_to_num(np.corrcoef(cols, rowvar=False))), 1)
+        if float(corr.max()) <= cutoff:
             break
-        a_pos, b_pos = np.unravel_index(int(flat.argmax()), flat.shape)
-        if a_pos > b_pos:
-            a_pos, b_pos = b_pos, a_pos
+        a_pos, b_pos = np.unravel_index(int(corr.argmax()), corr.shape)
 
         candidates = []
         for drop_pos, keep_pos in ((a_pos, b_pos), (b_pos, a_pos)):
             kept = [i for pos, i in enumerate(current) if pos != drop_pos]
             refit = fit_irls(design.select(kept))
-            captured, lift = captured_and_lift(refit, kept)
+            sub = validation.select(kept)
+            top = decile_table(ScoreSet(p=refit.predict_proba(sub.X), y=sub.y))[0]
             survivor = design.terms[current[keep_pos]].name
             survivor_wald = float(refit.wald[1 + kept.index(current[keep_pos])])
             candidates.append(
-                ((-captured, -lift, -survivor_wald, survivor), kept, refit)
+                ((-top.cum_captured, -top.lift, -survivor_wald, survivor), kept, refit)
             )
         _, current, cur_model = min(candidates)
     if cur_model is model:

@@ -17,12 +17,13 @@ stops earlier leaves none.  An out-of-sample CSV is read with only the
 screened columns and the target parsed and validated: its header and the
 width of every row are checked, but a bad cell in any other column is
 not read and raises nothing.  Each stage's outputs land in the run
-directory as plain JSON or CSV; the manifest written last lists every
-artifact and the seconds on each clock (timings live only there, so all
-other files are byte-stable across identical runs).  Every step but the
-manifest's own write runs under a clock: `generate` or `load`, `impute`,
-`screening` (with the cut), `out_of_sample_generate` or
-`out_of_sample_load`, `out_of_sample_impute`, `split` (with the level
+directory as plain JSON or CSV.  The manifest, written last, holds the
+package version, the config as run, the train and validation row
+counts, the artifact names and the seconds on each clock (timings live
+only there, so all other files are byte-stable across identical runs).
+Every step but the manifest's own write runs under a clock: `generate`
+or `load`, `impute`, `screening` (with the cut), `out_of_sample_generate`
+or `out_of_sample_load`, `out_of_sample_impute`, `split` (with the level
 merges), `encode`, `stepwise`, `prune` (with the global-null test),
 `evaluate`, and `write` for the artifact writes before and after
 evaluation.
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 from .evaluation import (
     CHART_COLUMNS,
     ScoreSet,
@@ -56,10 +57,11 @@ from .logit import (
     prune_collinear,
     stepwise_select,
 )
-from .screening import LevelMapping, apply_level_mapping, run_screening
+from .screening import LevelMapping, ScreeningReport, apply_level_mapping, run_screening
 from .synthgen import generate
 from .table import (
     DataTable,
+    check_writable,
     impute_numeric_columns,
     load_schema,
     load_table,
@@ -111,14 +113,19 @@ def _make_dir(out_dir: str | Path) -> Path:
 
 @dataclass
 class PipelineResult:
-    """In-memory view of a finished run, for library callers and tests."""
+    """In-memory view of a finished run, for library callers and tests.
+
+    ``model`` is the pruned model with the encoder's warnings ahead of its
+    own; ``screening_report`` is the cascade's report, final variables and
+    level mappings included; ``score_sets`` and ``confusion`` hold the
+    scores and the confusion-matrix dict of each scored dataset (train,
+    validation and, when there is one, out_of_sample); ``manifest`` is
+    the document written to ``manifest.json``.
+    """
 
     model: LogisticModel
-    screening_report: object
-    final_variables: list[str]
-    global_null: dict | None
+    screening_report: ScreeningReport
     score_sets: dict[str, ScoreSet]
-    deciles: dict[str, list]
     confusion: dict[str, dict]
     manifest: dict
 
@@ -226,10 +233,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
 
     manifest = {
         "version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "split": {
-            "frac": config.split.frac,
-            "seed": config.split.seed,
             "train_rows": split.train.n_records,
             "validation_rows": split.validation.n_records,
         },
@@ -237,18 +242,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         "timings": {name: round(t, 6) for name, t in timings.items()},
     }
     write_json(manifest, out / "manifest.json")
-
-    missing = [a for a in ARTIFACT_NAMES if not (out / a).exists()]
-    if missing:
-        raise ComputationError(f"run finished but artifacts are missing: {missing}")
-
     return PipelineResult(
         model=model,
         screening_report=report,
-        final_variables=final_vars,
-        global_null=gnull,
         score_sets=score_sets,
-        deciles=deciles,
         confusion=confusion,
         manifest=manifest,
     )
@@ -291,15 +288,17 @@ def score_table_file(
     """Score a CSV with a saved model; writes id (the row position),
     probability and decile per record.
 
-    The data must carry the training schema (outcome column included).
-    The header and the width of every row are checked, but only the
-    model's columns and the target are parsed and validated: a bad cell
-    in any other column is not read, so it raises nothing.  The numeric
-    gaps of the model's columns are median-imputed from the scored table
-    itself, and only their level mappings are applied.  Decile
-    assignment needs at least ten records; smaller files get an empty
-    decile column.
+    An output path that is a directory or whose directory is missing raises
+    before anything is read; nothing is written unless scoring succeeds.  The
+    data must carry the training schema (outcome column included).  The
+    header and the width of every row are checked, but only the model's
+    columns and the target are parsed and validated: a bad cell in any other
+    column is not read, so it raises nothing.  The numeric gaps of the
+    model's columns are median-imputed from the scored table itself, and
+    only their level mappings are applied.  Decile assignment needs at least
+    ten records; smaller files get an empty decile column.
     """
+    check_writable(out_path)
     model, target, mappings = load_model_file(model_path)
     schema = load_schema(schema_path)
     if schema.target != target:

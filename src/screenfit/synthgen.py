@@ -30,7 +30,7 @@ with the truth directly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class SyntheticSpec:
     @property
     def target_prevalence(self) -> float:
         return self.n_signal / self.n_records
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":

@@ -52,16 +52,20 @@ opens every input file (data, schema, config and model) and turns any
 failure to read it into a :class:`ValidationError`; one CSV writer,
 :func:`write_csv`; and one JSON writer, :func:`write_json`.  Both
 writers open their file with :func:`_create`, which turns a path that
-cannot be written into a :class:`ValidationError`.
+cannot be written into a :class:`ValidationError`;
+:func:`check_writable` raises the same error before any work for a path
+that is a directory or whose directory is missing.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -727,7 +731,20 @@ def _create(path: str | Path, **kwargs):
     try:
         return open(path, "w", encoding="utf-8", **kwargs)
     except OSError as exc:
-        raise ValidationError(f"{path}: cannot write: {exc.strerror}") from exc
+        raise _unwritable(path, exc.strerror) from exc
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise :func:`_create`'s error, without making the file, for a path
+    that is a directory or whose directory does not exist."""
+    if Path(path).is_dir():
+        raise _unwritable(path, os.strerror(errno.EISDIR))
+    if not Path(path).parent.is_dir():
+        raise _unwritable(path, os.strerror(errno.ENOENT))
+
+
+def _unwritable(path: str | Path, reason: str) -> ValidationError:
+    return ValidationError(f"{path}: cannot write: {reason}")
 
 
 def write_csv(header: list[str], rows: Iterable, path: str | Path, quoting=csv.QUOTE_MINIMAL) -> None:

@@ -310,6 +310,29 @@ def test_score_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, out, me
     assert not (tmp_path / "absent").exists() and not any((tmp_path / "outdir").iterdir())
 
 
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        pytest.param("absent/scores.csv", "No such file or directory", id="missing-directory"),
+        pytest.param("outdir", "Is a directory", id="directory"),
+    ],
+)
+def test_score_out_path_is_checked_before_the_data_is_read(tmp_path, capsys, out, message):
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "model.json").write_text(json.dumps(TERM_MODEL), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(SCORED_SCHEMA), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("x,lik,c,y\n1.0,5,a,0\nzzz,6,b,1\n", encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out"]
+    assert main(argv + [str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / out}: cannot write: {message}\n"
+    assert not (tmp_path / "absent").exists() and not any((tmp_path / "outdir").iterdir())
+    # With a good path, the bad cell is reported and nothing is written.
+    assert main(argv + [str(tmp_path / "scores.csv")]) == 2
+    assert "row 1, column 'x': cannot parse 'zzz'" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "synth"])
 def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys, command):
     path = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from screenfit.config import PipelineConfig
@@ -19,7 +21,7 @@ SYNTHETIC = {
 
 def test_synthetic_config_round_trips():
     config = PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC, "threshold": 0.3})
-    assert PipelineConfig.from_dict(config.to_dict()) == config
+    assert PipelineConfig.from_dict(asdict(config)) == config
 
 
 def test_input_config_round_trips():
@@ -32,7 +34,7 @@ def test_input_config_round_trips():
             "out_of_sample": {"csv": "test.csv", "schema": "schema.json"},
         }
     )
-    assert PipelineConfig.from_dict(config.to_dict()) == config
+    assert PipelineConfig.from_dict(asdict(config)) == config
 
 
 def test_with_seed_drives_generator_and_split():

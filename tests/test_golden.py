@@ -109,6 +109,11 @@ def test_pipeline_and_scoring_artifacts_are_byte_stable(golden_run, tmp_path):
     assert digests == GOLDEN
 
 
+def test_run_directory_holds_exactly_the_artifacts(golden_run):
+    _config, run_dir, _result = golden_run
+    assert sorted(path.name for path in run_dir.iterdir()) == sorted(ARTIFACT_NAMES)
+
+
 def test_model_file_round_trips_and_scores_like_the_run(golden_run):
     config, run_dir, result = golden_run
     with open(run_dir / "model.json", encoding="utf-8") as fh:

@@ -284,6 +284,23 @@ class TestFitIrls:
         assert len(calls) == 1 + 40
         assert model.deviance_path == (-2.0 * real(design, np.zeros(3))[0],)
 
+    @pytest.mark.parametrize("op", ["solve", "inv"])
+    def test_singular_information_matrix_raises(self, monkeypatch, op):
+        # solve runs at every Newton step, inv once for the standard errors
+        design = random_design(np.random.default_rng(8), 100, 2)
+        calls = []
+
+        def singular(*args):
+            calls.append(args)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, op, singular)
+        message = "^singular information matrix: Singular matrix$"
+        with pytest.raises(ComputationError, match=message) as info:
+            fit_irls(design)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert len(calls) == 1 and calls[0][0].shape == (3, 3)
+
     def test_needs_more_rows_than_columns(self):
         design = design_from_arrays([np.array([1.0, 2.0])], np.array([0, 1]))
         with pytest.raises(ValidationError):

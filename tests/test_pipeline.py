@@ -155,9 +155,8 @@ def test_out_of_sample_cells_outside_the_final_variables_are_not_read(tmp_path):
     out_of_sample = {"csv": str(csv_path), "schema": str(schema_path)}
     config = PipelineConfig.from_dict(CONFIG | {"out_of_sample": out_of_sample})
     clean = pipeline.run_pipeline(config, tmp_path / "clean")
-    unread = next(
-        name for name in load_schema(schema_path).predictors if name not in clean.final_variables
-    )
+    final = clean.screening_report.final_variables
+    unread = next(name for name in load_schema(schema_path).predictors if name not in final)
     _corrupt_cell(csv_path, unread, 5, "oops")
     pipeline.run_pipeline(config, tmp_path / "corrupt")
     for name in pipeline.ARTIFACT_NAMES:
@@ -204,7 +203,7 @@ def test_encoder_warnings_reach_the_model_file(tmp_path):
     result = pipeline.run_pipeline(
         PipelineConfig.from_dict({"plan": plan, "input": data}), tmp_path / "run"
     )
-    categoricals = [v for v in result.final_variables if v.startswith("cat_")]
+    categoricals = [v for v in result.screening_report.final_variables if v.startswith("cat_")]
     assert categoricals
     doc = json.loads((tmp_path / "run" / "model.json").read_text(encoding="utf-8"))
     warnings = doc["model"]["warnings"]
@@ -268,7 +267,7 @@ def test_one_full_width_table_at_a_time(tmp_path, monkeypatch):
     assert pipeline_peak < 1.25 * float64_bytes
     [(first_table, first_columns)] = left
     assert first_table is None
-    assert first_columns <= set(result.final_variables) | {"target"}
+    assert first_columns <= set(result.screening_report.final_variables) | {"target"}
 
 
 def test_binary_gap_that_survives_screening_leaves_no_artifact(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -190,5 +192,5 @@ class TestSpecBounds:
     @given(st.integers(1, 50), st.integers(1, 50), st.floats(0.0, 0.5), st.integers(0, 2**32))
     def test_valid_specs_round_trip(self, n_signal, n_background, rate, seed):
         spec = spec_with(n_signal=n_signal, n_background=n_background, missing_rate=rate, seed=seed)
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticSpec.from_dict(asdict(spec)) == spec
         assert spec.n_records == n_signal + n_background
