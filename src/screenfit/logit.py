@@ -26,6 +26,22 @@ lowers the Schwarz Bayesian criterion; in-model terms whose Wald p-value
 exceeds p_stay are removed after each entry.  A final collinearity pass
 drops one member of any term pair correlated beyond a cutoff, keeping
 whichever member scores better on held-out decile statistics.
+
+Entry fits only the candidates that a dual bound cannot rule out.  With
+f(t) = log(1 + e^t) and its conjugate f*(a) = a log a + (1-a) log(1-a)
+on (0, 1), each row obeys y*t - f(t) <= (y - a)*t + f*(a).  So for a
+design D and any a in (0, 1)^n with D'(y - a) = 0, no beta has a
+log-likelihood above sum f*(a).  One Newton step from the warm start
+gives such an a for every candidate at once.  A candidate whose a leaves
+(0, 1), whose Schur complement is not positive, or whose pass has a
+singular information matrix gets the bound +inf and is always fitted.
+Candidates are fitted in descending order of their bounds until the next
+bound is below the best fitted log-likelihood minus a slack of
+1e-6 * max(1, |logL|).  The proof assumes that no fitted probability is
+clamped to PROB_CLAMP on the wrong side of its row's class, because there
+the clamped log-likelihood exceeds the true one.  As a guard, a current
+model with such a row, or a fit that passes its bound by more than the
+slack, makes the step fit every candidate.
 """
 
 from __future__ import annotations
@@ -50,6 +66,14 @@ SEPARATION_BETA = 30.0
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
 IRLS_RIDGE = 1e-8
+
+# Stepwise entry's slack on the log-likelihood bound, the relative floor of
+# the Schur complement under which a candidate has no bound, and the size of
+# the bound's candidate chunks; ``_entry_bounds`` and ``stepwise_select``
+# say how each is used.
+ENTRY_SLACK = 1e-6
+S_RELATIVE_TOL = 1e-10
+BOUND_CHUNK_CELLS = 2**14
 
 STANDARDIZED = "standardized"
 DUMMY = "dummy"
@@ -446,23 +470,55 @@ class StepwiseTrace:
     steps: tuple[StepwiseStep, ...]
 
 
-def _candidate_designs(design: DesignMatrix, current: list[int]):
-    """Yield (j, design.select(current + [j])) for every term j not in current.
+def _entry_bounds(
+    design: DesignMatrix, current: list[int], beta: np.ndarray, candidates: list[int]
+) -> np.ndarray:
+    """For each candidate j, an upper bound on the log-likelihood that a fit
+    of ``design.select(current + [j])`` can reach; +inf where there is none.
 
-    ``design.select(current)`` is copied once into a column-major buffer
-    with one spare column, and each candidate only writes its own column
-    into the spare one; the layout matches ``select``, so fits are
-    bit-identical.  Every yielded design shares the buffer, so it is valid
-    only until the next one is drawn.
+    One Newton step from ``(beta, 0)`` is taken for every candidate at once.
+    With B the current columns, p and w = p(1-p) at ``beta``, and
+    A = B'WB: a0 = p + w*(B A^-1 B'(y - p)); a candidate column x has the
+    residual r = x - B A^-1 B'(w*x), the Schur complement s = sum(w r^2)
+    and the step d = r'(y - a0) / s.  The point a = a0 + d*w*r satisfies
+    D'(y - a) = 0 for the candidate's design D, so where a lies in (0, 1)
+    sum(a log a + (1-a) log(1-a)) is a bound (see the module docstring).
+    The bound is +inf where a leaves (0, 1), where s is not positive to
+    working precision (below S_RELATIVE_TOL * sum(w x^2): x is in the
+    model's span up to rounding), where A is singular, and for every
+    candidate when the current model clamps a probability on the wrong
+    side of its row's class.  The candidate temporaries hold at most
+    BOUND_CHUNK_CELLS floats, or one column where n is larger.
     """
-    base = design.select(current)
-    buf = np.empty((design.n, len(current) + 2), order="F")
-    buf[:, :-1] = base.X
-    for j in range(len(design.terms)):
-        if j in current:
-            continue
-        buf[:, -1] = design.X[:, j + 1]
-        yield j, DesignMatrix(terms=base.terms + (design.terms[j],), X=buf, y=design.y)
+    bounds = np.full(len(candidates), np.inf)
+    B = design.X[:, [0] + [i + 1 for i in current]]
+    y = design.y
+    p = _sigmoid(B @ beta)
+    if np.any(np.where(y == 1, p < PROB_CLAMP, p > 1.0 - PROB_CLAMP)):
+        return bounds
+    w = p * (1.0 - p)
+    A = (B.T * w) @ B
+    try:
+        a0 = p + w * (B @ np.linalg.solve(A, B.T @ (y - p)))
+    except np.linalg.LinAlgError:
+        return bounds
+    e = y - a0
+    chunk = max(1, BOUND_CHUNK_CELLS // design.n)
+    for lo in range(0, len(candidates), chunk):
+        # One candidate per row: X[:, cols] is column-major, so its
+        # transpose is row-major and every pass below runs along rows.
+        Xc = design.X[:, [j + 1 for j in candidates[lo : lo + chunk]]].T
+        WXc = Xc * w
+        R = Xc - np.linalg.solve(A, (WXc @ B).T).T @ B.T
+        s = (R * R) @ w
+        ok = s > S_RELATIVE_TOL * np.einsum("ij,ij->i", Xc, WXc)
+        R = R[ok]
+        a = a0 + (R * w) * ((R @ e) / s[ok])[:, None]
+        inside = ((a > 0.0) & (a < 1.0)).all(axis=1)
+        a, b = a[inside], 1.0 - a[inside]
+        dual = np.einsum("ij,ij->i", a, np.log(a)) + np.einsum("ij,ij->i", b, np.log(b))
+        bounds[lo + np.flatnonzero(ok)[inside]] = dual
+    return bounds
 
 
 def stepwise_select(
@@ -473,13 +529,31 @@ def stepwise_select(
 ) -> tuple[LogisticModel, StepwiseTrace]:
     """Forward selection with backward elimination.
 
-    Each forward step fits every out-of-model candidate, ranks them by
-    single-term likelihood-ratio p-value (ties: SBC, then term name), and
-    enters the best candidate only if p < p_enter and the SBC drops.
-    After every change, in-model terms with Wald p > p_stay are removed,
-    worst first.  Stops when a full pass changes nothing, or after
-    2 x (number of candidate terms) passes; a model stopped by that cap
-    carries a warning.
+    Each forward step ranks the out-of-model candidates by single-term
+    likelihood-ratio p-value (ties: SBC, then term name), and enters the
+    best candidate only if p < p_enter and the SBC drops.  After every
+    change, in-model terms with Wald p > p_stay are removed, worst first.
+    Stops when a full pass changes nothing, or after 2 x (number of
+    candidate terms) passes; a model stopped by that cap carries a warning.
+
+    The ranking key falls as a candidate's fitted log-likelihood rises, so
+    only a candidate that could reach the best one needs a fit.
+    ``_entry_bounds`` first bounds the log-likelihood each candidate's fit
+    can reach; the bound is +inf where the Newton point leaves (0, 1), the
+    Schur complement is not positive, or the current model's information
+    matrix is singular.  Candidates are fitted from the warm start
+    ``(beta, 0)`` in descending order of their bounds, and the step stops
+    once the next bound is below the best fitted log-likelihood minus
+    ENTRY_SLACK * max(1, |logL|).  Every candidate that could win or tie
+    is fitted as an exhaustive loop fits it, on ``design.select``'s
+    column-major layout, so the entered term, its model and the trace are
+    the same bits.
+
+    The bound assumes no fitted probability is clamped to PROB_CLAMP on
+    the wrong side of its row's class.  Two guards stand in for it: a
+    current model with such a row gives every candidate +inf, and a
+    fitted candidate whose log-likelihood passes its bound by more than
+    the slack makes the rest of the step fit every candidate.
     """
     if not design.terms:
         raise ValidationError("need at least one candidate term")
@@ -492,9 +566,18 @@ def stepwise_select(
         if max_terms is None or len(current) < max_terms:
             best = None
             warm = np.append(cur_model.beta, 0.0)
-            for j, trial in _candidate_designs(design, current):
-                model_j = fit_irls(trial, beta0=warm)
-                lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
+            candidates = [j for j in range(len(design.terms)) if j not in current]
+            bounds = _entry_bounds(design, current, cur_model.beta, candidates)
+            top, trusted = -np.inf, True
+            for i in np.argsort(-bounds, kind="stable"):
+                if trusted and bounds[i] < top - ENTRY_SLACK * max(1.0, abs(top)):
+                    break
+                j = candidates[i]
+                model_j = fit_irls(design.select(current + [j]), beta0=warm)
+                logL = model_j.log_likelihood
+                top = max(top, logL)
+                trusted = trusted and logL <= bounds[i] + ENTRY_SLACK * max(1.0, abs(logL))
+                lr = max(2.0 * (logL - cur_model.log_likelihood), 0.0)
                 p = chi2_sf(lr, 1)
                 key = (p, model_j.sbc, design.terms[j].name)
                 if best is None or key < best[0]:

@@ -22,8 +22,9 @@ is part of the external contract, so identical seeds reproduce identical
 bytes across runs and machines.
 
 CSV interchange: comma-delimited UTF-8 with a header row whose order
-matches the schema exactly.  Empty cells and the literal token "NA" are
-the missing markers, so neither may be a declared categorical level.
+matches the schema exactly; a leading byte-order mark is skipped.
+Empty cells and the literal token "NA" are the missing markers, so
+neither may be a declared categorical level.
 A load may name the columns it needs: every row is still checked for
 width, but only those columns and the target become strings and are
 parsed and validated.  The file is read in binary, in slices of whole
@@ -59,6 +60,7 @@ that is a directory or whose directory is missing.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import io
@@ -562,20 +564,23 @@ def _kept_blocks(fh, width: int, picked: list[int], block: int):
     The file is read in slices of whole lines, at most
     :data:`SCAN_BYTES` bytes unless one line is longer, and never past a
     block, and the plain lines of a slice are scanned by :func:`_scan`.
+    A UTF-8 byte-order mark at the start of the file is skipped.
     From the first line that is not plain on, :mod:`csv` reads the rest
     of the file: no quoted field can have started before that line, so
     the rows are the ones :mod:`csv` reads.  Errors are those of reading
     UTF-8 and of :mod:`csv`."""
     limit = csv.field_size_limit()
     line = fh.readline()
+    start = len(codecs.BOM_UTF8) if line.startswith(codecs.BOM_UTF8) else 0
+    line = line[start:]
     rows = None
     if b'"' in line or b"\r" in line or b"\0" in line or len(line) > limit:
-        rows = _csv_rows(fh, 0)
+        rows = _csv_rows(fh, start)
         yield next(rows, None)
     else:
         text = line.decode("utf-8").removesuffix("\n")
         yield text.split(",") if text else [] if line else None
-    pos = len(line)
+    pos = start + len(line)
     while True:
         cells, n, ragged = [], 0, None
         while rows is None and n < block and ragged is None:
@@ -617,9 +622,10 @@ def load_table(
     :meth:`TableSchema.select` cuts it; the cells of the other columns are
     not checked at all, and only the kept ones become strings.  An
     unknown name raises :class:`ValidationError`.  Lines are split as
-    :mod:`csv` splits them, quoted cells and CRLF line ends included.
-    Empty cells and "NA" become the missing marker.  Any parsed cell
-    violating its column kind -- including a numeric cell that is not
+    :mod:`csv` splits them, quoted cells and CRLF line ends included, and
+    a leading UTF-8 byte-order mark (spreadsheet exports write one) is
+    skipped.  Empty cells and "NA" become the missing marker.  Any parsed
+    cell violating its column kind -- including a numeric cell that is not
     finite -- raises :class:`CellParseError` naming the row, column, and
     offending token; of several such cells the lowest row, then the
     leftmost column, is named.  A row with the wrong number of cells
@@ -644,7 +650,7 @@ def load_table(
             raise ValidationError(f"{csv_path}: empty file, no header row")
         if header != schema.names:
             # Only the first difference is named: a paper-width header
-            # holds a thousand names or more, and a byte-order mark would
+            # holds a thousand names or more, and a stray character would
             # hide among them.
             pairs = enumerate(zip(header, schema.names))
             at = next((i for i, (a, b) in pairs if a != b), min(len(header), width))

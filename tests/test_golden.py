@@ -12,6 +12,9 @@ The ``model.json`` and ``screening_report.json`` digests were re-recorded
 when the chi-square tails moved from ``scipy.special.chdtrc`` to
 ``screenfit.logit.chi2_sf``: only p-value digits changed, each by less
 than 1e-12 relative, and every other artifact kept its digest.
+A second pin covers a long stepwise trace: the ``model.json`` of the
+``tall`` benchmark config at op seed 69000, where stepwise enters and
+removes terms for 87 steps until its pass cap stops it.
 The same run's ``model.json`` is also read back: rewriting it from the
 loaded model gives the same document, and the loaded model scores the
 out-of-sample table exactly as the run did.
@@ -61,6 +64,31 @@ CONFIG = {
 }
 
 SCORED_SAMPLE_INDEX = 2
+
+# The ``tall`` benchmark workload (10k rows x 150 predictors) with every
+# seed set from op seed 69000.
+CYCLING_CONFIG = {
+    "plan": {
+        "retain_after_chi2": 130,
+        "retain_after_t": 100,
+        "retain_after_iv": 60,
+        "final_retain": 20,
+    },
+    "split": {"frac": 0.6, "seed": 69001},
+    "stepwise": {"p_enter": 0.01, "p_stay": 0.01, "max_terms": 10},
+    "synthetic": {
+        "n_signal": 1000,
+        "n_background": 9000,
+        "n_informative": 20,
+        "n_noise": 130,
+        "kind_mix": {"binary": 0.3, "categorical": 0.2, "likelihood": 0.2, "continuous": 0.3},
+        "missing_rate": 0.05,
+        "seed": 69000,
+        "n_correlated_pairs": 8,
+    },
+}
+
+CYCLING_MODEL_DIGEST = "b4050622233814ed54eced7ce96edc2f5eb0e89627c8c10950a431dc76bc934c"
 
 GOLDEN = {
     "screening_report.json": "03c097e79de1807b4d3c2663ab0bc0ca8d541171c01f64996406c72b494fc6b0",
@@ -129,3 +157,12 @@ def test_model_file_round_trips_and_scores_like_the_run(golden_run):
 def test_synthetic_dataset_is_byte_stable(tmp_path):
     names = write_synthetic_dataset(PipelineConfig.from_dict(CONFIG), tmp_path)
     assert {name: sha256(tmp_path / name) for name in names} == SYNTHETIC_GOLDEN
+
+
+def test_stepwise_trace_to_the_pass_cap_is_byte_stable(tmp_path):
+    run_pipeline(PipelineConfig.from_dict(CYCLING_CONFIG), tmp_path)
+    with open(tmp_path / "model.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert len(doc["stepwise_trace"]) == 87
+    assert doc["model"]["warnings"][-1].startswith("stepwise stopped at its cap")
+    assert sha256(tmp_path / "model.json") == CYCLING_MODEL_DIGEST

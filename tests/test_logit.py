@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from screenfit import logit
 from screenfit.errors import ComputationError, ValidationError
@@ -755,19 +755,214 @@ class TestKernels:
                 old = float(np.sum(y * np.log(pc) + (1 - y) * np.log(1.0 - pc)))
                 assert log_likelihood(d, beta)[0] == old
 
-    @pytest.mark.parametrize("current", [[], [3], [3, 0]])
-    def test_candidate_designs_match_select(self, current):
-        design = planted_design(np.random.default_rng(10), 600, 5)
-        warm = np.append(fit_irls(design.select(current)).beta, 0.0)
-        drawn = []
-        for j, sub in logit._candidate_designs(design, current):
-            ref = design.select(current + [j])
-            assert sub.terms == ref.terms
-            assert sub.X.flags.f_contiguous and ref.X.flags.f_contiguous
-            np.testing.assert_array_equal(sub.X, ref.X)
-            got, want = fit_irls(sub, beta0=warm), fit_irls(ref, beta0=warm)
-            np.testing.assert_array_equal(got.beta, want.beta)
-            np.testing.assert_array_equal(got.se, want.se)
-            assert got.log_likelihood == want.log_likelihood
-            drawn.append(j)
-        assert drawn == [j for j in range(6) if j not in current]
+
+def exhaustive_stepwise(design, p_enter=0.01, p_stay=0.01, max_terms=None):
+    """Stepwise selection that fits every out-of-model candidate at every
+    entry step: the reference the bounded entry must match bit for bit."""
+    steps = []
+    current = []
+    cur_model = fit_irls(design.select(current))
+    for _ in range(2 * len(design.terms)):
+        changed = False
+        if max_terms is None or len(current) < max_terms:
+            best = None
+            warm = np.append(cur_model.beta, 0.0)
+            for j in range(len(design.terms)):
+                if j in current:
+                    continue
+                model_j = fit_irls(design.select(current + [j]), beta0=warm)
+                lr = max(2.0 * (model_j.log_likelihood - cur_model.log_likelihood), 0.0)
+                p = chi2_sf(lr, 1)
+                key = (p, model_j.sbc, design.terms[j].name)
+                if best is None or key < best[0]:
+                    best = (key, j, model_j, p)
+            if best is not None:
+                _, j, model_j, p = best
+                if p < p_enter and model_j.sbc < cur_model.sbc:
+                    current.append(j)
+                    cur_model = model_j
+                    steps.append(logit.StepwiseStep("enter", design.terms[j].name, p, model_j.sbc))
+                    changed = True
+        while current:
+            p_in = cur_model.p_values[1:]
+            worst = int(np.argmax(p_in))
+            if p_in[worst] <= p_stay:
+                break
+            removed = current.pop(worst)
+            cur_model = fit_irls(design.select(current))
+            steps.append(
+                logit.StepwiseStep("remove", design.terms[removed].name, float(p_in[worst]),
+                                   cur_model.sbc)
+            )
+            changed = True
+        if not changed:
+            break
+    else:
+        cur_model = replace(
+            cur_model,
+            warnings=cur_model.warnings
+            + (f"stepwise stopped at its cap of {2 * len(design.terms)} passes "
+               "while the model was still changing",),
+        )
+    return cur_model, logit.StepwiseTrace(steps=tuple(steps))
+
+
+def assert_same_selection(got, want):
+    (model, trace), (ref, ref_trace) = got, want
+    assert model.terms == ref.terms
+    assert model.beta.tobytes() == ref.beta.tobytes()
+    assert model.se.tobytes() == ref.se.tobytes()
+    assert model.log_likelihood == ref.log_likelihood
+    assert (model.converged, model.iterations) == (ref.converged, ref.iterations)
+    assert model.deviance_path == ref.deviance_path
+    assert model.warnings == ref.warnings
+    assert trace == ref_trace
+
+
+def saturated_design(n=300):
+    # y follows the sign of x0 on all but the two rows nearest zero, so the
+    # fitted probabilities run into PROB_CLAMP on their own rows' side
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(n)
+    y = (x > 0).astype(int)
+    y[np.argsort(np.abs(x))[:2]] ^= 1
+    return design_from_arrays([x] + [rng.standard_normal(n) for _ in range(4)], y)
+
+
+def duplicated_design(n=800):
+    rng = np.random.default_rng(12)
+    x, z = rng.standard_normal(n), rng.standard_normal(n)
+    y = (rng.random(n) < 1 / (1 + np.exp(-(1.2 * x + 0.6 * z)))).astype(int)
+    return design_from_arrays([x, rng.standard_normal(n), x.copy(), z], y)
+
+
+def tied_design(n=20000):
+    # "b" and "a" are the same weak column, so their fits tie bit for bit
+    # and the name decides: the later column must win
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(n)
+    y = (rng.random(n) < 1 / (1 + np.exp(-(0.3 + 0.05 * x)))).astype(int)
+    terms = tuple(
+        Term(source=name, encoding="standardized", mean=0.0, std=1.0) for name in "bca"
+    )
+    X = np.column_stack([np.ones(n), x, rng.standard_normal(n), x])
+    return DesignMatrix(terms=terms, X=X, y=y)
+
+
+def cycling_design():
+    # x0 enters at p < 0.05 and leaves at Wald p > 1e-9 on every pass
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(400)
+    x = (x - x.mean()) / x.std()
+    y = (rng.random(400) < 1 / (1 + np.exp(-0.35 * x))).astype(int)
+    return design_from_arrays([x, rng.standard_normal(400)], y)
+
+
+def correlated_design(seed, n=1500, k=12):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, k))
+    X = base + 0.8 * base[:, [0]] * (np.arange(k) % 3 == 1)  # every third column leans on x0
+    latent = -1.5 + X[:, :4] @ np.array([0.9, -0.5, 0.4, 0.25])
+    y = (rng.random(n) < 1 / (1 + np.exp(-latent))).astype(int)
+    return design_from_arrays(list(X.T), y)
+
+
+class TestBoundedEntry:
+    CASES = {
+        "planted": (lambda: planted_design(np.random.default_rng(20), 2000, 12), {}),
+        "planted_capped": (
+            lambda: correlated_design(21), {"max_terms": 2, "p_enter": 0.2, "p_stay": 0.2}
+        ),
+        "correlated": (lambda: correlated_design(22), {"p_enter": 0.05, "p_stay": 0.05}),
+        "stops_early": (lambda: correlated_design(23), {"p_enter": 1e-8, "p_stay": 1e-8}),
+        "saturated": (saturated_design, {"p_enter": 0.5, "p_stay": 1.0}),
+        "duplicated": (duplicated_design, {"p_enter": 0.5, "p_stay": 0.5}),
+        "cycling": (cycling_design, {"p_enter": 0.05, "p_stay": 1e-9}),
+        "tied": (tied_design, {"p_enter": 0.5, "p_stay": 0.5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_exhaustive_entry_bit_for_bit(self, case):
+        make, kwargs = self.CASES[case]
+        design = make()
+        got = stepwise_select(design, **kwargs)
+        assert_same_selection(got, exhaustive_stepwise(design, **kwargs))
+        model, trace = got
+        if case == "stops_early":  # three of the four planted terms clear p_enter
+            assert [step.action for step in trace.steps] == ["enter"] * 3
+        if case == "cycling":
+            assert model.warnings[-1].startswith("stepwise stopped at its cap")
+        if case == "tied":
+            assert trace.steps[0].term == "a"
+        if case == "saturated":
+            p = model.predict_proba(design.select([0]).X)
+            assert model.terms == design.terms[:1]
+            assert ((p < logit.PROB_CLAMP) | (p > 1 - logit.PROB_CLAMP)).sum() > 250
+
+    def test_fits_fewer_candidates_than_exhaustive_entry(self, monkeypatch):
+        design = planted_design(np.random.default_rng(24), 3000, 15)
+        calls = []
+        fit = logit.fit_irls
+        monkeypatch.setattr(logit, "fit_irls", lambda *a, **k: calls.append(1) or fit(*a, **k))
+        _model, trace = stepwise_select(design)
+        entries = sum(s.action == "enter" for s in trace.steps)
+        # one intercept fit, then at most two candidate fits per entry step
+        assert entries >= 1 and len(calls) <= 1 + 2 * (entries + 1)
+
+    def test_duplicate_of_an_entered_column_is_always_fitted(self):
+        design = duplicated_design()
+        model = fit_irls(design.select([0]))
+        bounds = logit._entry_bounds(design, [0], model.beta, [1, 2, 3])
+        assert bounds[1] == np.inf  # x2 copies the entered x0
+        assert np.isfinite(bounds[0])
+
+    def test_wrong_side_clamp_in_the_current_model_fits_everything(self):
+        # one row far out on x0 keeps its class against the fit, so its
+        # clamped log-likelihood is above the true one on every candidate
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((5000, 4))
+        y = (rng.random(5000) < 1 / (1 + np.exp(-(2.0 * X[:, 0] + 0.3 * X[:, 1])))).astype(int)
+        X[0, 0], y[0] = -200.0, 1
+        design = design_from_arrays(list(X.T), y)
+        model = fit_irls(design.select([0]))
+        assert model.predict_proba(design.X[:1, :2])[0] < logit.PROB_CLAMP
+        bounds = logit._entry_bounds(design, [0], model.beta, [1, 2, 3])
+        assert (bounds == np.inf).all()
+        assert_same_selection(stepwise_select(design), exhaustive_stepwise(design))
+
+    def test_a_fit_above_its_bound_makes_the_step_fit_everything(self, monkeypatch):
+        X = correlated_design(25).X
+        # the planted columns last, so the first candidate fitted is noise
+        design = design_from_arrays(list(X[:, :0:-1].T), correlated_design(25).y)
+        want = exhaustive_stepwise(design)
+        # bounds far below any log-likelihood break the proof's assumption
+        monkeypatch.setattr(
+            logit, "_entry_bounds", lambda d, cur, beta, cands: np.full(len(cands), -1e9)
+        )
+        assert_same_selection(stepwise_select(design), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 400),
+        k=st.integers(1, 6),
+        n_current=st.integers(0, 3),
+        scale=st.sampled_from([0.3, 1.0, 4.0]),
+    )
+    def test_no_fit_passes_its_bound(self, seed, n, k, n_current, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, k + n_current))
+        X[:, -1] += rng.choice([0.0, 0.9]) * X[:, 0]  # at times a correlated pair
+        latent = X[:, : min(3, X.shape[1])] @ rng.normal(0.0, scale, min(3, X.shape[1]))
+        y = (rng.random(n) < 1 / (1 + np.exp(-latent))).astype(int)
+        if y.min() == y.max():
+            y[0] = 1 - y[0]
+        design = design_from_arrays(list(X.T), y)
+        current = list(range(n_current))
+        candidates = list(range(n_current, n_current + k))
+        model = fit_irls(design.select(current))
+        bounds = logit._entry_bounds(design, current, model.beta, candidates)
+        warm = np.append(model.beta, 0.0)
+        for j, bound in zip(candidates, bounds):
+            logL = fit_irls(design.select(current + [j]), beta0=warm).log_likelihood
+            assert logL <= bound + 1e-9 * max(1.0, abs(logL))

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import itertools
@@ -70,10 +71,10 @@ class TestLoadTable:
 
     def test_header_mismatch(self, tmp_path, simple_schema):
         # the message names the first column that differs, not the whole
-        # header, so a byte-order mark shows at the front of the first name
+        # header, so a stray byte-order mark shows at the front of its name
         for header, message in (
             ("x,flag,lvl,y", "column 3: found 'y', expected 'cat' (4 header columns, 5"),
-            ("\ufeffx,flag,lvl,cat,y", r"column 0: found '\ufeffx', expected 'x' (5 header columns, 5"),
+            ("x,\ufeffflag,lvl,cat,y", r"column 1: found '\ufeffflag', expected 'flag' (5 header"),
             ("x,lvl,flag,cat,y", "column 1: found 'lvl', expected 'flag' (5 header columns, 5"),
             ("x,flag,lvl,cat,y,z", "column 5: found 'z', expected no column (6 header columns, 5"),
         ):
@@ -81,6 +82,21 @@ class TestLoadTable:
             with pytest.raises(ValidationError, match="header") as info:
                 load_table(p, simple_schema)
             assert message in str(info.value) and "'cat', 'y'" not in str(info.value)
+
+    # A CRLF line end or a quote in the header sends the file to csv from
+    # the header on; LF and a plain header keep the fast path.
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("header", ["x,flag,lvl,cat,y", 'x,flag,lvl,"cat",y'])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, simple_schema, eol, header):
+        lines = [header, "1.5,0,10,a,0", ",1,,b,1", "3.5,NA,30,a,0"]
+        data = (eol.join(lines) + eol).encode("utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(data)
+        marked.write_bytes(codecs.BOM_UTF8 + data)
+        _assert_same_table(load_table(marked, simple_schema), load_table(plain, simple_schema))
+        _assert_same_table(
+            load_table(marked, simple_schema, ["cat"]), load_table(plain, simple_schema, ["cat"])
+        )
 
     def test_unparseable_cell_names_row_column_token(self, tmp_path, simple_schema):
         # a continuous cell must be a finite number: "nan" is not a gap marker
