@@ -33,15 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="write the configured synthetic dataset")
-    synth.add_argument("--config", required=True, help="JSON config file")
-    synth.add_argument("--out", help="output directory (default: config out_dir)")
-    synth.add_argument("--seed", type=int, help="override the generator seed")
-
-    pipe = sub.add_parser("pipeline", help="run the full modeling pipeline")
-    pipe.add_argument("--config", required=True, help="JSON config file")
-    pipe.add_argument("--out", help="output directory (default: config out_dir)")
-    pipe.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON config file")
+    common.add_argument("--out", help="output directory (default: config out_dir)")
+    common.add_argument(
         "--seed",
         type=int,
         help=(
@@ -49,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "out-of-sample table is sample index 1 of the same generator"
         ),
     )
+    sub.add_parser("synth", parents=[common], help="write the configured synthetic dataset")
+    sub.add_parser("pipeline", parents=[common], help="run the full modeling pipeline")
 
     scorer = sub.add_parser("score", help="score a CSV with a saved model")
     scorer.add_argument("--model", required=True, help="model.json from a pipeline run")
@@ -104,12 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"synth": _cmd_synth, "pipeline": _cmd_pipeline, "score": _cmd_score}
     try:
         return handlers[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ScreenfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

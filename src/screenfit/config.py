@@ -36,9 +36,7 @@ class SplitConfig:
     seed: int = 17
 
     def __post_init__(self):
-        require_number("split.frac", self.frac)
-        if not (0.0 < self.frac < 1.0):
-            raise ValidationError(f"split.frac must be in (0, 1), got {self.frac}")
+        require_number("split.frac", self.frac, "(0, 1)")
         require_whole("split.seed", self.seed, 0)
 
 
@@ -49,10 +47,8 @@ class StepwiseConfig:
     max_terms: int | None = None
 
     def __post_init__(self):
-        for name, v in (("p_enter", self.p_enter), ("p_stay", self.p_stay)):
-            require_number(f"stepwise.{name}", v)
-            if not (0.0 < v < 1.0):
-                raise ValidationError(f"stepwise.{name} must be in (0, 1), got {v}")
+        require_number("stepwise.p_enter", self.p_enter, "(0, 1)")
+        require_number("stepwise.p_stay", self.p_stay, "(0, 1)")
         if self.max_terms is not None:
             require_whole("stepwise.max_terms", self.max_terms, 1)
 
@@ -74,10 +70,8 @@ class PipelineConfig:
             raise ValidationError(
                 "exactly one of 'input' and 'synthetic' must be present"
             )
-        for name, value in (("prune_cutoff", self.prune_cutoff), ("threshold", self.threshold)):
-            require_number(name, value)
-            if not (0.0 <= value <= 1.0):
-                raise ValidationError(f"{name} must be in [0, 1]")
+        require_number("prune_cutoff", self.prune_cutoff, "[0, 1]")
+        require_number("threshold", self.threshold, "[0, 1]")
         require_string("out_dir", self.out_dir)
         for section, paths in (("input", self.input), ("out_of_sample", self.out_of_sample)):
             if paths is not None:

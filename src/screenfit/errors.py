@@ -5,6 +5,11 @@ bad config, violated preconditions -- the caller handed us something
 malformed) and computation problems (degenerate statistics, failed
 convergence -- the inputs were well-formed but the math cannot proceed).
 The CLI maps the former to exit code 2 and the latter to exit code 1.
+
+A bounded real setting is checked by ``require_number`` with its interval
+written as the message prints it -- ``"(0, 1)"``, ``"[0, 0.5]"``,
+``"[0, inf)"``; a bracket closes an end, a parenthesis opens it -- and a
+value outside reads ``<name> must be in <interval>, got <value!r>``.
 """
 
 import numbers
@@ -51,9 +56,16 @@ def require_string(name: str, value) -> None:
         raise ValidationError(f"{name} must be a string, got {value!r}")
 
 
-def require_number(name: str, value) -> None:
-    """Raise ValidationError unless value is a real number, not a bool, finite as a float."""
+def require_number(name: str, value, interval: str | None = None) -> None:
+    """Raise ValidationError unless value is a real number, not a bool, finite
+    as a float and, when an interval such as "[0, 1)" is given, inside it."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # NaN fails the comparison, and so does an integer too large for a float.
     if not (real and abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    if interval is not None:
+        low, high = map(float, interval[1:-1].split(","))
+        above = low < value if interval[0] == "(" else low <= value
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ValidationError(f"{name} must be in {interval}, got {value!r}")

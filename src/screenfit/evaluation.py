@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, require_number
 
 N_DECILES = 10
 
@@ -143,8 +143,7 @@ def decile_table(scores: ScoreSet) -> list[DecileRow]:
 
 def confusion_matrix(scores: ScoreSet, threshold: float) -> ConfusionMatrix:
     """Tally predictions (1 when p >= threshold) against the actual outcomes."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
+    require_number("threshold", threshold, "[0, 1]")
     pred = scores.p >= threshold
     actual = scores.y.astype(bool)
     return ConfusionMatrix(

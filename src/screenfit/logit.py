@@ -31,17 +31,11 @@ Entry fits only the candidates that a dual bound cannot rule out.  With
 f(t) = log(1 + e^t) and its conjugate f*(a) = a log a + (1-a) log(1-a)
 on (0, 1), each row obeys y*t - f(t) <= (y - a)*t + f*(a).  So for a
 design D and any a in (0, 1)^n with D'(y - a) = 0, no beta has a
-log-likelihood above sum f*(a).  One Newton step from the warm start
-gives such an a for every candidate at once.  A candidate whose a leaves
-(0, 1), whose Schur complement is not positive, or whose pass has a
-singular information matrix gets the bound +inf and is always fitted.
-Candidates are fitted in descending order of their bounds until the next
-bound is below the best fitted log-likelihood minus a slack of
-1e-6 * max(1, |logL|).  The proof assumes that no fitted probability is
-clamped to PROB_CLAMP on the wrong side of its row's class, because there
-the clamped log-likelihood exceeds the true one.  As a guard, a current
-model with such a row, or a fit that passes its bound by more than the
-slack, makes the step fit every candidate.
+log-likelihood above sum f*(a).  The bound is on the true log-likelihood,
+so it holds for a fit only where no probability is clamped to PROB_CLAMP
+on the wrong side of its row's class: there the clamped log-likelihood
+exceeds the true one.  ``_entry_bounds`` finds such an a for every
+candidate, and ``stepwise_select`` fits only those a bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -78,6 +72,15 @@ BOUND_CHUNK_CELLS = 2**14
 STANDARDIZED = "standardized"
 DUMMY = "dummy"
 FLAG = "flag"
+
+# The encoding each column kind takes in training; a scored column must
+# still be of a kind that takes its term's encoding.
+_KIND_ENCODING = {
+    ColumnKind.CATEGORICAL: DUMMY,
+    ColumnKind.BINARY: FLAG,
+    ColumnKind.LIKELIHOOD: STANDARDIZED,
+    ColumnKind.CONTINUOUS: STANDARDIZED,
+}
 
 
 @dataclass(frozen=True)
@@ -239,12 +242,21 @@ def encode_design(
     by :func:`_term_column`, so a table encodes the same way in training
     and in scoring.  A categorical level that has no term and is not the
     reference maps to the reference (all dummies zero) with a warning; on
-    the training table every level that occurs has one or the other.
+    the training table every level that occurs has one or the other.  A
+    template term whose column is not of a kind that takes its encoding
+    raises :class:`ValidationError`.
     """
     used = list(variables) if template is None else sorted({t.source for t in template})
     for v in used:
         if table.missing_mask(v).any():
             raise ValidationError(f"variable {v!r} has missing values; impute first")
+    for term in template or ():
+        kind = table.schema.column(term.source).kind
+        if _KIND_ENCODING[kind] != term.encoding:
+            raise ValidationError(
+                f"column {term.source!r} is {kind.value}, but the model "
+                f"encodes it as a {term.encoding} term"
+            )
 
     warnings: list[str] = []
     terms = _learn_terms(table, variables, warnings) if template is None else tuple(template)
@@ -269,7 +281,8 @@ def _learn_terms(table: DataTable, variables: list[str], warnings: list[str]) ->
     terms = []
     for v in variables:
         spec = table.schema.column(v)
-        if spec.kind is ColumnKind.CATEGORICAL:
+        encoding = _KIND_ENCODING[spec.kind]
+        if encoding == DUMMY:
             codes = table.codes(v)
             counts = dict(zip(spec.levels, np.bincount(codes, minlength=len(spec.levels))))
             reference = min(spec.levels, key=lambda lvl: (-counts[lvl], lvl))
@@ -285,7 +298,7 @@ def _learn_terms(table: DataTable, variables: list[str], warnings: list[str]) ->
         mean, std = float(values.mean()), float(values.std())
         if std == 0.0:
             warnings.append(f"{v}: constant column dropped from the design")
-        elif spec.kind is ColumnKind.BINARY:
+        elif encoding == FLAG:
             terms.append(Term(source=v, encoding=FLAG))
         else:
             terms.append(Term(source=v, encoding=STANDARDIZED, mean=mean, std=std))
@@ -539,21 +552,19 @@ def stepwise_select(
     The ranking key falls as a candidate's fitted log-likelihood rises, so
     only a candidate that could reach the best one needs a fit.
     ``_entry_bounds`` first bounds the log-likelihood each candidate's fit
-    can reach; the bound is +inf where the Newton point leaves (0, 1), the
-    Schur complement is not positive, or the current model's information
-    matrix is singular.  Candidates are fitted from the warm start
-    ``(beta, 0)`` in descending order of their bounds, and the step stops
-    once the next bound is below the best fitted log-likelihood minus
+    can reach.  Candidates are fitted from the warm start ``(beta, 0)`` in
+    descending order of their bounds, and the step stops once the next
+    bound is below the best fitted log-likelihood minus a slack of
     ENTRY_SLACK * max(1, |logL|).  Every candidate that could win or tie
     is fitted as an exhaustive loop fits it, on ``design.select``'s
     column-major layout, so the entered term, its model and the trace are
     the same bits.
 
-    The bound assumes no fitted probability is clamped to PROB_CLAMP on
-    the wrong side of its row's class.  Two guards stand in for it: a
-    current model with such a row gives every candidate +inf, and a
-    fitted candidate whose log-likelihood passes its bound by more than
-    the slack makes the rest of the step fit every candidate.
+    Two guards stand in for the bound's assumption that no fitted
+    probability is clamped on the wrong side of its row's class: a current
+    model with such a row gives every candidate +inf, and a fitted
+    candidate whose log-likelihood passes its bound by more than the slack
+    makes the rest of the step fit every candidate.
     """
     if not design.terms:
         raise ValidationError("need at least one candidate term")

@@ -12,21 +12,21 @@ design encoding with training statistics, stepwise selection,
 collinearity pruning against the validation set, and scoring of train,
 validation, and the out-of-sample table.  The training table is cut
 before the out-of-sample one is made, so at most one full-width table is
-alive at a time.  No artifact is written before the fit: a run that
-stops earlier leaves none.  An out-of-sample CSV is read with only the
-screened columns and the target parsed and validated: its header and the
-width of every row are checked, but a bad cell in any other column is
-not read and raises nothing.  Each stage's outputs land in the run
-directory as plain JSON or CSV.  The manifest, written last, holds the
-package version, the config as run, the train and validation row
-counts, the artifact names and the seconds on each clock (timings live
-only there, so all other files are byte-stable across identical runs).
+alive at a time.  No artifact is written before every dataset is scored:
+a run that stops earlier leaves none.  An out-of-sample CSV is read with
+only the screened columns and the target parsed and validated: its
+header and the width of every row are checked, but a bad cell in any
+other column is not read and raises nothing.  Each stage's outputs land
+in the run directory as plain JSON or CSV.  The manifest, written last,
+holds the package version, the config as run, the train and validation
+row counts, the artifact names and the seconds on each clock (timings
+live only there, so all other files are byte-stable across identical
+runs).
 Every step but the manifest's own write runs under a clock: `generate`
 or `load`, `impute`, `screening` (with the cut), `out_of_sample_generate`
 or `out_of_sample_load`, `out_of_sample_impute`, `split` (with the level
 merges), `encode`, `stepwise`, `prune` (with the global-null test),
-`evaluate`, and `write` for the artifact writes before and after
-evaluation.
+`evaluate`, and `write` for the artifact writes.
 """
 
 from __future__ import annotations
@@ -196,20 +196,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     warnings = train_design.warnings + valid_design.warnings + model.warnings
     model = replace(model, warnings=tuple(dict.fromkeys(warnings)))
 
-    with clock("write"):
-        screening_doc = report.to_dict()
-        write_json(screening_doc, out / "screening_report.json")
-        write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
-        model_doc = {
-            "model": model_to_dict(model),
-            "target": table.schema.target,
-            "variables": final_vars,
-            "level_mappings": screening_doc["level_mappings"],
-            "global_null": gnull,
-            "stepwise_trace": [asdict(step) for step in trace.steps],
-        }
-        write_json(model_doc, out / "model.json")
-
     # --- evaluate
     datasets = {"train": split.train, "validation": split.validation}
     if oos_table is not None:
@@ -225,6 +211,18 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             confusion[name] = asdict(confusion_matrix(ss, config.threshold))
 
     with clock("write"):
+        screening_doc = report.to_dict()
+        write_json(screening_doc, out / "screening_report.json")
+        write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
+        model_doc = {
+            "model": model_to_dict(model),
+            "target": table.schema.target,
+            "variables": final_vars,
+            "level_mappings": screening_doc["level_mappings"],
+            "global_null": gnull,
+            "stepwise_trace": [asdict(step) for step in trace.steps],
+        }
+        write_json(model_doc, out / "model.json")
         write_csv(CHART_COLUMNS, chart_rows(deciles["validation"]), out / "decile_table.csv")
         charts = ([name] + row for name in datasets for row in chart_rows(deciles[name]))
         write_csv(["dataset"] + CHART_COLUMNS, charts, out / "charts.csv")

@@ -139,16 +139,11 @@ class StagePlan:
             raise ValidationError(
                 f"stage counts must decrease strictly, got {counts}"
             )
-        for name in ("iv_min", "iv_max", "occupancy_min", "level_merge_alpha", "iv_smoothing"):
-            require_number(f"plan.{name}", getattr(self, name))
-        if not (0.0 < self.iv_min < self.iv_max):
-            raise ValidationError("need 0 < iv_min < iv_max")
-        if not (0.0 <= self.occupancy_min <= 1.0):
-            raise ValidationError("occupancy_min must be in [0, 1]")
-        if not (0.0 <= self.level_merge_alpha < 1.0):
-            raise ValidationError("level_merge_alpha must be in [0, 1)")
-        if self.iv_smoothing < 0.0:
-            raise ValidationError("iv_smoothing must be >= 0")
+        require_number("plan.iv_min", self.iv_min, "(0, inf)")
+        require_number("plan.iv_max", self.iv_max, f"({self.iv_min}, inf)")
+        require_number("plan.occupancy_min", self.occupancy_min, "[0, 1]")
+        require_number("plan.level_merge_alpha", self.level_merge_alpha, "[0, 1)")
+        require_number("plan.iv_smoothing", self.iv_smoothing, "[0, inf)")
 
 
 @dataclass

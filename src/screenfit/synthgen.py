@@ -75,21 +75,14 @@ class SyntheticSpec:
                 f"kind_mix keys must be among {KINDS}, got {sorted(self.kind_mix)}"
             )
         for kind, frac in self.kind_mix.items():
-            require_number(f"synthetic.kind_mix.{kind}", frac)
-        if any(v < 0 for v in self.kind_mix.values()):
-            raise ValidationError("kind_mix fractions must be non-negative")
+            require_number(f"synthetic.kind_mix.{kind}", frac, "[0, inf)")
         if abs(sum(self.kind_mix.values()) - 1.0) > 1e-9:
             raise ValidationError("kind_mix fractions must sum to 1")
         lo, hi = self.beta_range
-        for name, value in (("beta_range[0]", lo), ("beta_range[1]", hi),
-                            ("missing_rate", self.missing_rate), ("correlated_r", self.correlated_r)):
-            require_number(f"synthetic.{name}", value)
-        if not (0.0 < lo <= hi):
-            raise ValidationError("beta_range must satisfy 0 < low <= high")
-        if not (0.0 <= self.missing_rate <= 0.5):
-            raise ValidationError("missing_rate must be in [0, 0.5]")
-        if not (-1.0 < self.correlated_r < 1.0):
-            raise ValidationError("correlated_r must be in (-1, 1)")
+        require_number("synthetic.beta_range[0]", lo, "(0, inf)")
+        require_number("synthetic.beta_range[1]", hi, f"[{lo}, inf)")
+        require_number("synthetic.missing_rate", self.missing_rate, "[0, 0.5]")
+        require_number("synthetic.correlated_r", self.correlated_r, "(-1, 1)")
         require_whole("synthetic.seed", self.seed, 0)
 
     @property

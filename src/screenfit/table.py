@@ -75,7 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellParseError, ComputationError, ValidationError, require_string
+from .errors import CellParseError, ComputationError, ValidationError, require_number, require_string
 
 MISSING_TOKENS = ("", "NA")
 
@@ -880,8 +880,7 @@ def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitRes
     row choice is a seeded permutation, so the same seed always yields
     the same row assignment.
     """
-    if not (0.0 < frac < 1.0):
-        raise ValidationError(f"frac must be in (0, 1), got {frac}")
+    require_number("frac", frac, "(0, 1)")
     if table.n_records < 2:
         raise ValidationError("need at least 2 records to split")
     y = table.target_values

@@ -366,3 +366,56 @@ def test_schema_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, m
     err = capsys.readouterr().err
     assert f"error: {tmp_path / 'schema.json'}: " in err and message in err
     assert not (tmp_path / "scores.csv").exists()
+
+
+def test_bound_outside_its_interval_in_config_exits_2(tmp_path, capsys):
+    plan = PLAN | {"occupancy_min": 1.5}
+    config = input_config(tmp_path, "x,lik,y\n1.0,5,0\n2.0,6,1\n", plan=plan)
+    assert run_pipeline_command(tmp_path, config) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: plan.occupancy_min must be in [0, 1], got 1.5\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+# A model with one flag term on f.  Declared categorical with levels "1"
+# and "0", f would be read as level indices: 1 for the cell "0", 0 for "1".
+FLAG_MODEL = edited(
+    MODEL,
+    ("model", "rows"),
+    MODEL["model"]["rows"]
+    + [{"term": {"source": "f", "encoding": "flag"}, "estimate": 1.2, "std_error": 0.3}],
+)
+
+
+@pytest.mark.parametrize(
+    "column, code",
+    [
+        ({"name": "f", "kind": "binary"}, 0),
+        ({"name": "f", "kind": "categorical", "levels": ["1", "0"]}, 2),
+    ],
+)
+def test_flag_term_scores_only_a_binary_column(tmp_path, capsys, column, code):
+    schema = {"target": "y", "columns": [column, {"name": "y", "kind": "binary"}]}
+    (tmp_path / "model.json").write_text(json.dumps(FLAG_MODEL), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "data.csv").write_text("f,y\n1,0\n0,1\n", encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == code
+    if code == 0:
+        assert (tmp_path / "scores.csv").read_text(encoding="utf-8").count("\n") == 3
+    else:
+        err = capsys.readouterr().err
+        assert err == "error: column 'f' is categorical, but the model encodes it as a flag term\n"
+        assert not (tmp_path / "scores.csv").exists()
+
+
+def test_synth_and_pipeline_list_the_same_options(capsys):
+    helps = []
+    for command in ("synth", "pipeline"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps.append(capsys.readouterr().out.replace(f"screenfit {command}", "screenfit COMMAND"))
+    assert helps[0] == helps[1]
+    assert all(option in helps[0] for option in ("--config CONFIG", "--out OUT", "--seed SEED"))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import pytest
@@ -140,3 +141,98 @@ def test_with_seed_rejects_a_negative_seed():
     assert config.with_seed(-1).split.seed == 0
     with pytest.raises(ValidationError, match="split.seed"):
         config.with_seed(-2)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"split": {"frac": 0.0}}, "split.frac must be in (0, 1), got 0.0"),
+        ({"split": {"frac": 1.0}}, "split.frac must be in (0, 1), got 1.0"),
+        ({"stepwise": {"p_enter": 0.0}}, "stepwise.p_enter must be in (0, 1), got 0.0"),
+        ({"stepwise": {"p_enter": 1.0}}, "stepwise.p_enter must be in (0, 1), got 1.0"),
+        ({"stepwise": {"p_stay": 0.0}}, "stepwise.p_stay must be in (0, 1), got 0.0"),
+        ({"stepwise": {"p_stay": 1.0}}, "stepwise.p_stay must be in (0, 1), got 1.0"),
+        ({"prune_cutoff": -0.01}, "prune_cutoff must be in [0, 1], got -0.01"),
+        ({"prune_cutoff": 1.01}, "prune_cutoff must be in [0, 1], got 1.01"),
+        ({"threshold": -0.01}, "threshold must be in [0, 1], got -0.01"),
+        ({"threshold": 1.01}, "threshold must be in [0, 1], got 1.01"),
+        ({"plan": PLAN | {"iv_min": 0.0}}, "plan.iv_min must be in (0, inf), got 0.0"),
+        ({"plan": PLAN | {"iv_max": 0.03}}, "plan.iv_max must be in (0.03, inf), got 0.03"),
+        (
+            {"plan": PLAN | {"iv_min": 0.2, "iv_max": 0.1}},
+            "plan.iv_max must be in (0.2, inf), got 0.1",
+        ),
+        (
+            {"plan": PLAN | {"occupancy_min": -0.01}},
+            "plan.occupancy_min must be in [0, 1], got -0.01",
+        ),
+        ({"plan": PLAN | {"occupancy_min": 1.5}}, "plan.occupancy_min must be in [0, 1], got 1.5"),
+        (
+            {"plan": PLAN | {"level_merge_alpha": -0.01}},
+            "plan.level_merge_alpha must be in [0, 1), got -0.01",
+        ),
+        (
+            {"plan": PLAN | {"level_merge_alpha": 1.0}},
+            "plan.level_merge_alpha must be in [0, 1), got 1.0",
+        ),
+        (
+            {"plan": PLAN | {"iv_smoothing": -0.01}},
+            "plan.iv_smoothing must be in [0, inf), got -0.01",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"kind_mix": {"binary": -0.5, "categorical": 1.5}}},
+            "synthetic.kind_mix.binary must be in [0, inf), got -0.5",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"beta_range": [0.0, 0.9]}},
+            "synthetic.beta_range[0] must be in (0, inf), got 0.0",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"beta_range": [0.5, 0.49]}},
+            "synthetic.beta_range[1] must be in [0.5, inf), got 0.49",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"missing_rate": -0.01}},
+            "synthetic.missing_rate must be in [0, 0.5], got -0.01",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"missing_rate": 0.51}},
+            "synthetic.missing_rate must be in [0, 0.5], got 0.51",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"correlated_r": -1.0}},
+            "synthetic.correlated_r must be in (-1, 1), got -1.0",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"correlated_r": 1.0}},
+            "synthetic.correlated_r must be in (-1, 1), got 1.0",
+        ),
+        (
+            {"synthetic": SYNTHETIC | {"correlated_r": 1}},
+            "synthetic.correlated_r must be in (-1, 1), got 1",
+        ),
+    ],
+)
+def test_bounded_field_just_outside_names_field_interval_and_value(doc, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"plan": PLAN | {"occupancy_min": 1.0}},
+        {"plan": PLAN | {"occupancy_min": 0.0}},
+        {"plan": PLAN | {"level_merge_alpha": 0.0}},
+        {"plan": PLAN | {"iv_smoothing": 0.0}},
+        {"synthetic": SYNTHETIC | {"missing_rate": 0.5}},
+        {"synthetic": SYNTHETIC | {"missing_rate": 0.0}},
+        {"synthetic": SYNTHETIC | {"beta_range": [0.5, 0.5]}},
+        {"synthetic": SYNTHETIC | {"kind_mix": {"binary": 0.0, "categorical": 1.0}}},
+        {"prune_cutoff": 0.0, "threshold": 1.0},
+        {"prune_cutoff": 1.0, "threshold": 0.0},
+    ],
+)
+def test_bounded_field_at_a_closed_end_is_accepted(doc):
+    config = PipelineConfig.from_dict({"plan": PLAN, "synthetic": SYNTHETIC} | doc)
+    assert PipelineConfig.from_dict(asdict(config)) == config

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -216,6 +218,12 @@ class TestConfusionMatrix:
         ss = score_set([0.5], [1])
         with pytest.raises(ValidationError):
             confusion_matrix(ss, 1.5)
+
+    def test_threshold_just_outside_names_its_interval(self):
+        ss = score_set([0.5], [1])
+        message = "threshold must be in [0, 1], got -0.01"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            confusion_matrix(ss, -0.01)
 
 
 class TestMetrics:

@@ -120,6 +120,23 @@ class TestEncodeDesign:
         assert design.terms[0].encoding == "flag"
         np.testing.assert_array_equal(design.X[:, 1], [0, 1, 1, 0])
 
+    @pytest.mark.parametrize(
+        "term, kind",
+        [
+            (Term(source="v", encoding="dummy", level="1", reference="0"), ColumnKind.BINARY),
+            (Term(source="v", encoding="flag"), ColumnKind.CATEGORICAL),
+            (Term(source="v", encoding="flag"), ColumnKind.LIKELIHOOD),
+            (Term(source="v", encoding="standardized", mean=1.5, std=0.5), ColumnKind.CATEGORICAL),
+            (Term(source="v", encoding="standardized", mean=0.5, std=0.5), ColumnKind.BINARY),
+        ],
+    )
+    def test_template_term_on_a_column_of_another_kind_is_rejected(self, term, kind):
+        values = ["1", "2"] if kind is ColumnKind.CATEGORICAL else [1.0, 1.0]
+        t = make_table({"v": values, "y": [0, 1]}, {"v": kind, "y": ColumnKind.BINARY})
+        message = f"column 'v' is {kind.value}, but the model encodes it as a {term.encoding} term"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            encode_design(t, ["v"], template=(term,))
+
 
 LEVELS = ("a", "b", "c", "d")
 KINDS = {

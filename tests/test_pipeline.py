@@ -291,3 +291,36 @@ def test_binary_gap_that_survives_screening_leaves_no_artifact(tmp_path):
     with pytest.raises(ValidationError, match="variable 'b0' has missing values; impute first"):
         pipeline.run_pipeline(config, tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_out_of_sample_column_of_another_kind_leaves_no_artifact(tmp_path):
+    """The model keeps the flag b0; an out-of-sample schema that declares b0
+    categorical would have it read as level indices, so the run stops
+    when it scores that table, before it writes anything."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    columns = {f"b{i}": (rng.random(n) < 0.3).astype(float) for i in range(12)}
+    columns |= {f"c{i}": rng.normal(size=n) for i in range(6)}
+    eta = 0.8 * (columns["b0"] + columns["b1"] + columns["b2"]) + columns["c0"] - 2
+    columns["y"] = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+    kind = {"b": ColumnKind.BINARY, "c": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY}
+    schema = TableSchema(tuple(ColumnSpec(name, kind[name[0]]) for name in columns), "y")
+    save_table(DataTable(schema, columns), tmp_path / "data.csv")
+    save_schema(schema, tmp_path / "schema.json")
+    categorical_b0 = tuple(
+        ColumnSpec("b0", ColumnKind.CATEGORICAL, ("1", "0")) if c.name == "b0" else c
+        for c in schema.columns
+    )
+    save_schema(TableSchema(categorical_b0, "y"), tmp_path / "oos_schema.json")
+    plan = {"retain_after_chi2": 16, "retain_after_t": 14, "retain_after_iv": 10, "final_retain": 4}
+    inputs = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    consistent = {"plan": plan, "input": inputs, "out_of_sample": inputs}
+    result = pipeline.run_pipeline(PipelineConfig.from_dict(consistent), tmp_path / "clean")
+    assert ("b0", "flag") in [(t.source, t.encoding) for t in result.model.terms]
+
+    oos_inputs = inputs | {"schema": str(tmp_path / "oos_schema.json")}
+    mismatched = consistent | {"out_of_sample": oos_inputs}
+    message = "column 'b0' is categorical, but the model encodes it as a flag term"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        pipeline.run_pipeline(PipelineConfig.from_dict(mismatched), tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []

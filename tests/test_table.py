@@ -1133,6 +1133,11 @@ class TestSplit:
             with pytest.raises(ValidationError):
                 split_train_validation(t, frac, seed=1)
 
+    def test_frac_just_outside_names_its_interval(self):
+        t = self.table_with_classes(2, 2)
+        with pytest.raises(ValidationError, match=f"^{re.escape('frac must be in (0, 1), got 1.0')}$"):
+            split_train_validation(t, 1.0, seed=1)
+
     def test_single_class_rejected(self):
         t = make_table(
             {"x": [1, 2], "y": [1, 1]},
