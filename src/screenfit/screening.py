@@ -36,6 +36,8 @@ from . import varclus
 from .errors import ComputationError, ValidationError, require_number, require_whole
 from .logit import chi2_sf
 from .table import (
+    DISCRETE_KINDS,
+    IMPUTED_KINDS,
     LIKELIHOOD_MAX,
     LIKELIHOOD_MIN,
     ColumnKind,
@@ -217,11 +219,7 @@ def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.nda
     levels that occur in the data.  Each kind maps the column's codes
     through a lookup whose last entry, the one code -1 picks, is -1.
     """
-    spec = table.schema.column(variable)
-    if spec.kind is ColumnKind.CONTINUOUS:
-        raise ValidationError(
-            f"{variable!r} is continuous; level-wise statistics need a discrete kind"
-        )
+    spec = table.schema.column(variable, *DISCRETE_KINDS)
     if spec.kind is ColumnKind.CATEGORICAL:
         labels = sorted(spec.levels)
         label_of_code = np.array([labels.index(lvl) for lvl in spec.levels] + [-1])
@@ -282,9 +280,7 @@ def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
     Computed on the 2x2 contingency table of pairwise non-missing rows,
     df = 1, no continuity correction.  All four margins must be nonzero.
     """
-    spec = table.schema.column(variable)
-    if spec.kind is not ColumnKind.BINARY:
-        raise ValidationError(f"{variable!r} is not binary")
+    table.schema.column(variable, ColumnKind.BINARY)
     labels, counts = _level_class_counts(table, variable)
     statistic = _pearson_2x2(*counts.ravel().tolist()) if len(labels) == 2 else None
     if statistic is None:
@@ -300,11 +296,7 @@ def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
 
     Sign follows mean(target=1) - mean(target=0); df = n0 + n1 - 2.
     """
-    spec = table.schema.column(variable)
-    if spec.kind not in (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD):
-        raise ValidationError(
-            f"{variable!r} is {spec.kind.value}; the t screen needs a multivalued numeric column"
-        )
+    table.schema.column(variable, *IMPUTED_KINDS)
     x = table.column(variable)
     y = table.target_values
     keep = ~np.isnan(x)
@@ -369,9 +361,7 @@ def occupancy_filter(
     """Retain binary variables whose share of ones (among non-missing) is >= min_frac."""
     retained = []
     for name in variables:
-        spec = table.schema.column(name)
-        if spec.kind is not ColumnKind.BINARY:
-            raise ValidationError(f"occupancy filter applies to binary columns; {name!r} is {spec.kind.value}")
+        table.schema.column(name, ColumnKind.BINARY)
         x = table.codes(name)
         x = x[x >= 0]
         if len(x) == 0:
@@ -392,9 +382,7 @@ def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelM
     everything).
     """
     _require_both_classes(table)
-    spec = table.schema.column(variable)
-    if spec.kind is not ColumnKind.CATEGORICAL:
-        raise ValidationError(f"merge_levels applies to categorical columns; {variable!r} is {spec.kind.value}")
+    spec = table.schema.column(variable, ColumnKind.CATEGORICAL)
     labels, counts = _level_class_counts(table, variable)
     # Each group: its member levels and its target 0 and target 1 counts.
     groups = [([lvl], n0, n1) for lvl, (n0, n1) in zip(labels, counts.tolist())]
@@ -431,9 +419,7 @@ def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
     """
     columns, specs = {}, []
     for mapping in mappings:
-        spec = table.schema.column(mapping.variable)
-        if spec.kind is not ColumnKind.CATEGORICAL:
-            raise ValidationError(f"{mapping.variable!r} is not categorical")
+        spec = table.schema.column(mapping.variable, ColumnKind.CATEGORICAL)
         merged = [mapping.mapping.get(lvl, lvl) for lvl in spec.levels]
         new_levels = tuple(sorted(set(merged)))
         if len(new_levels) < 2:
@@ -499,8 +485,7 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     report.stages.append(("chi_square", retained))
 
     # --- stage 2: |t| over multivalued numeric predictors
-    numeric_kinds = (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD)
-    report.t_test = {v: t_test_multivalued(table, v) for v in retained if kind(v) in numeric_kinds}
+    report.t_test = {v: t_test_multivalued(table, v) for v in retained if kind(v) in IMPUTED_KINDS}
     retained = cut(
         report.t_test, lambda r: abs(r.t_statistic), retained, plan.retain_after_t, "t-test stage"
     )
@@ -510,10 +495,10 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     report.iv = {
         v: woe_iv(table, v, smoothing=plan.iv_smoothing)
         for v in retained
-        if kind(v) is not ColumnKind.CONTINUOUS
+        if kind(v) in DISCRETE_KINDS
     }
     in_band = {v: r for v, r in report.iv.items() if plan.iv_min <= r.total_iv <= plan.iv_max}
-    retained = [v for v in retained if kind(v) is ColumnKind.CONTINUOUS or v in in_band]
+    retained = [v for v in retained if v not in report.iv or v in in_band]
     if len(retained) > plan.retain_after_iv:
         retained = cut(in_band, lambda r: r.total_iv, retained, plan.retain_after_iv, "IV stage")
     if not retained:

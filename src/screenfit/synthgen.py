@@ -39,7 +39,7 @@ from .evaluation import ScoreSet
 from .logit import _sigmoid
 from .table import ColumnKind, ColumnSpec, DataTable, TableSchema, _freeze, _largest_remainder
 
-KINDS = ("binary", "categorical", "likelihood", "continuous")
+KINDS = tuple(kind.value for kind in ColumnKind)
 
 TARGET_NAME = "target"
 
@@ -157,8 +157,7 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     discrete kind, float64 for continuous), and the table shares them
     (read-only) instead of copying them, so they exist once in memory.
     """
-    if sample_index < 0:
-        raise ValidationError("sample_index must be >= 0")
+    require_whole("sample_index", sample_index, 0)
     structure = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
     records = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 + sample_index]))
     n = spec.n_records

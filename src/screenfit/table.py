@@ -10,7 +10,12 @@ them -- one byte per cell for binary, likelihood and categoricals of up
 to 128 levels -- so a table of mostly discrete columns takes a fraction
 of its float64 size.  Every stage works on the codes with numpy
 expressions, or reads float64 with NaN through the accessors; only this
-module maps codes to level strings and back.  Tables are immutable
+module maps codes to level strings and back.  Each kind set is named
+once, :data:`DISCRETE_KINDS` for the coded kinds and
+:data:`IMPUTED_KINDS` for the numeric ones, and a step that takes only
+some kinds gets its column from ``TableSchema.column(name, *kinds)``,
+which raises ``column <name!r> is <kind>, not <a, b or c>`` for any
+other kind.  Tables are immutable
 after construction: every operation returns a new table (or
 the same object when nothing changed), and the backing arrays are marked
 read-only so they can be shared across threads and across tables -- a
@@ -61,6 +66,7 @@ that is a directory or whose directory is missing.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import errno
 import io
@@ -99,6 +105,7 @@ class ColumnKind(str, Enum):
 
 
 IMPUTED_KINDS = (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD)
+DISCRETE_KINDS = (ColumnKind.CATEGORICAL, ColumnKind.BINARY, ColumnKind.LIKELIHOOD)
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,18 @@ class TableSchema:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def column(self, name: str) -> ColumnSpec:
+    def column(self, name: str, *kinds: ColumnKind) -> ColumnSpec:
+        """The named column's spec.  An unknown name raises
+        :class:`ValidationError`, and with ``kinds`` given so does a column
+        of any other kind: ``column <name!r> is <kind>, not <a, b or c>``."""
         if name not in self._by_name:
             raise ValidationError(f"no column named {name!r} in schema")
-        return self._by_name[name]
+        spec = self._by_name[name]
+        if kinds and spec.kind not in kinds:
+            *rest, last = (kind.value for kind in kinds)
+            wanted = f"{', '.join(rest)} or {last}" if rest else last
+            raise ValidationError(f"column {name!r} is {spec.kind.value}, not {wanted}")
+        return spec
 
     @property
     def predictors(self) -> list[str]:
@@ -377,10 +392,7 @@ class DataTable:
         """A discrete column's stored codes, -1 for missing: the binary
         values, the likelihood levels, or the indices into a categorical's
         declared levels."""
-        if self.schema.column(name).kind is ColumnKind.CONTINUOUS:
-            raise ValidationError(
-                f"column {name!r} is continuous, not categorical, binary or likelihood"
-            )
+        self.schema.column(name, *DISCRETE_KINDS)
         return self._columns[name]
 
     @property
@@ -503,10 +515,16 @@ def _parse_column(spec: ColumnSpec, tokens: list[str]) -> tuple[np.ndarray, int 
 
 
 def _csv_rows(fh, offset: int):
-    """:func:`csv.reader` over the binary file ``fh`` from byte ``offset``
-    on, decoded as UTF-8 with line ends kept."""
+    """The rows :func:`csv.reader` reads from the binary file ``fh`` from
+    byte ``offset`` on, decoded as UTF-8 with line ends kept.  The text
+    wrapper is detached when the rows end or the generator is closed,
+    leaving ``fh`` to its owner; close the generator while ``fh`` is open."""
     fh.seek(offset)
-    return csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        yield from csv.reader(text)
+    finally:
+        text.detach()
 
 
 def _scan(data: bytes, width: int, picked: list[int], limit: int, max_rows: int) -> tuple:
@@ -644,47 +662,48 @@ def load_table(
     block = max(1, BLOCK_CELLS // len(kept.columns))
 
     def parse_blocks(fh):
-        blocks = _kept_blocks(fh, width, picked, block)
-        header = next(blocks)
-        if header is None:
-            raise ValidationError(f"{csv_path}: empty file, no header row")
-        if header != schema.names:
-            # Only the first difference is named: a paper-width header
-            # holds a thousand names or more, and a stray character would
-            # hide among them.
-            pairs = enumerate(zip(header, schema.names))
-            at = next((i for i, (a, b) in pairs if a != b), min(len(header), width))
-            found, expected = (
-                repr(names[at]) if at < len(names) else "no column"
-                for names in (header, schema.names)
-            )
-            raise ValidationError(
-                f"{csv_path}: header does not match the schema at column {at}: found "
-                f"{found}, expected {expected} ({len(header)} header columns, {width} "
-                f"in the schema)"
-            )
-        parts = [[] for _ in kept.columns]
-        start = 0
-        for cells, ragged in blocks:
-            bad_cells = []
-            for j, spec in enumerate(kept.columns):
-                # One column at a time, so a block's tokens are never
-                # held in a second, column-wise copy.
-                tokens = cells[j :: len(picked)]
-                column, bad_row = _parse_column(spec, tokens)
-                parts[j].append(column)
-                if bad_row is not None:
-                    bad_cells.append((bad_row, j, tokens[bad_row]))
-            if bad_cells:
-                row, j, token = min(bad_cells)
-                spec = kept.columns[j]
-                raise CellParseError(start + row, spec.name, token, _cell_error(token, spec))
-            start += len(tokens)
-            if ragged is not None:
-                raise ValidationError(
-                    f"{csv_path}: row {start} has {ragged} cells, expected {width}"
+        # Closed while ``fh`` is open, so that its csv rows, if any, detach.
+        with contextlib.closing(_kept_blocks(fh, width, picked, block)) as blocks:
+            header = next(blocks)
+            if header is None:
+                raise ValidationError(f"{csv_path}: empty file, no header row")
+            if header != schema.names:
+                # Only the first difference is named: a paper-width header
+                # holds a thousand names or more, and a stray character would
+                # hide among them.
+                pairs = enumerate(zip(header, schema.names))
+                at = next((i for i, (a, b) in pairs if a != b), min(len(header), width))
+                found, expected = (
+                    repr(names[at]) if at < len(names) else "no column"
+                    for names in (header, schema.names)
                 )
-        return parts
+                raise ValidationError(
+                    f"{csv_path}: header does not match the schema at column {at}: found "
+                    f"{found}, expected {expected} ({len(header)} header columns, {width} "
+                    f"in the schema)"
+                )
+            parts = [[] for _ in kept.columns]
+            start = 0
+            for cells, ragged in blocks:
+                bad_cells = []
+                for j, spec in enumerate(kept.columns):
+                    # One column at a time, so a block's tokens are never
+                    # held in a second, column-wise copy.
+                    tokens = cells[j :: len(picked)]
+                    column, bad_row = _parse_column(spec, tokens)
+                    parts[j].append(column)
+                    if bad_row is not None:
+                        bad_cells.append((bad_row, j, tokens[bad_row]))
+                if bad_cells:
+                    row, j, token = min(bad_cells)
+                    spec = kept.columns[j]
+                    raise CellParseError(start + row, spec.name, token, _cell_error(token, spec))
+                start += len(tokens)
+                if ragged is not None:
+                    raise ValidationError(
+                        f"{csv_path}: row {start} has {ragged} cells, expected {width}"
+                    )
+            return parts
 
     parts = _read(csv_path, "data file", parse_blocks)
     return DataTable(
@@ -835,12 +854,7 @@ def impute_median(table: DataTable, column: str) -> DataTable:
     so the result stays an integer in [1, 99].  Categorical and binary
     columns are rejected; their imputation is out of scope.
     """
-    spec = table.schema.column(column)
-    if spec.kind not in IMPUTED_KINDS:
-        raise ValidationError(
-            f"impute_median only applies to continuous or likelihood columns, "
-            f"{column!r} is {spec.kind.value}"
-        )
+    spec = table.schema.column(column, *IMPUTED_KINDS)
     return table.replace_columns(_median_filled(table, [spec]))
 
 

@@ -28,6 +28,15 @@ def make_table(columns: dict, kinds: dict, target: str = "y", levels: dict | Non
     return DataTable(schema, arrays)
 
 
+# The column of each kind in the binary_target_table fixture.
+COLUMN_OF_KIND = {
+    ColumnKind.BINARY: "flag",
+    ColumnKind.LIKELIHOOD: "level",
+    ColumnKind.CONTINUOUS: "amount",
+    ColumnKind.CATEGORICAL: "group",
+}
+
+
 @pytest.fixture
 def binary_target_table():
     """Small mixed-kind table with both target classes present."""

@@ -411,6 +411,45 @@ def test_flag_term_scores_only_a_binary_column(tmp_path, capsys, column, code):
         assert not (tmp_path / "scores.csv").exists()
 
 
+# A model with a level mapping and a dummy term on c: scoring applies the
+# mapping before it encodes the term.
+DUMMY_MODEL = edited(
+    TERM_MODEL,
+    ("model", "rows"),
+    TERM_MODEL["model"]["rows"]
+    + [
+        {
+            "term": {"source": "c", "encoding": "dummy", "level": "b", "reference": "a"},
+            "estimate": 0.7,
+            "std_error": 0.2,
+        }
+    ],
+) | {"level_mappings": {"c": {"a": "a", "b": "b"}}}
+
+
+@pytest.mark.parametrize(
+    "column, cells, code",
+    [
+        ({"name": "c", "kind": "categorical", "levels": ["a", "b"]}, ("a", "b"), 0),
+        ({"name": "c", "kind": "binary"}, ("0", "1"), 2),
+    ],
+)
+def test_level_mapping_applies_only_to_a_categorical_column(tmp_path, capsys, column, cells, code):
+    schema = edited(SCORED_SCHEMA, ("columns", 2), column)
+    (tmp_path / "model.json").write_text(json.dumps(DUMMY_MODEL), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    rows = "".join(f"{x},5,{c},{y}\n" for x, c, y in zip((1.0, 2.0), cells, (0, 1)))
+    (tmp_path / "data.csv").write_text("x,lik,c,y\n" + rows, encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == code
+    if code == 0:
+        assert (tmp_path / "scores.csv").read_text(encoding="utf-8").count("\n") == 3
+    else:
+        assert capsys.readouterr().err == "error: column 'c' is binary, not categorical\n"
+        assert not (tmp_path / "scores.csv").exists()
+
+
 def test_synth_and_pipeline_list_the_same_options(capsys):
     helps = []
     for command in ("synth", "pipeline"):

@@ -23,7 +23,7 @@ from screenfit.screening import (
 from screenfit.synthgen import SyntheticSpec, generate
 from screenfit.table import ColumnKind
 
-from conftest import make_table
+from conftest import COLUMN_OF_KIND, make_table
 
 
 def binary_table(x, y):
@@ -449,6 +449,38 @@ class TestRunScreening:
                          retain_after_iv=150, final_retain=50)
         with pytest.raises(ValidationError):
             run_screening(table, plan)
+
+
+# Each screening step that takes only some column kinds, with the kinds
+# it takes as its refusal prints them.
+KIND_GUARDS = {
+    "discrete_levels": (discrete_levels, "categorical, binary or likelihood"),
+    "woe_iv": (woe_iv, "categorical, binary or likelihood"),
+    "chi_square_binary": (chi_square_binary, "binary"),
+    "t_test_multivalued": (t_test_multivalued, "continuous or likelihood"),
+    "occupancy_filter": (lambda table, v: occupancy_filter(table, [v], 0.1), "binary"),
+    "merge_levels": (merge_levels, "categorical"),
+    "apply_level_mapping": (
+        lambda table, v: apply_level_mapping(table, LevelMapping(v, {})), "categorical"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "guard, kind",
+    [
+        (guard, kind)
+        for guard, (_, wanted) in KIND_GUARDS.items()
+        for kind in ColumnKind
+        if kind.value not in wanted.replace(" or ", ", ").split(", ")
+    ],
+)
+def test_step_refuses_a_column_of_another_kind(binary_target_table, guard, kind):
+    step, wanted = KIND_GUARDS[guard]
+    name = COLUMN_OF_KIND[kind]
+    message = f"column {name!r} is {kind.value}, not {wanted}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        step(binary_target_table, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -140,6 +141,26 @@ class TestOracleMetrics:
 
 
 KIND_MIX = {"binary": 0.5, "continuous": 0.5}
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, True, "1"])
+def test_sample_index_must_be_a_whole_number(index):
+    message = f"sample_index must be a whole number >= 0, got {index!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        synthgen.generate(SPECS[1], index)
+
+
+def test_whole_sample_indices_draw_their_own_samples():
+    first, second, again = (synthgen.generate(SPECS[1], i)[0] for i in (0, 1, np.int64(1)))
+    assert first.schema == second.schema == again.schema
+
+    def same(a, b):
+        return all(
+            np.array_equal(a.numeric_view(v), b.numeric_view(v), equal_nan=True)
+            for v in a.schema.names
+        )
+
+    assert same(second, again) and not same(first, second)
 
 
 def spec_with(**fields):

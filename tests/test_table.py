@@ -1,9 +1,12 @@
 import codecs
 import csv
+import gc
 import io
 import itertools
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from screenfit.table import (
     _largest_remainder,
 )
 
-from conftest import make_table
+from conftest import COLUMN_OF_KIND, make_table
 
 
 def write_csv(path, text):
@@ -362,6 +365,44 @@ class TestQuotedAndCrlfFiles:
         p = write_csv(tmp_path / "bad.csv", quoted.replace("4.5,1,,b,1", '4.5,1,,"zzz",1'))
         with pytest.raises(CellParseError, match=r"row 3.*'cat'.*'zzz'"):
             load_table(p, simple_schema)
+
+
+class TestCsvTextWrapper:
+    """The text wrapper the :mod:`csv` fallback reads through is detached
+    from the caller's file, not left to the garbage collector, which would
+    warn and close that file a second time."""
+
+    QUOTED = 'x,flag,lvl,cat,y\n"1.5",0,10,a,0\n2.5,1,20,b,1\n3.5,0,30,a,0\n4.5,1,40,b,1\n'
+
+    @staticmethod
+    def _load_leaves_no_warning(load):
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                load()
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert [u.exc_value for u in unraisable] == []
+
+    def test_clean_quoted_load(self, tmp_path, simple_schema):
+        p = write_csv(tmp_path / "d.csv", self.QUOTED)
+        self._load_leaves_no_warning(lambda: load_table(p, simple_schema))
+
+    def test_bad_cell_in_the_first_of_several_blocks(self, tmp_path, simple_schema, monkeypatch):
+        # Two rows a block: the load raises in the first block, with the
+        # csv rows still open and two rows left unread.
+        monkeypatch.setattr(table_module, "BLOCK_CELLS", 2 * len(simple_schema.columns))
+        p = write_csv(tmp_path / "d.csv", self.QUOTED.replace("2.5,1,20,b", "2.5,1,20,zzz"))
+
+        def load():
+            with pytest.raises(CellParseError, match=r"row 1.*'cat'.*'zzz'"):
+                load_table(p, simple_schema)
+
+        self._load_leaves_no_warning(load)
 
 
 @pytest.fixture(
@@ -837,6 +878,50 @@ class TestSelectColumns:
     def test_unknown_name_rejected(self, binary_target_table):
         with pytest.raises(ValidationError, match="'nope'"):
             binary_target_table.select_columns(["flag", "nope"])
+
+
+class TestKindRule:
+    """``TableSchema.column(name, *kinds)`` checks a column's kind, and a
+    column of another kind reads ``column <name!r> is <kind>, not <kinds>``."""
+
+    def test_without_kinds_any_kind_is_returned(self, binary_target_table):
+        schema = binary_target_table.schema
+        for kind, name in COLUMN_OF_KIND.items():
+            assert schema.column(name).kind is kind
+            assert schema.column(name, ColumnKind.CATEGORICAL, kind).kind is kind
+
+    @pytest.mark.parametrize(
+        "kinds, wanted",
+        [
+            ((ColumnKind.CATEGORICAL,), "categorical"),
+            ((ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD), "continuous or likelihood"),
+            (
+                (ColumnKind.LIKELIHOOD, ColumnKind.CONTINUOUS, ColumnKind.CATEGORICAL),
+                "likelihood, continuous or categorical",
+            ),
+        ],
+    )
+    def test_other_kind_names_the_kinds_wanted(self, binary_target_table, kinds, wanted):
+        message = f"column 'flag' is binary, not {wanted}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            binary_target_table.schema.column("flag", *kinds)
+
+    @pytest.mark.parametrize(
+        "guard, kind, wanted",
+        [
+            ("codes", ColumnKind.CONTINUOUS, "categorical, binary or likelihood"),
+            ("impute_median", ColumnKind.BINARY, "continuous or likelihood"),
+            ("impute_median", ColumnKind.CATEGORICAL, "continuous or likelihood"),
+        ],
+    )
+    def test_table_guard_refuses_a_column_of_another_kind(
+        self, binary_target_table, guard, kind, wanted
+    ):
+        step = {"codes": DataTable.codes, "impute_median": impute_median}[guard]
+        name = COLUMN_OF_KIND[kind]
+        message = f"column {name!r} is {kind.value}, not {wanted}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            step(binary_target_table, name)
 
 
 class TestClassCounts:
