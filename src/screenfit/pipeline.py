@@ -189,8 +189,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             max_terms=config.stepwise.max_terms,
         )
     with clock("prune"):
-        if len(model.terms) >= 2:
-            model = prune_collinear(model, train_design, valid_design, cutoff=config.prune_cutoff)
+        model = prune_collinear(model, train_design, valid_design, cutoff=config.prune_cutoff)
         gnull = global_null_lr(model, train_design) if model.terms else None
     # The encoder's warnings go ahead of the fit's own, without repeats.
     warnings = train_design.warnings + valid_design.warnings + model.warnings

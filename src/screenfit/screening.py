@@ -8,9 +8,10 @@ into ``final_retain`` clusters (see :mod:`screenfit.varclus`), keeps one
 representative per cluster, drops sparse binary flags, and merges
 statistically indistinguishable categorical levels.  Every stage's
 statistics and retained set are recorded in a :class:`ScreeningReport`
-whose stage sets are nested.  The report's JSON form is read off the
-fields of its result dataclasses, so each field name is also its key in
-``screening_report.json``.
+whose stage sets are nested.  Each per-variable result is keyed by its
+variable in the report and holds no copy of the name.  The report's JSON
+form is read off the fields of its result dataclasses, so each field
+name is also its key in ``screening_report.json``.
 
 Every level-wise statistic reads one count table: the level x class
 counts of a discrete variable's non-missing rows (``_level_class_counts``,
@@ -43,7 +44,6 @@ from .table import (
     ColumnKind,
     ColumnSpec,
     DataTable,
-    _freeze,
 )
 
 N_LIKELIHOOD_BINS = 7
@@ -57,7 +57,6 @@ DEFAULT_IV_SMOOTHING = 0.5
 
 @dataclass(frozen=True)
 class ChiSquareResult:
-    variable: str
     statistic: float
     df: int
     p_value: float
@@ -65,7 +64,6 @@ class ChiSquareResult:
 
 @dataclass(frozen=True)
 class TTestResult:
-    variable: str
     t_statistic: float
     df: int
 
@@ -81,7 +79,6 @@ class IvLevelRow:
 
 @dataclass(frozen=True)
 class IvResult:
-    variable: str
     levels: tuple[IvLevelRow, ...]
     total_iv: float
 
@@ -166,24 +163,19 @@ class ScreeningReport:
 
     def to_dict(self) -> dict:
         """The report as ``screening_report.json`` holds it: each statistic
-        is its result's fields less the variable it is keyed by, and each
-        level mapping its dict.  The writer sorts the keys."""
+        is its result's fields, and each level mapping its dict.  The
+        writer sorts the keys."""
         return {
             "stages": [{"stage": s, "retained": vs} for s, vs in self.stages],
-            "chi_square": {v: _entry(r) for v, r in self.chi_square.items()},
-            "t_test": {v: _entry(r) for v, r in self.t_test.items()},
+            "chi_square": {v: vars(r) for v, r in self.chi_square.items()},
+            "t_test": {v: vars(r) for v, r in self.t_test.items()},
             "iv": {
-                v: _entry(r) | {"levels": [vars(row) for row in r.levels]}
+                v: vars(r) | {"levels": [vars(row) for row in r.levels]}
                 for v, r in self.iv.items()
             },
             "level_mappings": {v: m.mapping for v, m in self.level_mappings.items()},
             "warnings": self.warnings,
         }
-
-
-def _entry(result) -> dict:
-    """A per-variable result's fields, less the variable, read shallowly."""
-    return {k: v for k, v in vars(result).items() if k != "variable"}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
             f"degenerate 2x2 table for {variable!r}: a margin is zero"
         )
     p = chi2_sf(statistic, 1)
-    return ChiSquareResult(variable=variable, statistic=statistic, df=1, p_value=p)
+    return ChiSquareResult(statistic=statistic, df=1, p_value=p)
 
 
 def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
@@ -297,7 +289,7 @@ def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
     Sign follows mean(target=1) - mean(target=0); df = n0 + n1 - 2.
     """
     table.schema.column(variable, *IMPUTED_KINDS)
-    x = table.column(variable)
+    x = table.numeric_view(variable)
     y = table.target_values
     keep = ~np.isnan(x)
     g0 = x[keep & (y == 0)]
@@ -314,12 +306,12 @@ def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
     )
     if pooled_var == 0.0:
         if diff == 0.0:
-            return TTestResult(variable=variable, t_statistic=0.0, df=df)
+            return TTestResult(t_statistic=0.0, df=df)
         raise ComputationError(
             f"{variable!r}: zero pooled variance with unequal group means (infinite t)"
         )
     se = np.sqrt(pooled_var * (1.0 / len(g0) + 1.0 / len(g1)))
-    return TTestResult(variable=variable, t_statistic=diff / se, df=df)
+    return TTestResult(t_statistic=diff / se, df=df)
 
 
 def woe_iv(
@@ -352,7 +344,7 @@ def woe_iv(
     contrib = (sig - bkg) * woe
     rows = zip(labels.tolist(), sig.tolist(), bkg.tolist(), woe.tolist(), contrib.tolist())
     levels = tuple(IvLevelRow(*row) for row in rows)
-    return IvResult(variable=variable, levels=levels, total_iv=float(contrib.sum()))
+    return IvResult(levels=levels, total_iv=float(contrib.sum()))
 
 
 def occupancy_filter(
@@ -427,7 +419,7 @@ def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
                 f"{mapping.variable!r}: merging collapsed the column to a single level"
             )
         recode = np.array([new_levels.index(m) for m in merged] + [-1])
-        columns[spec.name] = _freeze(recode[table.codes(spec.name)])
+        columns[spec.name] = recode[table.codes(spec.name)]
         specs.append(ColumnSpec(name=spec.name, kind=spec.kind, levels=new_levels))
     return table.replace_columns(columns, tuple(specs))
 

@@ -10,16 +10,16 @@ them -- one byte per cell for binary, likelihood and categoricals of up
 to 128 levels -- so a table of mostly discrete columns takes a fraction
 of its float64 size.  Every stage works on the codes with numpy
 expressions, or reads float64 with NaN through the accessors; only this
-module maps codes to level strings and back.  Each kind set is named
-once, :data:`DISCRETE_KINDS` for the coded kinds and
+module maps codes to level strings and back.  Every view is read-only,
+and a continuous column's float view is its stored array.  Each kind set
+is named once, :data:`DISCRETE_KINDS` for the coded kinds and
 :data:`IMPUTED_KINDS` for the numeric ones, and a step that takes only
 some kinds gets its column from ``TableSchema.column(name, *kinds)``,
 which raises ``column <name!r> is <kind>, not <a, b or c>`` for any
-other kind.  Tables are immutable
-after construction: every operation returns a new table (or
-the same object when nothing changed), and the backing arrays are marked
-read-only so they can be shared across threads and across tables -- a
-transform copies only the columns it changes.
+other kind.  Tables are immutable after construction: every operation
+returns a new table (or the same object when nothing changed), and the
+backing arrays are marked read-only so they can be shared across threads
+and across tables -- a transform copies only the columns it changes.
 
 All randomness in this module (and in the rest of the package) comes
 from numpy's PCG64 generator seeded explicitly; the generator algorithm
@@ -277,11 +277,6 @@ def _bad_codes(spec: ColumnSpec, codes: np.ndarray) -> np.ndarray | tuple:
     return np.flatnonzero((codes != -1) & ((codes < lo) | (codes > hi)))
 
 
-def _decoded(codes: np.ndarray) -> np.ndarray:
-    """Codes as float64 with NaN for a gap."""
-    return np.where(codes < 0, np.nan, codes)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -336,10 +331,10 @@ class DataTable:
     or the index into ``spec.levels`` of a categorical one.  The codes
     take the narrowest signed integer dtype that holds them: ``int8`` for
     binary and likelihood columns and for categoricals of up to 128
-    levels, a wider one for more levels.  :meth:`codes` returns them;
-    :meth:`column` and :meth:`numeric_view` decode binary and likelihood
-    codes to float64 with NaN, and :meth:`column` decodes categorical
-    codes to level strings with None.
+    levels, a wider one for more levels.  :meth:`codes` returns them.
+    :meth:`numeric_view` is the one float decode: float64 with NaN, the
+    stored array of a continuous column.  :meth:`column` gives the same,
+    but level strings with None for a categorical.  Every view is read-only.
 
     The constructor takes a discrete column either as integer codes (-1
     for missing) or as values: floats with NaN for missing for binary and
@@ -377,16 +372,13 @@ class DataTable:
         return self._n
 
     def column(self, name: str) -> np.ndarray:
-        """The column's values, read-only: float64 with NaN for missing
-        cells, or for a categorical an object array of level strings with
-        None for missing cells."""
+        """The column's values, read-only: for a categorical an object array
+        of level strings with None for missing cells, else
+        :meth:`numeric_view`."""
         spec = self.schema.column(name)
-        stored = self._columns[name]
-        if spec.kind is ColumnKind.CONTINUOUS:
-            return stored
         if spec.kind is ColumnKind.CATEGORICAL:
-            return _freeze(np.array(spec.levels + (None,), dtype=object)[stored])
-        return _freeze(_decoded(stored))
+            return _freeze(np.array(spec.levels + (None,), dtype=object)[self._columns[name]])
+        return self.numeric_view(name)
 
     def codes(self, name: str) -> np.ndarray:
         """A discrete column's stored codes, -1 for missing: the binary
@@ -406,17 +398,20 @@ class DataTable:
         return self._columns[name] < 0
 
     def numeric_view(self, name: str) -> np.ndarray:
-        """Column as a new float64 array with NaN for missing.
+        """Column as a read-only float64 array with NaN for missing, the
+        stored array itself for a continuous column.
 
-        Continuous, binary and likelihood columns give their values, and
-        categorical columns their index in the declared level list (the
-        conventional numeric recoding of character levels): every
-        discrete kind decodes its codes the same way.
+        Binary and likelihood columns give their values, and categorical
+        columns their index in the declared level list (the conventional
+        numeric recoding of character levels): every discrete kind
+        decodes its codes the same way.  An unknown name raises
+        :class:`ValidationError`.
         """
+        kind = self.schema.column(name).kind
         values = self._columns[name]
-        if self.schema.column(name).kind is ColumnKind.CONTINUOUS:
-            return values.astype(float)
-        return _decoded(values)
+        if kind is ColumnKind.CONTINUOUS:
+            return values
+        return _freeze(np.where(values < 0, np.nan, values))
 
     def subset(self, rows: np.ndarray) -> "DataTable":
         """New table containing the given rows (original order preserved by the caller's index order)."""

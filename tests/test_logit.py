@@ -624,6 +624,13 @@ class TestPruneCollinear:
         assert len(pruned.terms) == 2
         assert pruned.warnings == (cap, "shared", "refit")
 
+    @pytest.mark.parametrize("kept", [[], [0]])
+    def test_model_of_fewer_than_two_terms_is_returned_as_it_is(self, kept):
+        # The design holds a duplicated pair, but the model has no pair.
+        design = self.duplicated_design()
+        model = fit_irls(design.select(kept))
+        assert prune_collinear(model, design, design, cutoff=0.40) is model
+
     def test_uncorrelated_model_unchanged(self):
         rng = np.random.default_rng(1)
         design = random_design(rng, 500, 3)

@@ -70,6 +70,30 @@ def test_generated_sibling_is_timed(tmp_path):
     }
 
 
+def _file_config(tmp_path):
+    """CONFIG with its generator's samples 0 and 1 saved as the input and
+    out-of-sample files in place of its synthetic section."""
+    config = PipelineConfig.from_dict(CONFIG)
+    paths = {}
+    for section, index in (("input", 0), ("out_of_sample", 1)):
+        table, _ = generate(config.synthetic, sample_index=index)
+        csv, schema = tmp_path / f"{section}.csv", tmp_path / f"{section}.json"
+        save_table(table, csv)
+        save_schema(table.schema, schema)
+        paths[section] = {"csv": str(csv), "schema": str(schema)}
+    return PipelineConfig.from_dict({"plan": CONFIG["plan"]} | paths)
+
+
+def test_files_and_generator_write_the_same_artifacts(tmp_path):
+    pipeline.run_pipeline(PipelineConfig.from_dict(CONFIG), tmp_path / "generated")
+    pipeline.run_pipeline(_file_config(tmp_path), tmp_path / "files")
+    for name in pipeline.ARTIFACT_NAMES:
+        if name != "manifest.json":
+            assert (tmp_path / "files" / name).read_bytes() == (
+                tmp_path / "generated" / name
+            ).read_bytes(), name
+
+
 # Everything run_pipeline calls through its module globals, to tick a fake clock.
 CLOCKED_CALLS = (
     "generate", "load_schema", "load_table", "impute_numeric_columns", "run_screening",
@@ -84,16 +108,7 @@ def test_clocks_cover_the_run(tmp_path, monkeypatch, from_files):
     """Each call above advances a fake clock by one tick, and so does the
     cut of a table to its columns; every tick but the one of the
     manifest's own write lands in exactly one of the manifest's timings."""
-    config = PipelineConfig.from_dict(CONFIG)
-    if from_files:
-        paths = {}
-        for section, index in (("input", 0), ("out_of_sample", 1)):
-            table, _ = generate(config.synthetic, sample_index=index)
-            csv, schema = tmp_path / f"{section}.csv", tmp_path / f"{section}.json"
-            save_table(table, csv)
-            save_schema(table.schema, schema)
-            paths[section] = {"csv": str(csv), "schema": str(schema)}
-        config = PipelineConfig.from_dict({"plan": CONFIG["plan"]} | paths)
+    config = _file_config(tmp_path) if from_files else PipelineConfig.from_dict(CONFIG)
 
     ticks = [0]
     monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: ticks[0]))

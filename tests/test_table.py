@@ -924,6 +924,41 @@ class TestKindRule:
             step(binary_target_table, name)
 
 
+class TestFloatView:
+    """``numeric_view`` is the one float decode: it checks the name like
+    every accessor, every view it gives is read-only, and a continuous
+    column's view is the stored array itself."""
+
+    @pytest.mark.parametrize("accessor", ["column", "codes", "missing_mask", "numeric_view"])
+    def test_unknown_name_is_named(self, binary_target_table, accessor):
+        message = "no column named 'nope' in schema"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            getattr(binary_target_table, accessor)("nope")
+
+    # The column of each kind, each with a gap.
+    GAPPY = {
+        "flag": [0, np.nan, 1, 1],
+        "level": [10, 20, np.nan, 80],
+        "amount": [1.5, np.nan, -0.0, 8.5],
+        "group": ["b", None, "a", "b"],
+        "y": [0, 1, 0, 1],
+    }
+
+    @pytest.mark.parametrize("kind", list(COLUMN_OF_KIND))
+    def test_every_view_is_read_only(self, kind):
+        kinds = {name: k for k, name in COLUMN_OF_KIND.items()} | {"y": ColumnKind.BINARY}
+        t = make_table(self.GAPPY, kinds)
+        name = COLUMN_OF_KIND[kind]
+        expected = [1, np.nan, 0, 1] if kind is ColumnKind.CATEGORICAL else self.GAPPY[name]
+        view = t.numeric_view(name)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7.0
+        np.testing.assert_array_equal(t.numeric_view(name), expected)
+        if kind is ColumnKind.CONTINUOUS:
+            assert np.shares_memory(t.numeric_view(name), t.column(name))
+
+
 class TestClassCounts:
     def test_counts_of_a_table_its_subset_and_its_columns(self, binary_target_table):
         assert binary_target_table.class_counts() == (4, 4)
