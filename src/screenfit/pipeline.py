@@ -6,17 +6,21 @@ is not imputed, and one that survives screening stops the run at design
 encoding), the screening cascade (which internally clusters survivors
 and selects representatives), the cut of the table to the screened
 variables plus the target, the out-of-sample table (loaded or generated,
-cut to the same columns, imputed from itself), application of the
-learned categorical level merges, the stratified train/validation split,
+cut to the same columns, made ready), application of the learned
+categorical level merges, the stratified train/validation split,
 design encoding with training statistics, stepwise selection,
 collinearity pruning against the validation set, and scoring of train,
 validation, and the out-of-sample table.  The training table is cut
 before the out-of-sample one is made, so at most one full-width table is
 alive at a time.  No artifact is written before every dataset is scored:
-a run that stops earlier leaves none.  An out-of-sample CSV is read with
-only the screened columns and the target parsed and validated: its
-header and the width of every row are checked, but a bad cell in any
-other column is not read and raises nothing.  Each stage's outputs land
+a run that stops earlier leaves none.  The out-of-sample CSV and a file
+given to `score` take the same two steps.  `_load_scored` refuses a
+schema whose target is not the model's or that lacks a model column,
+then reads the CSV with only those columns and the target parsed and
+validated: its header and the width of every row are checked, but a bad
+cell in any other column is not read and raises nothing.  `_ready`
+median-imputes the table's numeric gaps from itself and applies the
+level mappings of the columns it holds.  Each stage's outputs land
 in the run directory as plain JSON or CSV.  The manifest, written last,
 holds the package version, the config as run, the train and validation
 row counts, the artifact names and the seconds on each clock (timings
@@ -84,20 +88,28 @@ ARTIFACT_NAMES = [
 ]
 
 
-def _apply_mappings(table: DataTable, mappings: dict[str, LevelMapping]) -> DataTable:
-    names = set(table.schema.names)
-    return apply_level_mapping(
-        table, *(mapping for name, mapping in sorted(mappings.items()) if name in names)
-    )
-
-
-def _scoring_table(
-    table: DataTable, variables: list[str], mappings: dict[str, LevelMapping]
+def _load_scored(
+    csv_path: str | Path, schema_path: str | Path, target: str, variables: list[str]
 ) -> DataTable:
-    """A table to score: cut to the variables and the target, numeric gaps
-    median-imputed from itself, and the kept columns' level mappings applied."""
-    table = impute_numeric_columns(table.select_columns(variables))
-    return _apply_mappings(table, mappings)
+    """A CSV to score, read with only the variables and the target kept; a schema
+    with another target or without a variable raises before the CSV is read."""
+    schema = load_schema(schema_path)
+    if schema.target != target:
+        raise ValidationError(
+            f"schema target {schema.target!r} does not match model target {target!r}"
+        )
+    missing = [v for v in variables if v not in schema.names]
+    if missing:
+        raise ValidationError(f"data is missing required columns: {', '.join(missing)}")
+    return load_table(csv_path, schema, variables)
+
+
+def _ready(table: DataTable, mappings: dict[str, LevelMapping]) -> DataTable:
+    """A table to score: numeric gaps median-imputed from itself, and the
+    level mappings of the columns it holds applied."""
+    table = impute_numeric_columns(table)
+    names = set(table.schema.names)
+    return apply_level_mapping(table, *(m for name, m in mappings.items() if name in names))
 
 
 def _make_dir(out_dir: str | Path) -> Path:
@@ -162,19 +174,19 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     oos_table = None
     if config.out_of_sample is not None:
         with clock("out_of_sample_load"):
-            oos_schema = load_schema(config.out_of_sample.schema)
-            oos_table = load_table(config.out_of_sample.csv, oos_schema, final_vars)
+            oos = config.out_of_sample
+            oos_table = _load_scored(oos.csv, oos.schema, table.schema.target, final_vars)
     elif config.synthetic is not None:
         # Out-of-sample sibling: same data-generating process, fresh records.
         with clock("out_of_sample_generate"):
-            oos_table, _ = generate(config.synthetic, sample_index=1)
+            oos_table = generate(config.synthetic, sample_index=1)[0].select_columns(final_vars)
     if oos_table is not None:
         with clock("out_of_sample_impute"):
-            oos_table = _scoring_table(oos_table, final_vars, report.level_mappings)
+            oos_table = _ready(oos_table, report.level_mappings)
 
     # --- split and encode
     with clock("split"):
-        table = _apply_mappings(table, report.level_mappings)
+        table = apply_level_mapping(table, *report.level_mappings.values())
         split = split_train_validation(table, config.split.frac, config.split.seed)
     with clock("encode"):
         train_design = encode_design(split.train, final_vars)
@@ -287,28 +299,18 @@ def score_table_file(
 
     An output path that is a directory or whose directory is missing raises
     before anything is read; nothing is written unless scoring succeeds.  The
-    data must carry the training schema (outcome column included).  The
-    header and the width of every row are checked, but only the model's
-    columns and the target are parsed and validated: a bad cell in any other
-    column is not read, so it raises nothing.  The numeric gaps of the
-    model's columns are median-imputed from the scored table itself, and
-    only their level mappings are applied.  Decile assignment needs at least
-    ten records; smaller files get an empty decile column.
+    file takes the run's two out-of-sample steps.  :func:`_load_scored`
+    refuses a schema whose target is not the model's or that lacks a model
+    column, and reads the model's columns and the target only: the header
+    and the width of every row are checked, but a bad cell in any other
+    column is not read, so it raises nothing.  :func:`_ready` median-imputes
+    the numeric gaps from the scored table itself and applies only the
+    model columns' level mappings.  Decile assignment needs at least ten
+    records; smaller files get an empty decile column.
     """
     check_writable(out_path)
     model, target, mappings = load_model_file(model_path)
-    schema = load_schema(schema_path)
-    if schema.target != target:
-        raise ValidationError(
-            f"schema target {schema.target!r} does not match model target {target!r}"
-        )
-    variables = model.source_variables()
-    missing_vars = [v for v in variables if v not in schema.names]
-    if missing_vars:
-        raise ValidationError(
-            f"data is missing required columns: {', '.join(missing_vars)}"
-        )
-    table = _scoring_table(load_table(csv_path, schema, variables), variables, mappings)
+    table = _ready(_load_scored(csv_path, schema_path, target, model.source_variables()), mappings)
     ss = score(model, table)
     deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
     rows = zip(range(ss.n), ss.p.tolist(), deciles)

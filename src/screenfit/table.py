@@ -389,8 +389,8 @@ class DataTable:
 
     @property
     def target_values(self) -> np.ndarray:
-        """Target as an int 0/1 array."""
-        return self._columns[self.schema.target].astype(int)
+        """The target's stored 0/1 codes: a read-only int8 array, not a copy."""
+        return self._columns[self.schema.target]
 
     def missing_mask(self, name: str) -> np.ndarray:
         if self.schema.column(name).kind is ColumnKind.CONTINUOUS:

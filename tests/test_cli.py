@@ -289,6 +289,25 @@ def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, me
     assert not (tmp_path / "scores.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "model, schema, message",
+    [
+        pytest.param(
+            edited(TERM_MODEL, ("target",), "flag"), SCORED_SCHEMA,
+            "schema target 'y' does not match model target 'flag'", id="other-target",
+        ),
+        pytest.param(
+            TERM_MODEL, edited(SCORED_SCHEMA, ("columns", 0, "name"), "w"),
+            "data is missing required columns: x", id="model-column-missing",
+        ),
+    ],
+)
+def test_schema_that_does_not_fit_the_model_exits_2(tmp_path, capsys, model, schema, message):
+    assert score_command(tmp_path, model, schema) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "scores.csv").exists()
+
+
 def test_model_row_with_a_null_term_is_the_intercept(tmp_path):
     model = edited(TERM_MODEL, ("model", "rows", 0, "term"), None)
     assert score_command(tmp_path, model, SCORED_SCHEMA) == 0

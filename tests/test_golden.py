@@ -17,9 +17,12 @@ A second pin covers a long stepwise trace: the ``model.json`` of the
 removes terms for 87 steps until its pass cap stops it.
 The same run's ``model.json`` is also read back: rewriting it from the
 loaded model gives the same document, and the loaded model scores the
-out-of-sample table exactly as the run did.
+out-of-sample table exactly as the run did.  A run given the scored
+sibling as its out-of-sample file, and ``score_table_file`` on the same
+file with that run's model, give the same probabilities.
 """
 
+import csv
 import hashlib
 import json
 
@@ -152,6 +155,25 @@ def test_model_file_round_trips_and_scores_like_the_run(golden_run):
     oos, _ = generate(config.synthetic, sample_index=1)
     oos = apply_level_mapping(impute_numeric_columns(oos), *mappings.values())
     np.testing.assert_array_equal(score(model, oos).p, result.score_sets["out_of_sample"].p)
+
+
+def test_score_and_the_run_score_an_out_of_sample_file_alike(tmp_path):
+    """The same CSV, given to a run as its out-of-sample file and then to
+    ``score_table_file`` with that run's model, gets the same probabilities."""
+    config = PipelineConfig.from_dict(CONFIG)
+    sample, _ = generate(config.synthetic, sample_index=SCORED_SAMPLE_INDEX)
+    save_table(sample, tmp_path / "data.csv")
+    save_schema(sample.schema, tmp_path / "schema.json")
+    files = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
+    run_config = PipelineConfig.from_dict(CONFIG | {"out_of_sample": files})
+    result = run_pipeline(run_config, tmp_path / "run")
+    score_table_file(
+        tmp_path / "run" / "model.json", tmp_path / "data.csv", tmp_path / "schema.json",
+        tmp_path / "scores.csv",
+    )
+    with open(tmp_path / "scores.csv", encoding="utf-8", newline="") as fh:
+        probabilities = np.array([float(row["probability"]) for row in csv.DictReader(fh)])
+    assert np.array_equal(probabilities, result.score_sets["out_of_sample"].p)
 
 
 def test_synthetic_dataset_is_byte_stable(tmp_path):

@@ -179,6 +179,22 @@ def test_out_of_sample_cells_outside_the_final_variables_are_not_read(tmp_path):
             assert (tmp_path / "corrupt" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
+def test_out_of_sample_schema_of_another_target_leaves_no_artifact(tmp_path):
+    """The run checks its out-of-sample schema as ``score`` checks a scored
+    one: a schema that names another column as its target is refused."""
+    csv_path, schema_path = _write_sibling(tmp_path)
+    schema = load_schema(schema_path)
+    other = next(c.name for c in schema.columns
+                 if c.kind is ColumnKind.BINARY and c.name != schema.target)
+    save_schema(TableSchema(schema.columns, other), schema_path)
+    out_of_sample = {"csv": str(csv_path), "schema": str(schema_path)}
+    config = PipelineConfig.from_dict(CONFIG | {"out_of_sample": out_of_sample})
+    message = f"schema target '{other}' does not match model target 'target'"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        pipeline.run_pipeline(config, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_score_reads_only_the_model_columns(tmp_path):
     run = pipeline.run_pipeline(PipelineConfig.from_dict(CONFIG), tmp_path / "run")
     used = run.model.source_variables()

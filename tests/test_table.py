@@ -958,6 +958,13 @@ class TestFloatView:
         if kind is ColumnKind.CONTINUOUS:
             assert np.shares_memory(t.numeric_view(name), t.column(name))
 
+    def test_target_values_are_the_stored_codes(self, binary_target_table):
+        y = binary_target_table.target_values
+        assert not y.flags.writeable
+        assert y.dtype == np.int8
+        assert np.shares_memory(y, binary_target_table.codes("y"))
+        np.testing.assert_array_equal(y, [0, 1, 0, 1, 0, 1, 0, 1])
+
 
 class TestClassCounts:
     def test_counts_of_a_table_its_subset_and_its_columns(self, binary_target_table):
