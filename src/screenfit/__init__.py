@@ -19,7 +19,6 @@ from .table import (
 from .screening import (
     ChiSquareResult,
     IvResult,
-    LevelMapping,
     ScreeningReport,
     StagePlan,
     TTestResult,
@@ -70,7 +69,7 @@ __all__ = [
     "ColumnKind", "ColumnSpec", "DataTable", "SplitResult", "TableSchema",
     "impute_median", "load_schema", "load_table", "save_schema", "save_table",
     "split_train_validation",
-    "ChiSquareResult", "IvResult", "LevelMapping", "ScreeningReport", "StagePlan",
+    "ChiSquareResult", "IvResult", "ScreeningReport", "StagePlan",
     "TTestResult", "apply_level_mapping", "chi_square_binary", "merge_levels",
     "occupancy_filter", "run_screening", "t_test_multivalued", "woe_iv",
     "ClusterSelection", "CorrelationMatrix", "VariableCluster", "cluster_variables",

@@ -45,6 +45,7 @@ from .config import PipelineConfig
 from .errors import ValidationError
 from .evaluation import (
     CHART_COLUMNS,
+    N_DECILES,
     ScoreSet,
     assign_deciles,
     chart_rows,
@@ -61,7 +62,7 @@ from .logit import (
     prune_collinear,
     stepwise_select,
 )
-from .screening import LevelMapping, ScreeningReport, apply_level_mapping, run_screening
+from .screening import ScreeningReport, apply_level_mapping, run_screening
 from .synthgen import generate
 from .table import (
     DataTable,
@@ -104,12 +105,12 @@ def _load_scored(
     return load_table(csv_path, schema, variables)
 
 
-def _ready(table: DataTable, mappings: dict[str, LevelMapping]) -> DataTable:
+def _ready(table: DataTable, mappings: dict[str, dict[str, str]]) -> DataTable:
     """A table to score: numeric gaps median-imputed from itself, and the
     level mappings of the columns it holds applied."""
     table = impute_numeric_columns(table)
     names = set(table.schema.names)
-    return apply_level_mapping(table, *(m for name, m in mappings.items() if name in names))
+    return apply_level_mapping(table, {v: m for v, m in mappings.items() if v in names})
 
 
 def _make_dir(out_dir: str | Path) -> Path:
@@ -186,7 +187,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
 
     # --- split and encode
     with clock("split"):
-        table = apply_level_mapping(table, *report.level_mappings.values())
+        table = apply_level_mapping(table, report.level_mappings)
         split = split_train_validation(table, config.split.frac, config.split.seed)
     with clock("encode"):
         train_design = encode_design(split.train, final_vars)
@@ -222,14 +223,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             confusion[name] = asdict(confusion_matrix(ss, config.threshold))
 
     with clock("write"):
-        screening_doc = report.to_dict()
-        write_json(screening_doc, out / "screening_report.json")
+        write_json(report.to_dict(), out / "screening_report.json")
         write_json(report.cluster_selection.to_dict(), out / "cluster_report.json")
         model_doc = {
             "model": model_to_dict(model),
             "target": table.schema.target,
             "variables": final_vars,
-            "level_mappings": screening_doc["level_mappings"],
+            "level_mappings": report.level_mappings,
             "global_null": gnull,
             "stepwise_trace": [asdict(step) for step in trace.steps],
         }
@@ -277,13 +277,19 @@ def write_synthetic_dataset(config: PipelineConfig, out_dir: str | Path) -> list
 
 
 def load_model_file(path: str | Path):
-    """(model, target name, level mappings) from a model.json written by a run."""
+    """(model, target name, level mappings) from a model.json written by a run;
+    the mappings are ``{column: {level: merged id}}`` as the run wrote them."""
     def build(doc: dict):
         model, target = model_from_dict(doc["model"]), doc["target"]
         mappings = doc.get("level_mappings", {})
         if not isinstance(mappings, dict):
             raise ValidationError(f"level_mappings must be an object, got {mappings!r}")
-        return model, target, {v: LevelMapping(variable=v, mapping=m) for v, m in mappings.items()}
+        for v, m in mappings.items():
+            if not isinstance(m, dict) or not all(isinstance(s, str) for s in (*m, *m.values())):
+                raise ValidationError(
+                    f"level mapping of {v!r} must be an object of strings, got {m!r}"
+                )
+        return model, target, mappings
 
     return read_json(path, "model file", build)
 
@@ -312,7 +318,7 @@ def score_table_file(
     model, target, mappings = load_model_file(model_path)
     table = _ready(_load_scored(csv_path, schema_path, target, model.source_variables()), mappings)
     ss = score(model, table)
-    deciles = assign_deciles(ss).tolist() if ss.n >= 10 else [""] * ss.n
+    deciles = assign_deciles(ss).tolist() if ss.n >= N_DECILES else [""] * ss.n
     rows = zip(range(ss.n), ss.p.tolist(), deciles)
     write_csv(["id", "probability", "decile"], rows, out_path)
     return ss.n

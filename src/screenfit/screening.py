@@ -9,7 +9,9 @@ representative per cluster, drops sparse binary flags, and merges
 statistically indistinguishable categorical levels.  Every stage's
 statistics and retained set are recorded in a :class:`ScreeningReport`
 whose stage sets are nested.  Each per-variable result is keyed by its
-variable in the report and holds no copy of the name.  The report's JSON
+variable in the report and holds no copy of the name; a level merge is
+the plain ``{level: merged id}`` dict that ``model.json`` stores and
+:func:`apply_level_mapping` takes under its column.  The report's JSON
 form is read off the fields of its result dataclasses, so each field
 name is also its key in ``screening_report.json``.
 
@@ -84,31 +86,6 @@ class IvResult:
 
 
 @dataclass(frozen=True)
-class LevelMapping:
-    """Surjective map from a categorical column's original levels onto merged ids.
-
-    Each merged id is the lexicographically smallest member of its group,
-    which makes repeated application idempotent.
-    """
-
-    variable: str
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        if not isinstance(self.mapping, dict) or not all(
-            isinstance(lvl, str) for lvl in (*self.mapping, *self.mapping.values())
-        ):
-            raise ValidationError(
-                f"level mapping of {self.variable!r} must be an object of strings, "
-                f"got {self.mapping!r}"
-            )
-
-    @property
-    def n_merged(self) -> int:
-        return len(set(self.mapping.values()))
-
-
-@dataclass(frozen=True)
 class StagePlan:
     """Retention targets and thresholds for the screening cascade.
 
@@ -153,7 +130,7 @@ class ScreeningReport:
     chi_square: dict[str, ChiSquareResult] = field(default_factory=dict)
     t_test: dict[str, TTestResult] = field(default_factory=dict)
     iv: dict[str, IvResult] = field(default_factory=dict)
-    level_mappings: dict[str, LevelMapping] = field(default_factory=dict)
+    level_mappings: dict[str, dict[str, str]] = field(default_factory=dict)
     cluster_selection: varclus.ClusterSelection | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -173,7 +150,7 @@ class ScreeningReport:
                 v: vars(r) | {"levels": [vars(row) for row in r.levels]}
                 for v, r in self.iv.items()
             },
-            "level_mappings": {v: m.mapping for v, m in self.level_mappings.items()},
+            "level_mappings": self.level_mappings,
             "warnings": self.warnings,
         }
 
@@ -363,7 +340,7 @@ def occupancy_filter(
     return retained
 
 
-def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelMapping:
+def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> dict[str, str]:
     """Greedily merge categorical levels that are indistinguishable on the target.
 
     Repeatedly takes the pair of current levels with the closest target
@@ -371,7 +348,9 @@ def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelM
     the pair when p > alpha; stops at the first pair that fails.  With
     alpha = 0 merging is disabled and the identity mapping is returned
     (any finite chi-square has p > 0, so a literal p > 0 rule would fuse
-    everything).
+    everything).  Returns ``{level: merged id}`` for every declared level.
+    Each level maps to the lexicographically smallest member of its group,
+    so applying the map twice changes nothing.
     """
     _require_both_classes(table)
     spec = table.schema.column(variable, ColumnKind.CATEGORICAL)
@@ -399,24 +378,28 @@ def merge_levels(table: DataTable, variable: str, alpha: float = 0.05) -> LevelM
     # levels declared in the schema but absent from the data map to themselves
     for lvl in spec.levels:
         mapping.setdefault(lvl, lvl)
-    return LevelMapping(variable=variable, mapping=mapping)
+    return mapping
 
 
-def apply_level_mapping(table: DataTable, *mappings: LevelMapping) -> DataTable:
+def apply_level_mapping(table: DataTable, mappings: dict[str, dict[str, str]]) -> DataTable:
     """Rewrite categorical columns through level mappings, updating their specs.
 
-    Every mapping is applied in one new table.  Levels without an entry
-    in a mapping are left as-is, so mappings learned on one table can be
-    applied to later tables that may carry extra levels.
+    ``mappings`` is ``{column: {level: merged id}}``, and every mapping is
+    applied in one new table.  Levels without an entry in a mapping are
+    left as-is, so mappings learned on one table can be applied to later
+    tables that may carry extra levels.  A column's new levels are the
+    merged ids of its declared levels together with every merged id the
+    mapping names, so a table that declares fewer levels than training
+    still takes each merged id as a level.
     """
     columns, specs = {}, []
-    for mapping in mappings:
-        spec = table.schema.column(mapping.variable, ColumnKind.CATEGORICAL)
-        merged = [mapping.mapping.get(lvl, lvl) for lvl in spec.levels]
-        new_levels = tuple(sorted(set(merged)))
+    for variable, mapping in mappings.items():
+        spec = table.schema.column(variable, ColumnKind.CATEGORICAL)
+        merged = [mapping.get(lvl, lvl) for lvl in spec.levels]
+        new_levels = tuple(sorted(set(merged) | set(mapping.values())))
         if len(new_levels) < 2:
             raise ComputationError(
-                f"{mapping.variable!r}: merging collapsed the column to a single level"
+                f"{variable!r}: merging collapsed the column to a single level"
             )
         recode = np.array([new_levels.index(m) for m in merged] + [-1])
         columns[spec.name] = recode[table.codes(spec.name)]
@@ -523,7 +506,7 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     for v in retained:
         if kind(v) is ColumnKind.CATEGORICAL:
             mapping = merge_levels(table, v, alpha=plan.level_merge_alpha)
-            if mapping.n_merged < 2:
+            if len(set(mapping.values())) < 2:
                 report.warnings.append(
                     f"{v}: level merging collapsed the column to one level; dropped"
                 )

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -467,6 +469,67 @@ def test_level_mapping_applies_only_to_a_categorical_column(tmp_path, capsys, co
     else:
         assert capsys.readouterr().err == "error: column 'c' is binary, not categorical\n"
         assert not (tmp_path / "scores.csv").exists()
+
+
+# A model whose dummy term c=a reads a merge: training fused b into a, so
+# rows of a and of b both score as c=a, and c is the reference.
+B0, B1 = -1.0, 0.8
+MERGE_MODEL = edited(
+    MODEL,
+    ("model", "rows"),
+    MODEL["model"]["rows"]
+    + [
+        {
+            "term": {"source": "c", "encoding": "dummy", "level": "a", "reference": "c"},
+            "estimate": B1,
+            "std_error": 0.2,
+        }
+    ],
+) | {"level_mappings": {"c": {"a": "a", "b": "a", "c": "c"}}}
+
+
+def score_merged(tmp_path, levels: list[str], cells: tuple[str, ...]) -> list[float]:
+    """Probabilities of rows of c (the targets alternate), scored with
+    MERGE_MODEL on a schema that declares the levels given."""
+    schema = {
+        "target": "y",
+        "columns": [{"name": "c", "kind": "categorical", "levels": levels},
+                    {"name": "y", "kind": "binary"}],
+    }
+    (tmp_path / "model.json").write_text(json.dumps(MERGE_MODEL), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    rows = "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells))
+    (tmp_path / "data.csv").write_text("c,y\n" + rows, encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == 0
+    with open(tmp_path / "scores.csv", encoding="utf-8", newline="") as fh:
+        return [float(row["probability"]) for row in csv.DictReader(fh)]
+
+
+def test_merged_levels_score_alike_and_the_reference_scores_the_intercept(tmp_path):
+    p = score_merged(tmp_path, ["a", "b", "c"], ("a", "b", "c"))
+    assert p[0] == p[1] == pytest.approx(1 / (1 + math.exp(-(B0 + B1))))
+    assert p[2] == pytest.approx(1 / (1 + math.exp(-B0)))
+
+
+def test_schema_with_fewer_levels_than_training_scores(tmp_path):
+    # Declared a and b both merge into a; c, the reference, is still a level.
+    p = score_merged(tmp_path, ["a", "b"], ("a", "b"))
+    assert p == pytest.approx([1 / (1 + math.exp(-(B0 + B1)))] * 2)
+
+
+@pytest.mark.parametrize("n, deciles", [(9, [""] * 9), (10, [str(d) for d in range(1, 11)])])
+def test_decile_column_needs_ten_records(tmp_path, n, deciles):
+    (tmp_path / "model.json").write_text(json.dumps(TERM_MODEL), encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps(SCORED_SCHEMA), encoding="utf-8")
+    rows = "".join(f"{i / 4},5,a,{i % 2}\n" for i in range(n))
+    (tmp_path / "data.csv").write_text("x,lik,c,y\n" + rows, encoding="utf-8")
+    argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "scores.csv")]
+    assert main(argv) == 0
+    with open(tmp_path / "scores.csv", encoding="utf-8", newline="") as fh:
+        assert sorted(row["decile"] for row in csv.DictReader(fh)) == sorted(deciles)
 
 
 def test_synth_and_pipeline_list_the_same_options(capsys):

@@ -153,8 +153,14 @@ def test_model_file_round_trips_and_scores_like_the_run(golden_run):
 
     model, _target, mappings = load_model_file(run_dir / "model.json")
     oos, _ = generate(config.synthetic, sample_index=1)
-    oos = apply_level_mapping(impute_numeric_columns(oos), *mappings.values())
+    oos = apply_level_mapping(impute_numeric_columns(oos), mappings)
     np.testing.assert_array_equal(score(model, oos).p, result.score_sets["out_of_sample"].p)
+
+
+def test_model_file_holds_the_report_level_mappings(golden_run):
+    _config, run_dir, result = golden_run
+    _model, _target, mappings = load_model_file(run_dir / "model.json")
+    assert mappings == result.screening_report.level_mappings
 
 
 def test_score_and_the_run_score_an_out_of_sample_file_alike(tmp_path):

@@ -8,7 +8,6 @@ from scipy import stats
 from screenfit.errors import ComputationError, ValidationError
 from screenfit.logit import chi2_sf
 from screenfit.screening import (
-    LevelMapping,
     StagePlan,
     _pearson_2x2,
     apply_level_mapping,
@@ -260,8 +259,8 @@ class TestMergeLevels:
     def test_identical_rates_merge(self):
         t = categorical_table({"a": (10, 90), "b": (10, 90)})
         mapping = merge_levels(t, "c", alpha=0.05)
-        assert mapping.n_merged == 1
-        assert mapping.mapping == {"a": "a", "b": "a"}
+        assert len(set(mapping.values())) == 1
+        assert mapping == {"a": "a", "b": "a"}
 
     def test_three_level_case_with_chi2_oracle(self):
         t = categorical_table({"a": (100, 900), "b": (110, 890), "c": (500, 500)})
@@ -271,7 +270,7 @@ class TestMergeLevels:
         merged_ab_vs_c = np.array([[1790, 210], [500, 500]])
         assert stats.chi2_contingency(merged_ab_vs_c, correction=False).pvalue < 0.05
         mapping = merge_levels(t, "c", alpha=0.05)
-        assert mapping.mapping == {"a": "a", "b": "a", "c": "c"}
+        assert mapping == {"a": "a", "b": "a", "c": "c"}
 
     def test_single_level_identity(self):
         t = make_table(
@@ -280,12 +279,12 @@ class TestMergeLevels:
             levels={"c": ("a", "b")},
         )
         mapping = merge_levels(t, "c", alpha=0.05)
-        assert mapping.mapping == {"a": "a", "b": "b"}
+        assert mapping == {"a": "a", "b": "b"}
 
     def test_alpha_zero_is_noop(self):
         t = categorical_table({"a": (10, 90), "b": (10, 90), "c": (11, 89)})
         mapping = merge_levels(t, "c", alpha=0.0)
-        assert mapping.mapping == {lvl: lvl for lvl in "abc"}
+        assert mapping == {lvl: lvl for lvl in "abc"}
 
     @given(
         counts=st.dictionaries(
@@ -299,15 +298,29 @@ class TestMergeLevels:
     def test_never_increases_levels(self, counts, alpha):
         t = categorical_table(counts)
         mapping = merge_levels(t, "c", alpha=alpha)
-        assert mapping.n_merged <= len(counts)
-        assert set(mapping.mapping) == set(counts)
+        assert len(set(mapping.values())) <= len(counts)
+        assert set(mapping) == set(counts)
 
     def test_apply_mapping_rewrites_column(self):
         t = categorical_table({"a": (10, 90), "b": (10, 90), "c": (500, 500)})
         mapping = merge_levels(t, "c", alpha=0.05)
-        out = apply_level_mapping(t, mapping)
+        out = apply_level_mapping(t, {"c": mapping})
         assert set(out.schema.column("c").levels) == {"a", "c"}
         assert "b" not in set(out.column("c"))
+
+    def test_declared_level_without_an_entry_is_kept(self):
+        t = categorical_table({"a": (10, 90), "b": (10, 90), "c": (500, 500)})
+        out = apply_level_mapping(t, {"c": {"a": "a", "b": "a"}})
+        assert out.schema.column("c").levels == ("a", "c")
+        assert out.column("c").tolist() == ["a"] * 200 + ["c"] * 1000
+
+    def test_applying_a_merge_twice_changes_nothing(self):
+        t = categorical_table({"a": (10, 90), "b": (10, 90), "c": (500, 500)})
+        mappings = {"c": merge_levels(t, "c", alpha=0.05)}
+        once = apply_level_mapping(t, mappings)
+        twice = apply_level_mapping(once, mappings)
+        assert twice.schema == once.schema
+        np.testing.assert_array_equal(twice.codes("c"), once.codes("c"))
 
 
 def collapsing_table():
@@ -344,7 +357,7 @@ class TestCollapsedCategorical:
         assert "c" not in report.final_variables
         assert any(w.startswith("c: level merging collapsed") for w in report.warnings)
         assert "c" not in report.level_mappings
-        out = apply_level_mapping(table, *report.level_mappings.values())
+        out = apply_level_mapping(table, report.level_mappings)
         assert out.schema == table.schema
 
 
@@ -461,7 +474,7 @@ KIND_GUARDS = {
     "occupancy_filter": (lambda table, v: occupancy_filter(table, [v], 0.1), "binary"),
     "merge_levels": (merge_levels, "categorical"),
     "apply_level_mapping": (
-        lambda table, v: apply_level_mapping(table, LevelMapping(v, {})), "categorical"
+        lambda table, v: apply_level_mapping(table, {v: {}}), "categorical"
     ),
 }
 
@@ -564,7 +577,7 @@ def merge_levels_loop(table, variable, alpha):
             mapping[lvl] = min(members)
     for lvl in table.schema.column(variable).levels:
         mapping.setdefault(lvl, lvl)
-    return LevelMapping(variable=variable, mapping=mapping)
+    return mapping
 
 
 class TestAgainstTheLoopVersions:
@@ -648,4 +661,4 @@ class TestAgainstTheLoopVersions:
         mapping = merge_levels(t, "c", alpha=alpha)
         expected = merge_levels_loop(t, "c", alpha)
         assert mapping == expected
-        assert list(mapping.mapping.items()) == list(expected.mapping.items())
+        assert list(mapping.items()) == list(expected.items())

@@ -17,7 +17,7 @@ from screenfit.config import load_config
 from screenfit.errors import CellParseError, ComputationError, ValidationError
 from screenfit.logit import DUMMY, encode_design
 from screenfit.pipeline import load_model_file
-from screenfit.screening import LevelMapping, apply_level_mapping
+from screenfit.screening import apply_level_mapping
 from screenfit.table import (
     ColumnKind,
     ColumnSpec,
@@ -846,8 +846,8 @@ class TestDiscreteStorage:
         np.testing.assert_array_equal(again.codes("cat"), table.codes("cat"))
 
         # pairs of counties merge: 150 levels still need int16 codes
-        mapping = LevelMapping("cat", {lvl: levels[2 * (i // 2)] for i, lvl in enumerate(levels)})
-        merged = apply_level_mapping(again, mapping)
+        mapping = {lvl: levels[2 * (i // 2)] for i, lvl in enumerate(levels)}
+        merged = apply_level_mapping(again, {"cat": mapping})
         assert merged.schema.column("cat").levels == levels[::2]
         assert merged.codes("cat").dtype == np.int16
         np.testing.assert_array_equal(merged.codes("cat"), np.where(codes < 0, -1, codes // 2))
