@@ -177,8 +177,8 @@ def test_discrete_levels(benchmark, table):
 
 
 def test_split_train_validation(benchmark, table):
-    split = benchmark(split_train_validation, table, 0.6, 1)
-    assert split.train.n_records + split.validation.n_records == table.n_records
+    train, validation = benchmark(split_train_validation, table, 0.6, 1)
+    assert train.n_records + validation.n_records == table.n_records
 
 
 def test_cluster_variables(benchmark, table):

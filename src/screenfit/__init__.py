@@ -7,7 +7,6 @@ from .table import (
     ColumnKind,
     ColumnSpec,
     DataTable,
-    SplitResult,
     TableSchema,
     impute_median,
     load_schema,
@@ -66,7 +65,7 @@ from .pipeline import PipelineResult, run_pipeline
 
 __all__ = [
     "CellParseError", "ComputationError", "ScreenfitError", "ValidationError",
-    "ColumnKind", "ColumnSpec", "DataTable", "SplitResult", "TableSchema",
+    "ColumnKind", "ColumnSpec", "DataTable", "TableSchema",
     "impute_median", "load_schema", "load_table", "save_schema", "save_table",
     "split_train_validation",
     "ChiSquareResult", "IvResult", "ScreeningReport", "StagePlan",

@@ -241,7 +241,8 @@ def encode_design(
     by :func:`_term_column`, so a table encodes the same way in training
     and in scoring.  A categorical level that has no term and is not the
     reference maps to the reference (all dummies zero) with a warning; on
-    the training table every level that occurs has one or the other.  A
+    the training table every level that occurs has one or the other, so
+    only a template encode looks for such levels.  A
     template term whose column is not of a kind that takes its encoding
     raises :class:`ValidationError`.
     """
@@ -259,7 +260,7 @@ def encode_design(
 
     warnings: list[str] = []
     terms = _learn_terms(table, variables, warnings) if template is None else tuple(template)
-    references = {t.source: t.reference for t in terms if t.encoding == DUMMY}
+    references = {t.source: t.reference for t in template or () if t.encoding == DUMMY}
     for source, reference in references.items():
         known = {t.level for t in terms if t.source == source} | {reference}
         levels = table.schema.column(source).levels
@@ -288,7 +289,8 @@ def _learn_terms(table: DataTable, variables: list[str], warnings: list[str]) ->
             for lvl, count in counts.items():
                 if lvl == reference:
                     continue
-                if count in (0, table.n_records):
+                # The reference is the most frequent level, so none other fills every row.
+                if count == 0:
                     warnings.append(f"{v}={lvl}: constant dummy column dropped from the design")
                 else:
                     terms.append(Term(source=v, encoding=DUMMY, level=lvl, reference=reference))

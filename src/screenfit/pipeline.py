@@ -14,14 +14,9 @@ validation, and the out-of-sample table.  The training table is cut
 before the out-of-sample one is made, so at most one full-width table is
 alive at a time.  No artifact is written before every dataset is scored:
 a run that stops earlier leaves none.  The out-of-sample CSV and a file
-given to `score` take the same two steps.  `_load_scored` refuses a
-schema whose target is not the model's or that lacks a model column,
-then reads the CSV with only those columns and the target parsed and
-validated: its header and the width of every row are checked, but a bad
-cell in any other column is not read and raises nothing.  `_ready`
-median-imputes the table's numeric gaps from itself and applies the
-level mappings of the columns it holds.  Each stage's outputs land
-in the run directory as plain JSON or CSV.  The manifest, written last,
+given to `score` take the same two steps, `_load_scored` and `_ready`,
+whose docstrings give their rules.  Each stage's outputs land in the run
+directory as plain JSON or CSV.  The manifest, written last,
 holds the package version, the config as run, the train and validation
 row counts, the artifact names and the seconds on each clock (timings
 live only there, so all other files are byte-stable across identical
@@ -93,7 +88,9 @@ def _load_scored(
     csv_path: str | Path, schema_path: str | Path, target: str, variables: list[str]
 ) -> DataTable:
     """A CSV to score, read with only the variables and the target kept; a schema
-    with another target or without a variable raises before the CSV is read."""
+    with another target or without a variable raises before the CSV is read.
+    The header and the width of every row are checked, but a bad cell in any
+    other column is not read, so it raises nothing."""
     schema = load_schema(schema_path)
     if schema.target != target:
         raise ValidationError(
@@ -188,10 +185,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     # --- split and encode
     with clock("split"):
         table = apply_level_mapping(table, report.level_mappings)
-        split = split_train_validation(table, config.split.frac, config.split.seed)
+        train, validation = split_train_validation(table, config.split.frac, config.split.seed)
     with clock("encode"):
-        train_design = encode_design(split.train, final_vars)
-        valid_design = encode_design(split.validation, final_vars, template=train_design.terms)
+        train_design = encode_design(train, final_vars)
+        valid_design = encode_design(validation, final_vars, template=train_design.terms)
 
     # --- fit
     with clock("stepwise"):
@@ -209,7 +206,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     model = replace(model, warnings=tuple(dict.fromkeys(warnings)))
 
     # --- evaluate
-    datasets = {"train": split.train, "validation": split.validation}
+    datasets = {"train": train, "validation": validation}
     if oos_table is not None:
         datasets["out_of_sample"] = oos_table
     score_sets: dict[str, ScoreSet] = {}
@@ -244,8 +241,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         "version": __version__,
         "config": asdict(config),
         "split": {
-            "train_rows": split.train.n_records,
-            "validation_rows": split.validation.n_records,
+            "train_rows": train.n_records,
+            "validation_rows": validation.n_records,
         },
         "artifacts": ARTIFACT_NAMES,
         "timings": {name: round(t, 6) for name, t in timings.items()},
@@ -305,14 +302,9 @@ def score_table_file(
 
     An output path that is a directory or whose directory is missing raises
     before anything is read; nothing is written unless scoring succeeds.  The
-    file takes the run's two out-of-sample steps.  :func:`_load_scored`
-    refuses a schema whose target is not the model's or that lacks a model
-    column, and reads the model's columns and the target only: the header
-    and the width of every row are checked, but a bad cell in any other
-    column is not read, so it raises nothing.  :func:`_ready` median-imputes
-    the numeric gaps from the scored table itself and applies only the
-    model columns' level mappings.  Decile assignment needs at least ten
-    records; smaller files get an empty decile column.
+    file takes the run's two out-of-sample steps, :func:`_load_scored` and
+    :func:`_ready`, with the model's columns.  Decile assignment needs at
+    least ten records; smaller files get an empty decile column.
     """
     check_writable(out_path)
     model, target, mappings = load_model_file(model_path)

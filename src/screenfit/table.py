@@ -190,20 +190,15 @@ class TableSchema:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "columns": [
-                {"name": c.name, "kind": c.kind.value}
-                | ({"levels": list(c.levels)} if c.levels is not None else {})
-                for c in self.columns
-            ],
-        }
+        """The schema as ``schema.json`` holds it: each column spec's set fields."""
+        columns = [{k: v for k, v in vars(c).items() if v is not None} for c in self.columns]
+        return {"target": self.target, "columns": columns}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TableSchema":
         try:
             for c in d["columns"]:
-                if "levels" in c and not isinstance(c["levels"], list):
+                if "levels" in c and not isinstance(c["levels"], (list, tuple)):
                     raise ValidationError(f"column {c['name']!r}: levels must be a list of strings")
             cols = tuple(
                 ColumnSpec(
@@ -864,12 +859,6 @@ def impute_numeric_columns(table: DataTable) -> DataTable:
 # Splitting
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    train: DataTable
-    validation: DataTable
-
-
 def _largest_remainder(quotas: dict, total: int) -> dict:
     """Largest-remainder apportionment of ``total``: each key gets the floor
     of its quota, and the ``total`` minus the sum of the floors keys with
@@ -881,8 +870,8 @@ def _largest_remainder(quotas: dict, total: int) -> dict:
     return floors
 
 
-def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitResult:
-    """Deterministic stratified split into disjoint train/validation tables.
+def split_train_validation(table: DataTable, frac: float, seed: int) -> tuple[DataTable, DataTable]:
+    """Deterministic stratified split into disjoint ``(train, validation)`` tables.
 
     Each target class contributes round-to-floor-or-ceiling of frac times
     its size (within one record of the exact fraction), and the per-class
@@ -906,7 +895,5 @@ def split_train_validation(table: DataTable, frac: float, seed: int) -> SplitRes
         train_rows.append(idx[perm[: k[cls]]])
     train_mask = np.zeros(table.n_records, dtype=bool)
     train_mask[np.concatenate(train_rows)] = True
-    train = table.subset(np.flatnonzero(train_mask))
-    validation = table.subset(np.flatnonzero(~train_mask))
-    return SplitResult(train=train, validation=validation)
+    return table.subset(np.flatnonzero(train_mask)), table.subset(np.flatnonzero(~train_mask))
 

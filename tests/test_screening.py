@@ -119,6 +119,10 @@ class TestTTest:
         with pytest.raises(ComputationError, match="infinite"):
             t_test_multivalued(numeric_table([2, 2, 2], [5, 5, 5]), "x")
 
+    def test_constant_column_has_zero_t(self):
+        res = t_test_multivalued(numeric_table([4, 4, 4], [4, 4]), "x")
+        assert (res.t_statistic, res.df) == (0.0, 3)
+
     def test_sign_flips_with_target(self):
         t = numeric_table([1, 2, 3], [4, 5, 7])
         res = t_test_multivalued(t, "x")
@@ -204,6 +208,18 @@ class TestWoeIv:
         with pytest.raises(ComputationError):
             woe_iv(t, "c")
 
+    def test_all_missing_variable_errors(self):
+        t = binary_table([None] * 4, [0, 1, 0, 1])
+        with pytest.raises(ComputationError, match="^'x' has no non-missing values$"):
+            woe_iv(t, "x")
+
+    def test_empty_cell_without_smoothing_errors(self):
+        t = from_contingency(5, 5, 0, 5)
+        with pytest.raises(
+            ComputationError, match="^'x': empty level with smoothing off; WoE is undefined$"
+        ):
+            woe_iv(t, "x", smoothing=0.0)
+
     def test_likelihood_binned_to_seven(self):
         rng = np.random.default_rng(4)
         vals = rng.integers(1, 100, 500).astype(float).tolist()
@@ -232,6 +248,13 @@ class TestOccupancy:
 
     def test_all_ones_retained(self):
         assert occupancy_filter(self.table(10, 0), ["x"], 0.10) == ["x"]
+
+    def test_all_missing_flag_skipped(self):
+        t = make_table(
+            {"x": [1, 0, 1, 1], "gap": [None] * 4, "y": [0, 1, 0, 1]},
+            {"x": ColumnKind.BINARY, "gap": ColumnKind.BINARY, "y": ColumnKind.BINARY},
+        )
+        assert occupancy_filter(t, ["gap", "x"], 0.10) == ["x"]
 
     def test_non_binary_rejected(self):
         t = make_table(
@@ -314,6 +337,14 @@ class TestMergeLevels:
         assert out.schema.column("c").levels == ("a", "c")
         assert out.column("c").tolist() == ["a"] * 200 + ["c"] * 1000
 
+    def test_mapping_onto_one_level_errors(self):
+        # A model file can carry such a mapping; merge_levels never makes one.
+        t = categorical_table({"a": (10, 90), "b": (50, 50)})
+        with pytest.raises(
+            ComputationError, match="^'c': merging collapsed the column to a single level$"
+        ):
+            apply_level_mapping(t, {"c": {"a": "a", "b": "a"}})
+
     def test_applying_a_merge_twice_changes_nothing(self):
         t = categorical_table({"a": (10, 90), "b": (10, 90), "c": (500, 500)})
         mappings = {"c": merge_levels(t, "c", alpha=0.05)}
@@ -395,6 +426,63 @@ class TestFewerClustersThanPlanned:
         assert report.warnings == [
             "clustering stage: plan wants 3 clusters but the variables split into only 2"
         ]
+
+
+def stop_table(n_flags, n_continuous=0, n_likelihood=0, sparse=False):
+    """400 rows, half of them signal: flags that track the target (or,
+    sparse, ones in 30 % of signal rows and 10 % of the rest), noise
+    likelihood columns, and continuous columns shifted by the target."""
+    rng = np.random.default_rng(0)
+    n = 400
+    y = np.arange(n) % 2
+    columns, kinds = {}, {}
+    for i in range(n_flags):
+        if sparse:
+            flag = rng.random(n) < np.where(y == 1, 0.3, 0.1)
+        else:
+            flag = np.where(rng.random(n) < 0.2 + 0.05 * i, 1 - y, y)
+        columns[f"f{i}"], kinds[f"f{i}"] = flag.astype(int), ColumnKind.BINARY
+    for i in range(n_likelihood):
+        columns[f"l{i}"], kinds[f"l{i}"] = rng.integers(1, 100, n), ColumnKind.LIKELIHOOD
+    for i in range(n_continuous):
+        columns[f"x{i}"], kinds[f"x{i}"] = y + rng.normal(0, 1, n), ColumnKind.CONTINUOUS
+    columns["y"], kinds["y"] = y, ColumnKind.BINARY
+    return make_table(columns, kinds)
+
+
+class TestScreeningStops:
+    """Each plan that leaves a stage nothing to keep or too little to cut
+    stops the cascade with its own message."""
+
+    @pytest.mark.parametrize(
+        "table_args, counts, options, error, message",
+        [
+            pytest.param(
+                (2, 6), (5, 4, 3, 2), {}, ValidationError,
+                "chi-square stage: plan needs 3 variables dropped but only 2 are eligible",
+                id="too_few_eligible",
+            ),
+            pytest.param(
+                (6, 0, 1), (6, 5, 2, 1), {"iv_min": 5, "iv_max": 10}, ComputationError,
+                "IV stage retained no variables",
+                id="iv_band_empty",
+            ),
+            pytest.param(
+                (6, 1, 1), (7, 6, 3, 2), {"iv_min": 5, "iv_max": 10}, ValidationError,
+                "clustering stage: plan wants 2 clusters but only 1 variables remain",
+                id="fewer_variables_than_clusters",
+            ),
+            pytest.param(
+                (5, 1, 0, True), (5, 4, 3, 1), {"occupancy_min": 0.5}, ComputationError,
+                "final screening stage retained no variables",
+                id="occupancy_drops_every_representative",
+            ),
+        ],
+    )
+    def test_plan_stops(self, table_args, counts, options, error, message):
+        plan = StagePlan(*counts, **options)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_screening(stop_table(*table_args), plan)
 
 
 class TestStagePlan:

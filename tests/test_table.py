@@ -1034,6 +1034,10 @@ class TestRoundTrip:
         save_schema(simple_schema, p)
         assert load_schema(p) == simple_schema
 
+    def test_schema_round_trips_in_memory(self, simple_schema):
+        assert {c.kind for c in simple_schema.columns} == set(ColumnKind)
+        assert TableSchema.from_dict(simple_schema.to_dict()) == simple_schema
+
 
 @pytest.mark.parametrize(
     "load, what",
@@ -1235,24 +1239,24 @@ class TestSplit:
 
     def test_paper_style_60_40(self):
         t = self.table_with_classes(4, 6)
-        res = split_train_validation(t, 0.6, seed=7)
-        assert res.train.n_records == 6
-        assert res.validation.n_records == 4
-        pos_in_train = int(res.train.target_values.sum())
+        train, validation = split_train_validation(t, 0.6, seed=7)
+        assert train.n_records == 6
+        assert validation.n_records == 4
+        pos_in_train = int(train.target_values.sum())
         assert pos_in_train in (2, 3)
 
     def test_two_rows_one_per_class(self):
         t = self.table_with_classes(1, 1)
-        res = split_train_validation(t, 0.5, seed=0)
-        assert res.train.n_records == 1
-        assert res.validation.n_records == 1
+        train, validation = split_train_validation(t, 0.5, seed=0)
+        assert train.n_records == 1
+        assert validation.n_records == 1
 
     def test_deterministic(self):
         t = self.table_with_classes(13, 17)
-        a = split_train_validation(t, 0.6, seed=42)
-        b = split_train_validation(t, 0.6, seed=42)
-        np.testing.assert_array_equal(a.train.column("x"), b.train.column("x"))
-        np.testing.assert_array_equal(a.validation.column("x"), b.validation.column("x"))
+        a_train, a_validation = split_train_validation(t, 0.6, seed=42)
+        b_train, b_validation = split_train_validation(t, 0.6, seed=42)
+        np.testing.assert_array_equal(a_train.column("x"), b_train.column("x"))
+        np.testing.assert_array_equal(a_validation.column("x"), b_validation.column("x"))
 
     def test_bad_frac(self):
         t = self.table_with_classes(2, 2)
@@ -1281,13 +1285,13 @@ class TestSplit:
     )
     def test_disjoint_union_and_stratification(self, n_pos, n_neg, frac, seed):
         t = self.table_with_classes(n_pos, n_neg)
-        res = split_train_validation(t, frac, seed)
-        train_ids = set(res.train.column("x").tolist())
-        valid_ids = set(res.validation.column("x").tolist())
+        train, validation = split_train_validation(t, frac, seed)
+        train_ids = set(train.column("x").tolist())
+        valid_ids = set(validation.column("x").tolist())
         assert train_ids & valid_ids == set()
         assert train_ids | valid_ids == set(range(n_pos + n_neg))
-        assert res.train.n_records == math.floor(frac * (n_pos + n_neg) + 0.5)
+        assert train.n_records == math.floor(frac * (n_pos + n_neg) + 0.5)
         # per class, the train share is within one record of frac
         for cls, total in ((1, n_pos), (0, n_neg)):
-            k = int((res.train.target_values == cls).sum())
+            k = int((train.target_values == cls).sum())
             assert abs(k - frac * total) < 1.0 + 1e-9
