@@ -3,7 +3,10 @@ JSON write, imputation, level extraction, split, varclus.
 
 The table is a generated sample of 4000 rows and 150 predictors of all
 four kinds with 5 % gaps, the shape of the ``tall`` benchmark workload at
-less than half its rows.  The CSV is parsed whole, and with 10 named
+less than half its rows.  The screened draw is sample 1 of a
+``wide``-shaped spec (4000 rows, 1500 predictors) at 40 of its columns,
+the number the ``wide`` plan keeps, as ``run_pipeline`` draws its
+out-of-sample table.  The CSV is parsed whole, and with 10 named
 predictors, the most a ``tall`` model scores with, and written whole.
 The paper-width parse reads a generated CSV of 2000 rows and 1000
 predictors of all four kinds with 5 % gaps, the width of the paper's
@@ -84,6 +87,12 @@ def csv_path(table, tmp_path_factory):
 def test_generate(benchmark):
     table, _ = benchmark(generate, SPEC)
     assert table.n_records == SPEC.n_records
+
+
+def test_generate_screened_columns(benchmark):
+    names = generate(WIDE_SPEC)[0].schema.predictors[::37][: WIDE_PLAN.final_retain]
+    table, _ = benchmark(generate, WIDE_SPEC, 1, names)
+    assert table.schema.names == names + ["target"]
 
 
 def test_load_table(benchmark, table, csv_path):

@@ -5,22 +5,23 @@ Stages run strictly in order: median imputation of numeric columns
 is not imputed, and one that survives screening stops the run at design
 encoding), the screening cascade (which internally clusters survivors
 and selects representatives), the cut of the table to the screened
-variables plus the target, the out-of-sample table (loaded or generated,
-cut to the same columns, made ready), application of the learned
+variables plus the target, the out-of-sample table (loaded or generated
+at the same columns, made ready), application of the learned
 categorical level merges, the stratified train/validation split,
 design encoding with training statistics, stepwise selection,
 collinearity pruning against the validation set, and scoring of train,
 validation, and the out-of-sample table.  The training table is cut
-before the out-of-sample one is made, so at most one full-width table is
-alive at a time.  No artifact is written before every dataset is scored:
-a run that stops earlier leaves none.  The out-of-sample CSV and a file
-given to `score` take the same two steps, `_load_scored` and `_ready`,
-whose docstrings give their rules.  Each stage's outputs land in the run
-directory as plain JSON or CSV.  The manifest, written last,
-holds the package version, the config as run, the train and validation
-row counts, the artifact names and the seconds on each clock (timings
-live only there, so all other files are byte-stable across identical
-runs).
+before the out-of-sample one is made, and a generated sibling is drawn
+at the screened columns only, so at most one full-width table is alive
+at a time, and none once screening ends.  No artifact is written before
+every dataset is scored: a run that stops earlier leaves none.  The
+out-of-sample CSV and a file given to `score` take the same two steps,
+`_load_scored` and `_ready`, whose docstrings give their rules.  Each
+stage's outputs land in the run directory as plain JSON or CSV.  The
+manifest, written last, holds the package version, the config as run,
+the train and validation row counts, the artifact names and the seconds
+on each clock (timings live only there, so all other files are
+byte-stable across identical runs).
 Every step but the manifest's own write runs under a clock: `generate`
 or `load`, `impute`, `screening` (with the cut), `out_of_sample_generate`
 or `out_of_sample_load`, `out_of_sample_impute`, `split` (with the level
@@ -177,7 +178,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     elif config.synthetic is not None:
         # Out-of-sample sibling: same data-generating process, fresh records.
         with clock("out_of_sample_generate"):
-            oos_table = generate(config.synthetic, sample_index=1)[0].select_columns(final_vars)
+            oos_table, _ = generate(config.synthetic, sample_index=1, columns=final_vars)
     if oos_table is not None:
         with clock("out_of_sample_impute"):
             oos_table = _ready(oos_table, report.level_mappings)

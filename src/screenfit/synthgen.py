@@ -25,6 +25,21 @@ holding entirely fresh records.  The planted coefficients, intercept,
 and the standardization constants they apply to are returned as ground
 truth so fitted models can be compared against an oracle that scores
 with the truth directly.
+
+The generator makes one pass over each stream.  The structure pass draws
+every column's parameters in schema order (occupancy, level count and
+Dirichlet level probabilities, skew), then the planted variables, the
+correlated pairs and the coefficients; a spec with too few continuous
+noise columns for its pairs fails there, before any record is drawn.
+The records pass draws each column's records in schema order, then the
+pairs' noise, the outcome's uniforms and the gap masks.  A categorical's
+codes count the cumulative level probabilities that each uniform draw
+reaches: the codes ``Generator.choice`` draws from the same uniforms, at
+about a quarter of its cost.  Asked for some columns only, the generator
+builds those, the planted ones and the paired ones.  Every other column
+still has its records and its gap mask drawn, so the stream stays in
+step and the table is the full draw cut to those columns, but it is
+never built, stored or checked.
 """
 
 from __future__ import annotations
@@ -147,7 +162,19 @@ def _calibrate_intercept(count, want: int) -> float:
     return hi_c
 
 
-def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, GroundTruth]:
+def _choice_codes(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The ``int8`` codes ``Generator.choice(len(probs), size=len(u), p=probs)``
+    draws from the uniforms ``u``: ``cdf.searchsorted(u, side="right")`` over
+    the normalised cdf, the count of thresholds each draw reaches (never 1)."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    codes = np.zeros(len(u), dtype=np.int8)
+    for threshold in cdf[:-1]:
+        codes += u >= threshold
+    return codes
+
+
+def generate(spec: SyntheticSpec, sample_index: int = 0, columns=None) -> tuple[DataTable, GroundTruth]:
     """Draw a table plus its ground truth; deterministic given spec and index.
 
     sample_index 0 is the primary table; any other index yields a fresh,
@@ -156,72 +183,99 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     columns are built in their stored dtypes (``int8`` codes for every
     discrete kind, float64 for continuous), and the table shares them
     (read-only) instead of copying them, so they exist once in memory.
+
+    With ``columns`` given, the table holds only those columns and the
+    target, in schema order: exactly ``generate(spec,
+    sample_index)[0].select_columns(columns)``, with the same ground truth.
+    An unknown name raises :class:`ValidationError` before any record is
+    drawn.
     """
     require_whole("sample_index", sample_index, 0)
     structure = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    records = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 + sample_index]))
     n = spec.n_records
     total = spec.n_predictors
     counts = _largest_remainder({k: spec.kind_mix.get(k, 0.0) * total for k in KINDS}, total)
 
+    # Structure pass: every draw from the structure stream, before any record.
     specs: list[ColumnSpec] = []
-    columns: dict[str, np.ndarray] = {}
+    params: list = []  # occupancy, level probabilities, skew, or None
     for kind in ColumnKind:
         for i in range(counts[kind.value]):
-            name, levels = f"{kind.value[:3]}_{i:03d}", None
+            name, levels, param = f"{kind.value[:3]}_{i:03d}", None, None
             if kind is ColumnKind.BINARY:
-                occupancy = structure.uniform(0.05, 0.6)
-                columns[name] = (records.random(n) < occupancy).astype(np.int8)
+                param = structure.uniform(0.05, 0.6)
             elif kind is ColumnKind.CATEGORICAL:
                 n_levels = int(structure.integers(3, len(CATEGORY_LABELS) + 1))
                 levels = tuple(CATEGORY_LABELS[:n_levels])
-                probs = structure.dirichlet(np.full(n_levels, 2.0))
-                columns[name] = records.choice(n_levels, size=n, p=probs).astype(np.int8)
+                param = structure.dirichlet(np.full(n_levels, 2.0))
             elif kind is ColumnKind.LIKELIHOOD:
-                skew = structure.uniform(0.5, 2.0)
-                u = records.random(n)
-                columns[name] = np.clip(np.floor(u**skew * 99.0) + 1.0, 1.0, 99.0).astype(np.int8)
-            else:
-                columns[name] = records.standard_normal(n)
+                param = structure.uniform(0.5, 2.0)
             specs.append(ColumnSpec(name=name, kind=kind, levels=levels))
+            params.append(param)
+    schema = TableSchema(
+        columns=(*specs, ColumnSpec(name=TARGET_NAME, kind=ColumnKind.BINARY)), target=TARGET_NAME
+    )
+    kept = schema if columns is None else schema.select(columns)
 
     def names_of(kind: ColumnKind) -> list[str]:
         return [s.name for s in specs if s.kind is kind]
 
-    all_names = np.array(list(columns), dtype=object)
+    all_names = np.array([s.name for s in specs], dtype=object)
     planted_names = sorted(structure.choice(all_names, size=spec.n_informative, replace=False))
 
     # Correlated pairs are built from continuous noise columns so the
     # redundancy is informative-free by construction.
-    if spec.n_correlated_pairs:
-        noise_cont = [v for v in names_of(ColumnKind.CONTINUOUS) if v not in planted_names]
-        if len(noise_cont) < 2 * spec.n_correlated_pairs:
-            raise ValidationError(
-                f"{spec.n_correlated_pairs} correlated pairs need "
-                f"{2 * spec.n_correlated_pairs} continuous noise columns, "
-                f"have {len(noise_cont)}"
-            )
-        r = spec.correlated_r
-        for p in range(spec.n_correlated_pairs):
-            a, b = noise_cont[2 * p], noise_cont[2 * p + 1]
-            columns[b] = r * columns[a] + math.sqrt(1.0 - r * r) * records.standard_normal(n)
+    noise_cont = [v for v in names_of(ColumnKind.CONTINUOUS) if v not in planted_names]
+    if len(noise_cont) < 2 * spec.n_correlated_pairs:
+        raise ValidationError(
+            f"{spec.n_correlated_pairs} correlated pairs need "
+            f"{2 * spec.n_correlated_pairs} continuous noise columns, "
+            f"have {len(noise_cont)}"
+        )
+    pairs = [tuple(noise_cont[2 * p : 2 * p + 2]) for p in range(spec.n_correlated_pairs)]
+
+    lo, hi = spec.beta_range
+    planted = {
+        name: float(structure.uniform(lo, hi)) * float(structure.choice([-1.0, 1.0]))
+        for name in planted_names
+    }
+
+    # Records pass: every column's draws are taken, in schema order, so the
+    # stream stays in step, but a column the table does not hold and the
+    # outcome does not read is never built.
+    stored = set(kept.names)
+    needed = stored | set(planted) | {name for pair in pairs for name in pair}
+    records = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 + sample_index]))
+    values: dict[str, np.ndarray] = {}
+    for column, param in zip(specs, params):
+        kind = column.kind
+        draw = records.standard_normal(n) if kind is ColumnKind.CONTINUOUS else records.random(n)
+        if column.name not in needed:
+            continue
+        if kind is ColumnKind.BINARY:
+            draw = (draw < param).astype(np.int8)
+        elif kind is ColumnKind.CATEGORICAL:
+            draw = _choice_codes(draw, param)
+        elif kind is ColumnKind.LIKELIHOOD:
+            draw = np.clip(np.floor(draw**param * 99.0) + 1.0, 1.0, 99.0).astype(np.int8)
+        values[column.name] = draw
+
+    r = spec.correlated_r
+    for a, b in pairs:
+        values[b] = r * values[a] + math.sqrt(1.0 - r * r) * records.standard_normal(n)
 
     # Latent score over standardized planted columns; a categorical enters
     # through its level codes.
     standardization: dict[str, tuple[float, float]] = {}
     latent = np.zeros(n)
-    planted: dict[str, float] = {}
-    lo, hi = spec.beta_range
-    for name in planted_names:
-        beta = float(structure.uniform(lo, hi)) * float(structure.choice([-1.0, 1.0]))
-        values = columns[name].astype(float)
-        mean, std = float(values.mean()), float(values.std())
+    for name, beta in planted.items():
+        planted_values = values[name].astype(float)
+        mean, std = float(planted_values.mean()), float(planted_values.std())
         if std == 0.0:
             raise ComputationError(
                 f"planted column {name!r} is constant; cannot standardize"
             )
-        latent += beta * (values - mean) / std
-        planted[name] = beta
+        latent += beta * (planted_values - mean) / std
         standardization[name] = (mean, std)
 
     # Intercept calibration: y_i = 1 iff u_i < sigmoid(c + latent_i); the
@@ -244,15 +298,15 @@ def generate(spec: SyntheticSpec, sample_index: int = 0) -> tuple[DataTable, Gro
     if spec.missing_rate > 0.0:
         for kind, gap in ((ColumnKind.LIKELIHOOD, -1), (ColumnKind.CONTINUOUS, np.nan)):
             for name in names_of(kind):
-                mask = records.random(n) < spec.missing_rate
-                if mask.all():
-                    mask[0] = False  # keep the column imputable
-                columns[name][mask] = gap
+                draw = records.random(n)
+                if name in stored:
+                    mask = draw < spec.missing_rate
+                    if mask.all():
+                        mask[0] = False  # keep the column imputable
+                    values[name][mask] = gap
 
-    specs.append(ColumnSpec(name=TARGET_NAME, kind=ColumnKind.BINARY))
-    columns[TARGET_NAME] = y
-    schema = TableSchema(columns=tuple(specs), target=TARGET_NAME)
-    table = DataTable(schema, {name: _freeze(col) for name, col in columns.items()})
+    values[TARGET_NAME] = y
+    table = DataTable(kept, {name: _freeze(values[name]) for name in kept.names})
     truth = GroundTruth(
         planted=planted,
         intercept=intercept,

@@ -268,37 +268,50 @@ def _traced_peak(fn):
 
 def test_one_full_width_table_at_a_time(tmp_path, monkeypatch):
     """Generate holds the columns once, and the pipeline cuts the training
-    table to the screened columns before it makes the out-of-sample one.
+    table to the screened columns before it makes the out-of-sample one,
+    which it draws at those columns alone.
 
     The peaks are bounded in the table's float64 bytes (8 per cell).  The
     stored table takes about a third of that here (discrete columns are
     one byte per cell), and either bound fails with a second copy of it.
+    The out-of-sample draw at the screened columns peaks at about an
+    eighth, mostly the per-column specs and parameters of the structure
+    pass; a full-width draw peaks near half, above its bound.
     """
     config = PipelineConfig.from_dict(WIDE_CONFIG)
+    pipeline.run_pipeline(config, tmp_path / "warm")  # imports that a first run makes
     (table, _), generate_peak = _traced_peak(lambda: generate(config.synthetic))
     float64_bytes = table.n_records * len(table.schema.names) * 8
     del table
     assert generate_peak < 0.55 * float64_bytes
 
-    # What is left of the first generated table when the next one is drawn.
-    first, left = [], []
+    # What is left of the first generated table when the next one is drawn,
+    # and the next draw's columns, the run's peak before it and its own peak.
+    first, left, later = [], [], []
 
-    def watching_generate(spec, sample_index=0):
+    def watching_generate(spec, sample_index=0, columns=None):
         if first:
             table_ref, column_refs = first[0]
             left.append((table_ref(), {n for n, ref in column_refs.items() if ref() is not None}))
-        table, truth = generate(spec, sample_index)
-        if not first:
+            current, peak_before = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+        table, truth = generate(spec, sample_index, columns)
+        if first:
+            later.append((columns, peak_before, tracemalloc.get_traced_memory()[1] - current))
+        else:
             refs = {name: weakref.ref(table._columns[name]) for name in table.schema.names}
             first.append((weakref.ref(table), refs))
         return table, truth
 
     monkeypatch.setattr(pipeline, "generate", watching_generate)
     result, pipeline_peak = _traced_peak(lambda: pipeline.run_pipeline(config, tmp_path / "run"))
-    assert pipeline_peak < 1.25 * float64_bytes
+    [(oos_columns, peak_before, oos_peak)] = later
+    assert max(pipeline_peak, peak_before) < 1.25 * float64_bytes
     [(first_table, first_columns)] = left
     assert first_table is None
     assert first_columns <= set(result.screening_report.final_variables) | {"target"}
+    assert oos_columns == result.screening_report.final_variables
+    assert oos_peak < 0.25 * float64_bytes
 
 
 def test_binary_gap_that_survives_screening_leaves_no_artifact(tmp_path):

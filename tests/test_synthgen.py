@@ -1,5 +1,5 @@
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -86,6 +86,79 @@ class TestStorage:
         # gaps are injected as the code -1
         likelihood = [s.name for s in table.schema.columns if s.kind is ColumnKind.LIKELIHOOD]
         assert all((table.codes(name) == -1).any() for name in likelihood)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n_levels", range(3, len(synthgen.CATEGORY_LABELS) + 1))
+@pytest.mark.parametrize("n", [1, 17, 4000])
+def test_choice_codes_are_the_codes_choice_draws(seed, n_levels, n):
+    probs = np.random.default_rng([seed, n_levels]).dirichlet(np.full(n_levels, 2.0))
+    chosen = np.random.default_rng(seed).choice(n_levels, size=n, p=probs)
+    codes = synthgen._choice_codes(np.random.default_rng(seed).random(n), probs)
+    assert codes.dtype == np.int8
+    np.testing.assert_array_equal(codes, chosen)
+
+
+@pytest.fixture
+def no_records(monkeypatch):
+    """The records stream fails on its first draw; the structure stream,
+    seeded ``[seed, 0]``, draws as usual."""
+    default_rng = np.random.default_rng
+
+    class Undrawable:
+        def __getattr__(self, name):
+            raise AssertionError(f"a record was drawn: {name}")
+
+    def rng(seed):
+        return default_rng(seed) if seed.entropy[1] == 0 else Undrawable()
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
+def test_too_few_noise_columns_for_the_pairs_fail_before_any_record(no_records):
+    spec = spec_with(n_informative=1, n_noise=2, n_correlated_pairs=2, kind_mix={"continuous": 1.0})
+    message = "2 correlated pairs need 4 continuous noise columns, have 2"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        synthgen.generate(spec)
+
+
+# Every kind, gaps and correlated pairs: 4 of the 8 continuous columns
+# are noise whatever is planted, enough for two pairs.
+PAIRED_SPEC = SyntheticSpec(
+    n_signal=60, n_background=340, n_informative=4, n_noise=16,
+    kind_mix={"binary": 0.2, "categorical": 0.2, "likelihood": 0.2, "continuous": 0.4},
+    missing_rate=0.05, n_correlated_pairs=2,
+)
+
+
+def assert_same_table(a, b):
+    assert a.schema == b.schema
+    for name in a.schema.names:
+        x, y = a._columns[name], b._columns[name]
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+
+
+class TestScreenedColumns:
+    @given(st.integers(0, 2**16), st.sampled_from([0, 1]), st.floats(0.01, 0.5), st.data())
+    def test_a_screened_draw_is_the_full_draw_cut(self, seed, index, rate, data):
+        spec = replace(PAIRED_SPEC, seed=seed, missing_rate=rate)
+        full, truth = synthgen.generate(spec, index)
+        names = data.draw(st.lists(st.sampled_from(full.schema.names), unique=True))
+        cut, cut_truth = synthgen.generate(spec, index, columns=names)
+        assert_same_table(cut, full.select_columns(names))
+        assert cut_truth == truth
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_no_columns_leave_the_target(self, index):
+        full, truth = synthgen.generate(SPECS[1], index)
+        cut, cut_truth = synthgen.generate(SPECS[1], index, columns=[])
+        assert cut.schema.names == [synthgen.TARGET_NAME]
+        assert_same_table(cut, full.select_columns([]))
+        assert cut_truth == truth
+
+    def test_an_unknown_name_fails_before_any_record(self, no_records):
+        with pytest.raises(ValidationError, match="^no column named 'bin_999' in schema$"):
+            synthgen.generate(SPECS[1], 1, columns=["bin_000", "bin_999"])
 
 
 class TestOracleMetrics:
