@@ -22,9 +22,8 @@ runs ``discrete_levels`` once over every discrete predictor (105 of
 them), as the IV stage of screening does.  Clustering runs on
 the correlations of every other predictor (60 of them, all four kinds)
 down to 20 clusters, the size of the ``tall`` workload's clustering
-stage.  The pairwise-complete correlations run on the numeric views of
-all 150 predictors with 5 % gaps in every column, discrete kinds
-included, as a loaded CSV can have them.  The directory is outside the
+stage.  The correlations run on the numeric views of all 150 imputed
+predictors, as screening computes them.  The directory is outside the
 tier-1 ``testpaths`` and needs the ``bench`` extra (``pytest-benchmark``);
 run it with
 
@@ -39,7 +38,6 @@ import pytest
 from screenfit import screening, varclus
 from screenfit.synthgen import SyntheticSpec, generate
 from screenfit.table import (
-    IMPUTED_KINDS,
     ColumnKind,
     impute_numeric_columns,
     load_table,
@@ -164,11 +162,7 @@ def test_write_json(benchmark, tmp_path):
 
 def test_impute_numeric_columns(benchmark, table):
     imputed = benchmark(impute_numeric_columns, table)
-    assert not any(
-        imputed.missing_mask(c.name).any()
-        for c in table.schema.columns
-        if c.kind in IMPUTED_KINDS
-    )
+    assert not any(imputed.missing_mask(name).any() for name in table.schema.names)
 
 
 def test_discrete_levels(benchmark, table):
@@ -199,11 +193,9 @@ def test_cluster_variables(benchmark, table):
     assert len(clusters) == N_CLUSTERS
 
 
-def test_correlation_matrix_with_gaps(benchmark, table):
+def test_correlation_matrix(benchmark, table):
     imputed = impute_numeric_columns(table)
     names = imputed.schema.predictors
     values = np.column_stack([imputed.numeric_view(name) for name in names])
-    rng = np.random.default_rng(SPEC.seed)
-    values[rng.random(values.shape) < SPEC.missing_rate] = np.nan
     corr = benchmark(varclus.correlation_matrix_from_array, values, names)
     assert corr.values.shape == (len(names), len(names))

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComputationError, ValidationError, require_number, require_string, require_whole
-from .table import IMPUTED_KINDS, ColumnKind, DataTable
+from .table import NUMERIC_KINDS, ColumnKind, DataTable
 
 PROB_CLAMP = 1e-12
 
@@ -78,7 +78,7 @@ FLAG = "flag"
 _KIND_ENCODING = {
     ColumnKind.CATEGORICAL: DUMMY,
     ColumnKind.BINARY: FLAG,
-    **dict.fromkeys(IMPUTED_KINDS, STANDARDIZED),
+    **dict.fromkeys(NUMERIC_KINDS, STANDARDIZED),
 }
 
 

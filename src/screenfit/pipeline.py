@@ -1,16 +1,16 @@
 """End-to-end orchestration: data -> screening -> split -> fit -> evaluation.
 
-Stages run strictly in order: median imputation of numeric columns
-(continuous and likelihood; a gap in a binary or categorical predictor
-is not imputed, and one that survives screening stops the run at design
-encoding), the screening cascade (which internally clusters survivors
-and selects representatives), the cut of the table to the screened
-variables plus the target, the out-of-sample table (loaded or generated
-at the same columns, made ready), application of the learned
-categorical level merges, the stratified train/validation split,
-design encoding with training statistics, stepwise selection,
-collinearity pruning against the validation set, and scoring of train,
-validation, and the out-of-sample table.  The training table is cut
+Stages run strictly in order: imputation of every gap of every predictor
+(the one gap rule: a continuous or likelihood column takes its median, a
+binary or categorical one its most frequent code, so no later stage
+meets a gap), the screening cascade (which internally clusters
+survivors and selects representatives), the cut of the table to the
+screened variables plus the target, the out-of-sample table (loaded or
+generated at the same columns, made ready), application of the learned
+categorical level merges, the stratified train/validation split, design
+encoding with training statistics, stepwise selection, collinearity
+pruning against the validation set, and scoring of train, validation,
+and the out-of-sample table.  The training table is cut
 before the out-of-sample one is made, and a generated sibling is drawn
 at the screened columns only, so at most one full-width table is alive
 at a time, and none once screening ends.  No artifact is written before
@@ -104,8 +104,8 @@ def _load_scored(
 
 
 def _ready(table: DataTable, mappings: dict[str, dict[str, str]]) -> DataTable:
-    """A table to score: numeric gaps median-imputed from itself, and the
-    level mappings of the columns it holds applied."""
+    """A table to score: every gap filled from the table itself, as in
+    training, and the level mappings of the columns it holds applied."""
     table = impute_numeric_columns(table)
     names = set(table.schema.names)
     return apply_level_mapping(table, {v: m for v, m in mappings.items() if v in names})

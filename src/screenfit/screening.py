@@ -40,9 +40,9 @@ from .errors import ComputationError, ValidationError, require_number, require_w
 from .logit import chi2_sf
 from .table import (
     DISCRETE_KINDS,
-    IMPUTED_KINDS,
     LIKELIHOOD_MAX,
     LIKELIHOOD_MIN,
+    NUMERIC_KINDS,
     ColumnKind,
     ColumnSpec,
     DataTable,
@@ -265,7 +265,7 @@ def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
 
     Sign follows mean(target=1) - mean(target=0); df = n0 + n1 - 2.
     """
-    table.schema.column(variable, *IMPUTED_KINDS)
+    table.schema.column(variable, *NUMERIC_KINDS)
     x = table.numeric_view(variable)
     y = table.target_values
     keep = ~np.isnan(x)
@@ -460,7 +460,7 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
     report.stages.append(("chi_square", retained))
 
     # --- stage 2: |t| over multivalued numeric predictors
-    report.t_test = {v: t_test_multivalued(table, v) for v in retained if kind(v) in IMPUTED_KINDS}
+    report.t_test = {v: t_test_multivalued(table, v) for v in retained if kind(v) in NUMERIC_KINDS}
     retained = cut(
         report.t_test, lambda r: abs(r.t_statistic), retained, plan.retain_after_t, "t-test stage"
     )

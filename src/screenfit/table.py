@@ -13,13 +13,14 @@ expressions, or reads float64 with NaN through the accessors; only this
 module maps codes to level strings and back.  Every view is read-only,
 and a continuous column's float view is its stored array.  Each kind set
 is named once, :data:`DISCRETE_KINDS` for the coded kinds and
-:data:`IMPUTED_KINDS` for the numeric ones, and a step that takes only
-some kinds gets its column from ``TableSchema.column(name, *kinds)``,
-which raises ``column <name!r> is <kind>, not <a, b or c>`` for any
-other kind.  Tables are immutable after construction: every operation
-returns a new table (or the same object when nothing changed), and the
-backing arrays are marked read-only so they can be shared across threads
-and across tables -- a transform copies only the columns it changes.
+:data:`NUMERIC_KINDS` for the median-filled, t-screened and standardized
+ones, and a step that takes only some kinds gets its column from
+``TableSchema.column(name, *kinds)``, which raises ``column <name!r> is
+<kind>, not <a, b or c>`` for any other kind.  Tables are immutable
+after construction: every operation returns a new table (or the same
+object when nothing changed), and the backing arrays are marked
+read-only so they can be shared across threads and across tables -- a
+transform copies only the columns it changes.
 
 All randomness in this module (and in the rest of the package) comes
 from numpy's PCG64 generator seeded explicitly; the generator algorithm
@@ -104,7 +105,7 @@ class ColumnKind(str, Enum):
     CONTINUOUS = "continuous"
 
 
-IMPUTED_KINDS = (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD)
+NUMERIC_KINDS = (ColumnKind.CONTINUOUS, ColumnKind.LIKELIHOOD)
 DISCRETE_KINDS = (ColumnKind.CATEGORICAL, ColumnKind.BINARY, ColumnKind.LIKELIHOOD)
 
 
@@ -814,9 +815,9 @@ def load_schema(path: str | Path) -> TableSchema:
 # Imputation
 
 
-def _median_filled(table: DataTable, specs) -> dict[str, np.ndarray]:
-    """Median-filled, read-only copies of the given columns that have
-    gaps, in their stored dtype."""
+def _filled(table: DataTable, specs) -> dict[str, np.ndarray]:
+    """Read-only copies of the given columns that have gaps, in their
+    stored dtype, filled as :func:`impute_numeric_columns` fills them."""
     filled = {}
     for spec in specs:
         values = table._columns[spec.name]
@@ -827,11 +828,14 @@ def _median_filled(table: DataTable, specs) -> dict[str, np.ndarray]:
             raise ComputationError(
                 f"column {spec.name!r} has no non-missing values to impute from"
             )
-        med = float(np.median(values[~mask]))
-        if spec.kind is ColumnKind.LIKELIHOOD:
-            med = float(np.clip(math.floor(med + 0.5), LIKELIHOOD_MIN, LIKELIHOOD_MAX))
+        if spec.kind not in NUMERIC_KINDS:
+            fill = np.bincount(values[~mask]).argmax()  # ties to the lower code
+        else:
+            fill = float(np.median(values[~mask]))
+            if spec.kind is ColumnKind.LIKELIHOOD:
+                fill = float(np.clip(math.floor(fill + 0.5), LIKELIHOOD_MIN, LIKELIHOOD_MAX))
         col = values.copy()
-        col[mask] = med
+        col[mask] = fill
         filled[spec.name] = _freeze(col)
     return filled
 
@@ -842,17 +846,20 @@ def impute_median(table: DataTable, column: str) -> DataTable:
     Continuous columns use the plain median (mean of the two central
     values on even counts).  Likelihood columns round the median half-up
     so the result stays an integer in [1, 99].  Categorical and binary
-    columns are rejected; their imputation is out of scope.
+    columns are rejected; :func:`impute_numeric_columns` fills them with
+    their most frequent code.
     """
-    spec = table.schema.column(column, *IMPUTED_KINDS)
-    return table.replace_columns(_median_filled(table, [spec]))
+    spec = table.schema.column(column, *NUMERIC_KINDS)
+    return table.replace_columns(_filled(table, [spec]))
 
 
 def impute_numeric_columns(table: DataTable) -> DataTable:
-    """Median-impute every continuous and likelihood column that has gaps,
-    as :func:`impute_median` does one column, building a single table."""
-    specs = [spec for spec in table.schema.columns if spec.kind in IMPUTED_KINDS]
-    return table.replace_columns(_median_filled(table, specs))
+    """Fill every gap of every predictor from the table itself, building a
+    single table: a continuous or likelihood column takes its median, as
+    :func:`impute_median` gives it, and a binary or categorical column its
+    most frequent code, ties to the lower code.  An all-missing column
+    raises :class:`ComputationError`."""
+    return table.replace_columns(_filled(table, table.schema.columns))
 
 
 # ---------------------------------------------------------------------------

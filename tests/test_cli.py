@@ -196,10 +196,12 @@ TERM_MODEL = {
 }
 
 
-def score_command(tmp_path, model: dict, schema: dict, out=None) -> int:
+def score_command(
+    tmp_path, model: dict, schema: dict, out=None, data="x,lik,c,y\n1.0,5,a,0\n2.0,6,b,1\n"
+) -> int:
     (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
     (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
-    (tmp_path / "data.csv").write_text("x,lik,c,y\n1.0,5,a,0\n2.0,6,b,1\n", encoding="utf-8")
+    (tmp_path / "data.csv").write_text(data, encoding="utf-8")
     argv = ["score", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data.csv"),
             "--schema", str(tmp_path / "schema.json"), "--out", str(out or tmp_path / "scores.csv")]
     return main(argv)
@@ -306,6 +308,27 @@ def test_model_file_with_a_wrong_type_exits_2(tmp_path, capsys, where, value, me
 )
 def test_schema_that_does_not_fit_the_model_exits_2(tmp_path, capsys, model, schema, message):
     assert score_command(tmp_path, model, schema) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "scores.csv").exists()
+
+
+FLAG_SCHEMA = edited(SCORED_SCHEMA, ("columns", 1), {"name": "f", "kind": "binary"})
+FLAG_MODEL = edited(TERM_MODEL, (*ROW, "term"), {"source": "f", "encoding": "flag"})
+
+
+@pytest.mark.parametrize(
+    "model, data",
+    [
+        pytest.param(TERM_MODEL, "x,f,c,y\n,1,a,0\nNA,0,b,1\n", id="continuous"),
+        pytest.param(FLAG_MODEL, "x,f,c,y\n1.0,,a,0\n2.0,NA,b,1\n", id="flag"),
+    ],
+)
+def test_all_missing_model_column_exits_1(tmp_path, capsys, model, data):
+    """Score fills gaps from the scored file, so a model column with no value
+    there stops it, whatever the column's kind."""
+    assert score_command(tmp_path, model, FLAG_SCHEMA, data=data) == 1
+    column = model["model"]["rows"][1]["term"]["source"]
+    message = f"column {column!r} has no non-missing values to impute from"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "scores.csv").exists()
 

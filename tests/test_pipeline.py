@@ -8,7 +8,7 @@ import pytest
 
 import screenfit.pipeline as pipeline
 from screenfit.config import PipelineConfig
-from screenfit.errors import CellParseError, ValidationError
+from screenfit.errors import CellParseError, ComputationError, ValidationError
 from screenfit.synthgen import generate
 from screenfit.table import (
     ColumnKind,
@@ -314,25 +314,60 @@ def test_one_full_width_table_at_a_time(tmp_path, monkeypatch):
     assert oos_peak < 0.25 * float64_bytes
 
 
-def test_binary_gap_that_survives_screening_leaves_no_artifact(tmp_path):
-    """Binary gaps are not imputed; b0-b2 carry the signal, so they pass
-    screening with their gaps and the run stops at design encoding."""
-    rng = np.random.default_rng(0)
-    n = 2000
-    columns = {f"b{i}": (rng.random(n) < 0.3).astype(float) for i in range(12)}
-    columns |= {f"c{i}": rng.normal(size=n) for i in range(6)}
-    eta = 0.8 * (columns["b0"] + columns["b1"] + columns["b2"]) + columns["c0"] - 2
-    columns["y"] = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
-    for name in ("b0", "b1", "b2"):
-        columns[name][:5] = np.nan
-    kind = {"b": ColumnKind.BINARY, "c": ColumnKind.CONTINUOUS, "y": ColumnKind.BINARY}
-    schema = TableSchema(tuple(ColumnSpec(name, kind[name[0]]) for name in columns), "y")
-    save_table(DataTable(schema, columns), tmp_path / "data.csv")
-    save_schema(schema, tmp_path / "schema.json")
-    plan = {"retain_after_chi2": 16, "retain_after_t": 14, "retain_after_iv": 10, "final_retain": 4}
+# Seed 7 of this config keeps the flag bin_000 and the categorical cat_001
+# through screening and in the model.
+MIXED_CONFIG = {
+    "plan": {"retain_after_chi2": 14, "retain_after_t": 12, "retain_after_iv": 8, "final_retain": 5},
+    "synthetic": {
+        "n_signal": 150,
+        "n_background": 650,
+        "n_informative": 6,
+        "n_noise": 10,
+        "kind_mix": {"binary": 0.4, "categorical": 0.3, "continuous": 0.3},
+        "missing_rate": 0.05,
+        "seed": 7,
+    },
+}
+
+
+def _mixed_input(tmp_path, table):
+    """A config of MIXED_CONFIG's plan on the table saved as a CSV and schema."""
+    save_table(table, tmp_path / "data.csv")
+    save_schema(table.schema, tmp_path / "schema.json")
     inputs = {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "schema.json")}
-    config = PipelineConfig.from_dict({"plan": plan, "input": inputs})
-    with pytest.raises(ValidationError, match="variable 'b0' has missing values; impute first"):
+    return PipelineConfig.from_dict({"plan": MIXED_CONFIG["plan"], "input": inputs})
+
+
+def test_gaps_in_a_surviving_flag_and_categorical_are_imputed(tmp_path):
+    """The generator leaves flags and categoricals whole, so one cell of each
+    is blanked in the file; both columns pass screening with their gaps
+    filled, the run writes every artifact, and score fills them too."""
+    table, _ = generate(PipelineConfig.from_dict(MIXED_CONFIG).synthetic)
+    config = _mixed_input(tmp_path, table)
+    _corrupt_cell(tmp_path / "data.csv", "bin_000", 3, "")
+    _corrupt_cell(tmp_path / "data.csv", "cat_001", 5, "NA")
+    result = pipeline.run_pipeline(config, tmp_path / "run")
+    assert {"bin_000", "cat_001"} <= set(result.model.source_variables())
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(pipeline.ARTIFACT_NAMES)
+    n = pipeline.score_table_file(
+        tmp_path / "run" / "model.json", tmp_path / "data.csv", tmp_path / "schema.json",
+        tmp_path / "scores.csv",
+    )
+    lines = (tmp_path / "scores.csv").read_text(encoding="utf-8").splitlines()
+    assert n == len(lines) - 1 == table.n_records
+
+
+@pytest.mark.parametrize("name", ["bin_000", "cat_000", "lik_000", "con_000"])
+def test_all_missing_column_of_any_kind_stops_at_imputation(tmp_path, name):
+    """An all-missing predictor of each kind stops the run at the impute
+    step with one message, and leaves no artifact."""
+    mix = {"binary": 0.3, "categorical": 0.3, "likelihood": 0.2, "continuous": 0.2}
+    synthetic = MIXED_CONFIG["synthetic"] | {"kind_mix": mix}
+    table, _ = generate(PipelineConfig.from_dict(MIXED_CONFIG | {"synthetic": synthetic}).synthetic)
+    gap = np.nan if name.startswith("con") else -1
+    config = _mixed_input(tmp_path, table.replace_columns({name: np.full(table.n_records, gap)}))
+    message = f"column '{name}' has no non-missing values to impute from"
+    with pytest.raises(ComputationError, match=f"^{message}$"):
         pipeline.run_pipeline(config, tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []
 

@@ -1223,9 +1223,53 @@ class TestImputeNumericColumns:
         for name in ("x", "lik", "full", "y"):
             np.testing.assert_array_equal(out.column(name), reference.column(name))
         assert out.column("lik").tolist() == [4.0, 3.0, 4.0, 4.0]  # 3.5 rounds half up
-        # columns without gaps, and categorical gaps, are left as they were
+        assert out.column("c").tolist() == ["a", "a", "b", "a"]
         assert out.column("full") is t.column("full")
+
+    def kinds(self):
+        return {"b": ColumnKind.BINARY, "c": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY}
+
+    def test_binary_takes_its_majority_value(self):
+        t = make_table(
+            {"b": [1, np.nan, 1, 0, np.nan], "c": ["p", "q", "p", "q", "p"], "y": [0, 1, 0, 1, 0]},
+            self.kinds(),
+        )
+        out = impute_numeric_columns(t)
+        assert out.column("b").tolist() == [1, 1, 1, 0, 1]
+        assert out.codes("b").dtype == t.codes("b").dtype
+
+    def test_categorical_takes_its_most_frequent_level(self):
+        t = make_table(
+            {"b": [0, 1, 0, 1, 0], "c": ["r", "p", None, "q", "r"], "y": [0, 1, 0, 1, 0]},
+            self.kinds(),
+            levels={"c": ("p", "q", "r")},
+        )
+        out = impute_numeric_columns(t)  # the median code would give "q"
+        assert out.column("c").tolist() == ["r", "p", "r", "q", "r"]
+
+    def test_tie_takes_the_lower_code(self):
+        t = make_table(
+            {
+                "b": [1, 0, np.nan, 1, 0],
+                "c": ["r", "q", None, "q", "r"],
+                "y": [0, 1, 0, 1, 0],
+            },
+            self.kinds(),
+            levels={"c": ("r", "q")},
+        )
+        out = impute_numeric_columns(t)
+        assert out.column("b")[2] == 0  # 0 and 1 twice each
+        assert out.column("c")[2] == "r"  # the first declared level, though "q" sorts first
+
+    def test_column_without_gaps_is_the_same_array(self):
+        t = make_table(
+            {"b": [1, np.nan, 0, 1], "c": ["p", "q", "p", "q"], "y": [0, 1, 0, 1]},
+            self.kinds(),
+        )
+        out = impute_numeric_columns(t)
         assert out.codes("c") is t.codes("c")
+        assert out.target_values is t.target_values
+        assert out.codes("b") is not t.codes("b")
 
 
 class TestSplit:
