@@ -5,8 +5,12 @@ The table is the ``wide`` workload's dataset at op seed 11000: 4000 rows,
 continuous), no gaps, median-imputed as ``run_pipeline`` hands it to
 screening.  ``run_screening`` runs the whole cascade under the ``wide``
 plan.  The per-statistic benchmarks run one statistic over every column
-it applies to: the chi-square over every binary predictor, WoE/IV over
-every discrete predictor, and level merging over every categorical one.
+it applies to: the chi-square over every binary predictor, the t
+statistic over every likelihood and continuous one, WoE/IV over every
+discrete predictor, and level merging over every categorical one.  Each
+of these calls the one-variable function once per column, so it times
+the per-column path, not the blocks and shared count tables of
+``run_screening``.
 Representative selection scores the clusters of the IV survivors, the
 input of the cascade's last stage.  The directory is outside the tier-1
 ``testpaths`` and needs the ``bench`` extra (``pytest-benchmark``); run
@@ -53,6 +57,12 @@ def test_chi_square_binary(benchmark, table):
     names = of_kind(table, ColumnKind.BINARY)
     results = benchmark(lambda: [screening.chi_square_binary(table, name) for name in names])
     assert len(results) == 375
+
+
+def test_t_test_multivalued(benchmark, table):
+    names = of_kind(table, ColumnKind.LIKELIHOOD, ColumnKind.CONTINUOUS)
+    results = benchmark(lambda: [screening.t_test_multivalued(table, name) for name in names])
+    assert len(results) == 675
 
 
 def test_woe_iv(benchmark, table):

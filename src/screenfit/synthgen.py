@@ -37,7 +37,8 @@ codes count the cumulative level probabilities that each uniform draw
 reaches: the codes ``Generator.choice`` draws from the same uniforms, at
 about a quarter of its cost.  Asked for some columns only, the generator
 builds those, the planted ones and the paired ones.  Every other column
-still has its records and its gap mask drawn, so the stream stays in
+keeps its place in the records stream, its normals drawn and its
+uniforms and gap mask skipped with ``advance``, so the stream stays in
 step and the table is the full draw cut to those columns, but it is
 never built, stored or checked.
 """
@@ -240,18 +241,25 @@ def generate(spec: SyntheticSpec, sample_index: int = 0, columns=None) -> tuple[
         for name in planted_names
     }
 
-    # Records pass: every column's draws are taken, in schema order, so the
-    # stream stays in step, but a column the table does not hold and the
-    # outcome does not read is never built.
+    # Records pass: every column's draws are taken or skipped, in schema
+    # order, so the stream stays in step, but a column the table does not
+    # hold and the outcome does not read is never built.
     stored = set(kept.names)
     needed = stored | set(planted) | {name for pair in pairs for name in pair}
     records = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 + sample_index]))
     values: dict[str, np.ndarray] = {}
     for column, param in zip(specs, params):
         kind = column.kind
-        draw = records.standard_normal(n) if kind is ColumnKind.CONTINUOUS else records.random(n)
         if column.name not in needed:
+            # A float64 uniform takes one 64-bit output of PCG64, so skipping
+            # n outputs leaves the stream where n uniforms would; a normal
+            # takes a varying number of outputs and has to be drawn.
+            if kind is ColumnKind.CONTINUOUS:
+                records.standard_normal(n)
+            else:
+                records.bit_generator.advance(n)
             continue
+        draw = records.standard_normal(n) if kind is ColumnKind.CONTINUOUS else records.random(n)
         if kind is ColumnKind.BINARY:
             draw = (draw < param).astype(np.int8)
         elif kind is ColumnKind.CATEGORICAL:
@@ -298,12 +306,13 @@ def generate(spec: SyntheticSpec, sample_index: int = 0, columns=None) -> tuple[
     if spec.missing_rate > 0.0:
         for kind, gap in ((ColumnKind.LIKELIHOOD, -1), (ColumnKind.CONTINUOUS, np.nan)):
             for name in names_of(kind):
-                draw = records.random(n)
-                if name in stored:
-                    mask = draw < spec.missing_rate
-                    if mask.all():
-                        mask[0] = False  # keep the column imputable
-                    values[name][mask] = gap
+                if name not in stored:
+                    records.bit_generator.advance(n)
+                    continue
+                mask = records.random(n) < spec.missing_rate
+                if mask.all():
+                    mask[0] = False  # keep the column imputable
+                values[name][mask] = gap
 
     values[TARGET_NAME] = y
     table = DataTable(kept, {name: _freeze(values[name]) for name in kept.names})

@@ -15,7 +15,9 @@ than 1e-12 relative, and every other artifact kept its digest.
 A second pin covers a long stepwise trace: the ``model.json`` of the
 ``tall`` benchmark config at op seed 69000, where stepwise enters and
 removes terms for 87 steps until its pass cap stops it.
-The same run's ``model.json`` is also read back: rewriting it from the
+The ``screening_report.json`` of the ``tall`` and ``wide`` benchmark
+configs at op seed 11000 is pinned too, for screening at benchmark width.
+The first run's ``model.json`` is also read back: rewriting it from the
 loaded model gives the same document, and the loaded model scores the
 out-of-sample table exactly as the run did.  A run given the scored
 sibling as its out-of-sample file, and ``score_table_file`` on the same
@@ -92,6 +94,37 @@ CYCLING_CONFIG = {
 }
 
 CYCLING_MODEL_DIGEST = "b4050622233814ed54eced7ce96edc2f5eb0e89627c8c10950a431dc76bc934c"
+
+# The ``wide`` benchmark workload (4k rows x 1500 predictors, no gaps);
+# ``with_seed`` sets its seeds from an op seed.
+WIDE_CONFIG = {
+    "plan": {
+        "retain_after_chi2": 1300,
+        "retain_after_t": 700,
+        "retain_after_iv": 300,
+        "final_retain": 40,
+    },
+    "split": {"frac": 0.6, "seed": 1},
+    "stepwise": {"p_enter": 0.01, "p_stay": 0.01, "max_terms": 10},
+    "synthetic": {
+        "n_signal": 400,
+        "n_background": 3600,
+        "n_informative": 20,
+        "n_noise": 1480,
+        "kind_mix": {"binary": 0.25, "categorical": 0.3, "likelihood": 0.2, "continuous": 0.25},
+        "missing_rate": 0.0,
+        "seed": 0,
+        "n_correlated_pairs": 0,
+    },
+}
+
+# ``screening_report.json`` of the ``tall`` and ``wide`` benchmark
+# configs at op seed 11000: the t screen takes 75 and 675 columns, many
+# blocks and a tail, and tall's background group has 9000 rows.
+BENCH_SCREENING_DIGESTS = {
+    "tall": "a33c6eaf96627e79f7781ea91fe168adfa794e23688cbba8df98eff30e0fd56a",
+    "wide": "2c5ad08ba31190c57ba29614a06b6c77e544a8be3e46fb3fc0f3bac18beb6b78",
+}
 
 GOLDEN = {
     "screening_report.json": "03c097e79de1807b4d3c2663ab0bc0ca8d541171c01f64996406c72b494fc6b0",
@@ -194,3 +227,10 @@ def test_stepwise_trace_to_the_pass_cap_is_byte_stable(tmp_path):
     assert len(doc["stepwise_trace"]) == 87
     assert doc["model"]["warnings"][-1].startswith("stepwise stopped at its cap")
     assert sha256(tmp_path / "model.json") == CYCLING_MODEL_DIGEST
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SCREENING_DIGESTS))
+def test_screening_report_at_benchmark_width_is_byte_stable(tmp_path, workload):
+    config = {"tall": CYCLING_CONFIG, "wide": WIDE_CONFIG}[workload]
+    run_pipeline(PipelineConfig.from_dict(config).with_seed(11000), tmp_path)
+    assert sha256(tmp_path / "screening_report.json") == BENCH_SCREENING_DIGESTS[workload]

@@ -7,8 +7,10 @@ from scipy import stats
 
 from screenfit.errors import ComputationError, ValidationError
 from screenfit.logit import chi2_sf
+from screenfit import screening
 from screenfit.screening import (
     StagePlan,
+    _T_BLOCK,
     _pearson_2x2,
     apply_level_mapping,
     chi_square_binary,
@@ -502,17 +504,19 @@ class TestStagePlan:
         StagePlan(retain_after_chi2=500, retain_after_t=300, retain_after_iv=150, final_retain=50)
 
 
+SCREENED_SPEC = SyntheticSpec(
+    n_signal=900, n_background=1500, n_informative=8, n_noise=42,
+    kind_mix={"binary": 0.5, "categorical": 0.1, "likelihood": 0.25, "continuous": 0.15},
+    beta_range=(0.5, 1.5), missing_rate=0.0, seed=11,
+)
+SCREENED_PLAN = StagePlan(retain_after_chi2=40, retain_after_t=30, retain_after_iv=20,
+                          final_retain=12, iv_min=1e-4, iv_max=10.0)
+
+
 @pytest.fixture(scope="module")
 def screened():
-    spec = SyntheticSpec(
-        n_signal=900, n_background=1500, n_informative=8, n_noise=42,
-        kind_mix={"binary": 0.5, "categorical": 0.1, "likelihood": 0.25, "continuous": 0.15},
-        beta_range=(0.5, 1.5), missing_rate=0.0, seed=11,
-    )
-    table, truth = generate(spec)
-    plan = StagePlan(retain_after_chi2=40, retain_after_t=30, retain_after_iv=20,
-                     final_retain=12, iv_min=1e-4, iv_max=10.0)
-    return run_screening(table, plan), table
+    table, truth = generate(SCREENED_SPEC)
+    return run_screening(table, SCREENED_PLAN), table
 
 
 class TestRunScreening:
@@ -750,3 +754,168 @@ class TestAgainstTheLoopVersions:
         expected = merge_levels_loop(t, "c", alpha)
         assert mapping == expected
         assert list(mapping.items()) == list(expected.items())
+
+
+# ---------------------------------------------------------------------------
+# The screening stages against the one-variable functions: the t screen
+# takes its columns in blocks and every discrete column's count table is
+# taken once per run, with the same numbers as a column at a time.
+
+
+def t_test_loop(table, variable):
+    """The t statistic as numpy's one-column mean and ddof=1 variance give it."""
+    x = table.numeric_view(variable)
+    y = table.target_values
+    keep = ~np.isnan(x)
+    g0, g1 = x[keep & (y == 0)], x[keep & (y == 1)]
+    if len(g0) < 2 or len(g1) < 2:
+        raise ValidationError(
+            f"{variable!r}: each target group needs >= 2 non-missing values "
+            f"(got {len(g0)} and {len(g1)})"
+        )
+    diff = float(g1.mean() - g0.mean())
+    df = len(g0) + len(g1) - 2
+    pooled_var = float(((len(g0) - 1) * g0.var(ddof=1) + (len(g1) - 1) * g1.var(ddof=1)) / df)
+    if pooled_var == 0.0:
+        if diff == 0.0:
+            return 0.0, df
+        raise ComputationError(
+            f"{variable!r}: zero pooled variance with unequal group means (infinite t)"
+        )
+    return diff / np.sqrt(pooled_var * (1.0 / len(g0) + 1.0 / len(g1))), df
+
+
+def t_screen_table(seed, n_numeric, n_rows, gappy=()):
+    """Continuous and likelihood columns x0, x1, ... (those in ``gappy``
+    with gaps, never in rows 0-3), a continuous column z that the target
+    shifts far, and two categoricals that track the target.  Rows 0-1
+    are target 0 and rows 2-3 target 1.
+
+    Under ``t_plan`` every multivalued column is t-tested, z has the
+    largest |t|, and z and the categoricals take the later stages, so no
+    drawn column reaches the gap-free clustering stage.
+    """
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n_rows) < rng.uniform(0.2, 0.8)).astype(int)
+    y[:4] = [0, 0, 1, 1]
+    columns, kinds = {}, {}
+    for i in range(n_numeric):
+        if rng.random() < 0.5:
+            x = rng.integers(1, 100, n_rows).astype(float)
+            kinds[f"x{i}"] = ColumnKind.LIKELIHOOD
+        else:
+            # magnitudes from 1e-3 to 1e6 make rounding differences show
+            x = 10.0 ** rng.uniform(-3, 6) * (rng.standard_normal(n_rows) + rng.uniform(-50, 50))
+            kinds[f"x{i}"] = ColumnKind.CONTINUOUS
+        if i in gappy:
+            x[4:][rng.random(n_rows - 4) < rng.uniform(0.05, 0.4)] = np.nan
+        columns[f"x{i}"] = x
+    columns["z"], kinds["z"] = 1e3 * y + rng.standard_normal(n_rows), ColumnKind.CONTINUOUS
+    for name in ("c0", "c1"):
+        flip = rng.random(n_rows) < 0.1
+        flip[:4] = False
+        columns[name] = np.where(y ^ flip, "hi", "lo").tolist()
+        kinds[name] = ColumnKind.CATEGORICAL
+    columns["y"], kinds["y"] = y, ColumnKind.BINARY
+    return make_table(columns, kinds)
+
+
+def t_plan(table):
+    n = len(table.schema.predictors)
+    return StagePlan(n, 3, 2, 1, iv_min=1e-300, iv_max=1e300, level_merge_alpha=0.0)
+
+
+class TestBlockedStages:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.integers(1, 3),
+        tail=st.integers(0, _T_BLOCK - 1),
+        n_rows=st.integers(6, 300),
+        data=st.data(),
+    )
+    def test_t_screen_is_the_one_column_t(self, seed, blocks, tail, n_rows, data):
+        n_numeric = blocks * _T_BLOCK + tail
+        gappy = data.draw(st.sets(st.integers(0, n_numeric - 1)))
+        table = t_screen_table(seed, n_numeric, n_rows, gappy)
+        report = run_screening(table, t_plan(table))
+        assert list(report.t_test) == [f"x{i}" for i in range(n_numeric)] + ["z"]
+        for v, result in report.t_test.items():
+            expected = t_test_multivalued(table, v)
+            assert (result.t_statistic, result.df) == (expected.t_statistic, expected.df)
+            assert (result.t_statistic, result.df) == t_test_loop(table, v)
+
+    def test_class_groups_longer_than_a_reduction_buffer(self):
+        """Class groups longer than numpy's 8192-element buffer, with and
+        without gaps."""
+        table = t_screen_table(7, _T_BLOCK + 3, 20_000, gappy={2})
+        assert min(table.class_counts()) > 8192
+        for v, result in run_screening(table, t_plan(table)).t_test.items():
+            assert (result.t_statistic, result.df) == t_test_loop(table, v)
+
+    @pytest.mark.parametrize(
+        "responders, gappy, separating, first",
+        [
+            pytest.param(1, (), (), "x0", id="one_responder"),
+            pytest.param(1, (0,), (), "x0", id="one_responder_first_column_gappy"),
+            pytest.param(None, (), (20,), "x20", id="separating_column_in_a_later_block"),
+            pytest.param(None, (25,), (20,), "x20", id="separating_before_a_starved_gappy"),
+            pytest.param(None, (5,), (20,), "x5", id="starved_gappy_before_separating"),
+        ],
+    )
+    def test_stage_raises_the_first_column_error(self, responders, gappy, separating, first):
+        """A gappy column here keeps one target-1 row, too few for a t, and
+        loses one target-0 row; a separating column is 1 + target."""
+        table = t_screen_table(3, 2 * _T_BLOCK, 60)
+        y = table.target_values.copy()
+        if responders is not None:
+            y[:] = 0
+            y[:responders] = 1
+        columns = {}
+        for i in gappy:
+            x = table.numeric_view(f"x{i}").copy()
+            x[(y == 1) & (np.arange(len(y)) != np.flatnonzero(y == 1)[0])] = np.nan
+            x[np.flatnonzero(y == 0)[-1]] = np.nan
+            columns[f"x{i}"] = x
+        for i in separating:
+            columns[f"x{i}"] = 1.0 + y
+        table = table.replace_columns(columns | {"y": y})
+        variables = [f"x{i}" for i in range(2 * _T_BLOCK)] + ["z"]
+        with pytest.raises((ValidationError, ComputationError)) as loop_error:
+            for v in variables:
+                t_test_loop(table, v)
+        assert f"'{first}'" in str(loop_error.value)
+        with pytest.raises(loop_error.type, match=f"^{re.escape(str(loop_error.value))}$"):
+            run_screening(table, t_plan(table))
+
+    def test_each_discrete_column_is_levelled_once(self, monkeypatch):
+        table = generate(SCREENED_SPEC)[0]
+        calls = []
+
+        def counted(table, variable):
+            calls.append(variable)
+            return discrete_levels(table, variable)
+
+        monkeypatch.setattr(screening, "discrete_levels", counted)
+        report = run_screening(table, SCREENED_PLAN)
+        assert sorted(calls) == sorted(set(report.chi_square) | set(report.iv))
+        assert len(calls) == len(set(calls))
+
+    def test_level_statistics_are_the_one_variable_results(self, screened):
+        report, table = screened
+        plan = SCREENED_PLAN
+        assert report.chi_square == {v: chi_square_binary(table, v) for v in report.chi_square}
+        assert report.iv == {v: woe_iv(table, v, plan.iv_smoothing) for v in report.iv}
+        representatives = [v for v in dict(report.stages)["information_value"]
+                           if v in report.cluster_selection.representatives()]
+        kinds = {v: table.schema.column(v).kind for v in representatives}
+        flags = [v for v in representatives if kinds[v] is ColumnKind.BINARY]
+        final = report.final_variables
+        assert [v for v in final if kinds[v] is ColumnKind.BINARY] == occupancy_filter(
+            table, flags, plan.occupancy_min
+        )
+        categoricals = [v for v in representatives if kinds[v] is ColumnKind.CATEGORICAL]
+        merges = {v: merge_levels(table, v, plan.level_merge_alpha) for v in categoricals}
+        assert report.level_mappings == {
+            v: m for v, m in merges.items() if len(set(m.values())) > 1
+        }
+        assert report.level_mappings and len(report.level_mappings) < len(merges)

@@ -160,6 +160,21 @@ class TestScreenedColumns:
         with pytest.raises(ValidationError, match="^no column named 'bin_999' in schema$"):
             synthgen.generate(SPECS[1], 1, columns=["bin_000", "bin_999"])
 
+    @pytest.mark.parametrize("n", [1, 7, 400, 10_000])
+    @pytest.mark.parametrize("seed", [0, 69000])
+    def test_skipping_uniforms_leaves_the_stream_where_drawing_them_does(self, seed, n):
+        """A column left out skips its uniforms with ``advance``: that holds
+        only while each float64 uniform takes one output of the generator."""
+        drawn, skipped = (
+            np.random.default_rng(np.random.SeedSequence([seed, 2])) for _ in range(2)
+        )
+        drawn.standard_normal(3)
+        skipped.standard_normal(3)
+        drawn.random(n)
+        skipped.bit_generator.advance(n)
+        assert drawn.bit_generator.state == skipped.bit_generator.state
+        assert drawn.random() == skipped.random()
+
 
 class TestOracleMetrics:
     SPEC = SyntheticSpec(
