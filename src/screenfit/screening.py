@@ -15,9 +15,13 @@ the plain ``{level: merged id}`` dict that ``model.json`` stores and
 form is read off the fields of its result dataclasses, so each field
 name is also its key in ``screening_report.json``.
 
+Screening takes an imputed table, as ``logit.encode_design`` and
+``varclus`` do: a gap in any predictor a stage reads raises ``variable
+'<v>' has missing values; impute first``.
+
 Every level-wise statistic reads one count table: the level x class
-counts of a discrete variable's non-missing rows (``_level_class_counts``,
-one ``bincount`` over the row index :func:`discrete_levels` gives).  It
+counts of a discrete variable (``_level_class_counts``, one ``bincount``
+over the row index :func:`discrete_levels` gives).  It
 feeds the binary chi-square, weight of evidence and information value,
 the occupancy filter and level merging.  :func:`run_screening` takes
 each discrete column's table once per run and hands it to every stage
@@ -25,15 +29,16 @@ that reads the column; each public one-variable function takes its own
 table and calls the same private core.  Chi-square p-values, of the
 binary screen and of each level merge, come from
 :func:`screenfit.logit.chi2_sf`; the t screen ranks by |t| and needs no
-tail probability.  Stages 1-3 rank their results by one rule, score
-then schema position.
+tail probability.  A 2x2 table with an empty margin scores chi-square 0
+(p 1), so a constant flag ranks last, as a constant column's t of 0
+does.  Stages 1-3 rank their results by one rule, score then schema
+position.
 
-The t screen gathers ``_T_BLOCK`` gap-free columns at a time into one
+The t screen gathers ``_T_BLOCK`` columns at a time into one
 C-ordered buffer per target class and takes each row's sum, then its
 sum of squared deviations.  Each is the same pairwise sum that
 ``mean()`` and ``var(ddof=1)`` take over one column, so every t
-statistic has the bits of a column-at-a-time screen.  A column with
-gaps is taken alone at its own non-missing rows.
+statistic has the bits of a column-at-a-time screen.
 
 Likelihood-scale columns (integers 1..99) are treated as numeric for the
 t screen and binned into seven equal-width bins for weight-of-evidence /
@@ -234,13 +239,15 @@ def discrete_levels(table: DataTable, variable: str) -> tuple[np.ndarray, np.nda
 
 
 def _level_class_counts(table: DataTable, variable: str) -> tuple[np.ndarray, np.ndarray]:
-    """(occurring labels, L x 2 float counts of the non-missing rows per
-    level, column 0 for target 0 and column 1 for target 1)."""
+    """(occurring labels, L x 2 float counts of the rows per level, column
+    0 for target 0 and column 1 for target 1); a gap raises."""
     labels, idx = discrete_levels(table, variable)
     # Shifting the index by one puts the missing rows in cells 0 and 1.
     cells = 2 * (idx + 1) + table.target_values
-    counts = np.bincount(cells, minlength=2 * len(labels) + 2)[2:]
-    return labels, counts.reshape(-1, 2).astype(float)
+    counts = np.bincount(cells, minlength=2 * len(labels) + 2)
+    if counts[:2].any():
+        raise ValidationError(f"variable {variable!r} has missing values; impute first")
+    return labels, counts[2:].reshape(-1, 2).astype(float)
 
 
 def _require_both_classes(table: DataTable) -> None:
@@ -253,13 +260,13 @@ def _require_both_classes(table: DataTable) -> None:
 # Per-variable statistics
 
 
-def _pearson_2x2(a: float, b: float, c: float, d: float) -> float | None:
+def _pearson_2x2(a: float, b: float, c: float, d: float) -> float:
     """Pearson chi-square (df 1, no continuity correction) of the 2x2 table
     of counts with rows (a, b) and (c, d), rows a grouping and columns the
-    target; None when a margin is zero."""
+    target; 0 when a margin is zero."""
     row0, row1, col0, col1 = a + b, c + d, a + c, b + d
     if 0 in (row0, row1, col0, col1):
-        return None
+        return 0.0
     total = a + b + c + d
     statistic = 0.0
     for count, row, col in ((a, row0, col0), (b, row0, col1), (c, row1, col0), (d, row1, col1)):
@@ -268,25 +275,22 @@ def _pearson_2x2(a: float, b: float, c: float, d: float) -> float | None:
     return statistic
 
 
-def _chi_square(variable: str, labels: np.ndarray, counts: np.ndarray) -> ChiSquareResult:
-    """The binary chi-square of one flag from its level x class counts."""
-    statistic = _pearson_2x2(*counts.ravel().tolist()) if len(labels) == 2 else None
-    if statistic is None:
-        raise ComputationError(
-            f"degenerate 2x2 table for {variable!r}: a margin is zero"
-        )
-    p = chi2_sf(statistic, 1)
-    return ChiSquareResult(statistic=statistic, df=1, p_value=p)
+def _chi_square(labels: np.ndarray, counts: np.ndarray) -> ChiSquareResult:
+    """The binary chi-square of one flag from its level x class counts; a
+    flag of one level has an empty margin."""
+    statistic = _pearson_2x2(*counts.ravel().tolist()) if len(labels) == 2 else 0.0
+    return ChiSquareResult(statistic=statistic, df=1, p_value=chi2_sf(statistic, 1))
 
 
 def chi_square_binary(table: DataTable, variable: str) -> ChiSquareResult:
     """Pearson chi-square of a binary variable against the binary target.
 
-    Computed on the 2x2 contingency table of pairwise non-missing rows,
-    df = 1, no continuity correction.  All four margins must be nonzero.
+    Computed on the 2x2 contingency table, df = 1, no continuity
+    correction; a flag of one level gives statistic 0 and p 1.
     """
+    _require_both_classes(table)
     table.schema.column(variable, ColumnKind.BINARY)
-    return _chi_square(variable, *_level_class_counts(table, variable))
+    return _chi_square(*_level_class_counts(table, variable))
 
 
 def _moments(columns, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,25 +307,8 @@ def _moments(columns, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean[:, 0], np.add.reduce(g, axis=1) / (len(rows) - 1)
 
 
-def _t_stats(columns, class_rows: tuple[np.ndarray, np.ndarray]) -> list[tuple]:
-    """(n0, n1, mean difference, pooled variance) of each column at the
-    given rows of target 0 and target 1; the last two are None when a
-    group has fewer than two rows."""
-    n0, n1 = len(class_rows[0]), len(class_rows[1])
-    if n0 < 2 or n1 < 2:
-        return [(n0, n1, None, None)] * len(columns)
-    (m0, v0), (m1, v1) = (_moments(columns, rows) for rows in class_rows)
-    pooled_var = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
-    return [(n0, n1, d, v) for d, v in zip((m1 - m0).tolist(), pooled_var.tolist())]
-
-
-def _t_result(variable: str, n0: int, n1: int, diff, pooled_var) -> TTestResult:
-    """One variable's t from its :func:`_t_stats` entry, or its error."""
-    if diff is None:
-        raise ValidationError(
-            f"{variable!r}: each target group needs >= 2 non-missing values "
-            f"(got {n0} and {n1})"
-        )
+def _t_result(variable: str, n0: int, n1: int, diff: float, pooled_var: float) -> TTestResult:
+    """One variable's t from its mean difference and pooled variance, or its error."""
     df = n0 + n1 - 2
     if pooled_var == 0.0:
         if diff == 0.0:
@@ -334,29 +321,33 @@ def _t_result(variable: str, n0: int, n1: int, diff, pooled_var) -> TTestResult:
 
 
 def _t_tests(table: DataTable, variables: list[str]) -> dict[str, TTestResult]:
-    """:func:`t_test_multivalued` of each variable; the error, if any, is
-    that of the first variable in the list that has one.
-
-    Gap-free columns are taken _T_BLOCK at a time at the row indices of
-    each class, which are taken once; a column with gaps is taken alone
-    at its own non-missing rows.  Likelihood codes are gathered as they
-    are stored, without a float decode.
+    """:func:`t_test_multivalued` of each variable, in blocks of _T_BLOCK
+    columns gathered at the row indices of each class, likelihood codes
+    as stored.  A gap in any variable raises first; past that, the error
+    is that of the first variable in the list that has one.
     """
     y = table.target_values
     class_rows = (np.flatnonzero(y == 0), np.flatnonzero(y == 1))
-    stats, gap_free = {}, []
+    n0, n1 = len(class_rows[0]), len(class_rows[1])
+    columns = []
     for v in variables:
         spec = table.schema.column(v, *NUMERIC_KINDS)
+        if table.missing_mask(v).any():
+            raise ValidationError(f"variable {v!r} has missing values; impute first")
         x = table.codes(v) if spec.kind is ColumnKind.LIKELIHOOD else table.numeric_view(v)
-        gaps = table.missing_mask(v)
-        if gaps.any():
-            stats[v] = _t_stats([x], tuple(rows[~gaps[rows]] for rows in class_rows))[0]
-        else:
-            gap_free.append((v, x))
-    for start in range(0, len(gap_free), _T_BLOCK):
-        names, columns = zip(*gap_free[start : start + _T_BLOCK])
-        stats.update(zip(names, _t_stats(columns, class_rows)))
-    return {v: _t_result(v, *stats[v]) for v in variables}
+        columns.append(x)
+    if variables and min(n0, n1) < 2:
+        raise ValidationError(
+            f"{variables[0]!r}: each target group needs >= 2 non-missing values "
+            f"(got {n0} and {n1})"
+        )
+    stats = []
+    for start in range(0, len(columns), _T_BLOCK):
+        block = columns[start : start + _T_BLOCK]
+        (m0, v0), (m1, v1) = (_moments(block, rows) for rows in class_rows)
+        pooled_var = ((n0 - 1) * v0 + (n1 - 1) * v1) / (n0 + n1 - 2)
+        stats += zip((m1 - m0).tolist(), pooled_var.tolist())
+    return {v: _t_result(v, n0, n1, *s) for v, s in zip(variables, stats)}
 
 
 def t_test_multivalued(table: DataTable, variable: str) -> TTestResult:
@@ -371,8 +362,6 @@ def _woe_iv(variable: str, labels: np.ndarray, counts: np.ndarray, smoothing: fl
     """WoE and IV of one variable from its level x class counts."""
     n0, n1 = counts.T
     L = len(labels)
-    if L == 0:
-        raise ComputationError(f"{variable!r} has no non-missing values")
     s = smoothing
     sig = (n1 + s) / (n1.sum() + s * L)
     bkg = (n0 + s) / (n0.sum() + s * L)
@@ -405,8 +394,8 @@ def woe_iv(
 
 
 def _occupied(labels: np.ndarray, counts: np.ndarray, min_frac: float) -> bool:
-    """Whether a flag's share of ones among its non-missing rows, from its
-    level x class counts, is at least min_frac; an all-missing flag is not."""
+    """Whether a flag's share of ones, from its level x class counts, is at
+    least min_frac; a flag of no rows is not."""
     total = counts.sum()
     return bool(total > 0 and counts[labels == "1"].sum() / total >= min_frac)
 
@@ -414,7 +403,7 @@ def _occupied(labels: np.ndarray, counts: np.ndarray, min_frac: float) -> bool:
 def occupancy_filter(
     table: DataTable, variables: list[str], min_frac: float
 ) -> list[str]:
-    """Retain binary variables whose share of ones (among non-missing) is >= min_frac."""
+    """Retain binary variables whose share of ones is >= min_frac."""
     retained = []
     for name in variables:
         table.schema.column(name, ColumnKind.BINARY)
@@ -440,10 +429,8 @@ def _merge_levels(
             for j in range(i + 1, len(groups))
         )
         (members_i, n0_i, n1_i), (members_j, n0_j, n1_j) = groups[i], groups[j]
-        # An empty target margin means both groups have the same rate.
-        statistic = _pearson_2x2(n0_i, n1_i, n0_j, n1_j)
-        p = 1.0 if statistic is None else chi2_sf(statistic, 1)
-        if p <= alpha:
+        # An empty target margin (both rates equal) scores 0: p is 1 and the pair merges.
+        if chi2_sf(_pearson_2x2(n0_i, n1_i, n0_j, n1_j), 1) <= alpha:
             break
         groups[i] = (members_i + members_j, n0_i + n0_j, n1_i + n1_j)
         del groups[j]
@@ -544,7 +531,7 @@ def run_screening(table: DataTable, plan: StagePlan) -> ScreeningReport:
 
     # --- stage 1: chi-square over binary predictors
     report.chi_square = {
-        v: _chi_square(v, *counts_of(v)) for v in predictors if kind(v) is ColumnKind.BINARY
+        v: _chi_square(*counts_of(v)) for v in predictors if kind(v) is ColumnKind.BINARY
     }
     retained = cut(
         report.chi_square, lambda r: r.statistic, predictors, plan.retain_after_chi2,

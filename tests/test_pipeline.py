@@ -372,6 +372,22 @@ def test_all_missing_column_of_any_kind_stops_at_imputation(tmp_path, name):
     assert list((tmp_path / "run").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, value", [("bin_000", 0), ("cat_000", 0), ("lik_000", 50), ("con_000", 1.0)]
+)
+def test_constant_column_of_any_kind_completes(tmp_path, name, value):
+    """A constant predictor of each kind scores 0 where it is scored (a
+    flag's empty 2x2 margin, a column's t or a single level's IV), so it
+    ranks last and the run writes every artifact without it."""
+    mix = {"binary": 0.3, "categorical": 0.3, "likelihood": 0.2, "continuous": 0.2}
+    synthetic = MIXED_CONFIG["synthetic"] | {"kind_mix": mix}
+    table, _ = generate(PipelineConfig.from_dict(MIXED_CONFIG | {"synthetic": synthetic}).synthetic)
+    config = _mixed_input(tmp_path, table.replace_columns({name: np.full(table.n_records, value)}))
+    result = pipeline.run_pipeline(config, tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(pipeline.ARTIFACT_NAMES)
+    assert name not in result.screening_report.final_variables
+
+
 def test_out_of_sample_column_of_another_kind_leaves_no_artifact(tmp_path):
     """The model keeps the flag b0; an out-of-sample schema that declares b0
     categorical would have it read as level indices, so the run stops

@@ -71,9 +71,13 @@ class TestChiSquare:
             assert res.p_value == pytest.approx(ref.pvalue, rel=1e-10)
 
     def test_constant_variable_degenerate(self):
-        t = binary_table([0, 0, 0, 0], [0, 1, 0, 1])
-        with pytest.raises(ComputationError, match="margin"):
-            chi_square_binary(t, "x")
+        """A one-level flag has an empty margin: it scores 0, with p 1."""
+        res = chi_square_binary(binary_table([0, 0, 0, 0], [0, 1, 0, 1]), "x")
+        assert (res.statistic, res.df, res.p_value) == (0.0, 1, 1.0)
+
+    def test_constant_target_errors(self):
+        with pytest.raises(ComputationError, match="^target is constant"):
+            chi_square_binary(binary_table([0, 1, 0, 1], [1, 1, 1, 1]), "x")
 
     def test_symmetry_under_label_swaps(self):
         t = from_contingency(5, 9, 12, 4)
@@ -82,18 +86,6 @@ class TestChiSquare:
         flipped_y = binary_table(t.column("x").astype(int), 1 - t.column("y").astype(int))
         assert chi_square_binary(flipped_x, "x").statistic == pytest.approx(base)
         assert chi_square_binary(flipped_y, "x").statistic == pytest.approx(base)
-
-    def test_missing_excluded_pairwise(self):
-        t = make_table(
-            {"x": [0, 1, np.nan, 1, 0, 1], "y": [0, 1, 1, 1, 1, 0]},
-            {"x": ColumnKind.BINARY, "y": ColumnKind.BINARY},
-        )
-        res = chi_square_binary(t, "x")
-        x = np.array([0, 1, 1, 0, 1])
-        y = np.array([0, 1, 1, 1, 0])
-        obs = np.array([[np.sum((x == i) & (y == j)) for j in (0, 1)] for i in (0, 1)])
-        ref = stats.chi2_contingency(obs, correction=False)
-        assert res.statistic == pytest.approx(ref.statistic)
 
 
 def numeric_table(g0, g1, kind=ColumnKind.CONTINUOUS):
@@ -210,11 +202,6 @@ class TestWoeIv:
         with pytest.raises(ComputationError):
             woe_iv(t, "c")
 
-    def test_all_missing_variable_errors(self):
-        t = binary_table([None] * 4, [0, 1, 0, 1])
-        with pytest.raises(ComputationError, match="^'x' has no non-missing values$"):
-            woe_iv(t, "x")
-
     def test_empty_cell_without_smoothing_errors(self):
         t = from_contingency(5, 5, 0, 5)
         with pytest.raises(
@@ -250,13 +237,6 @@ class TestOccupancy:
 
     def test_all_ones_retained(self):
         assert occupancy_filter(self.table(10, 0), ["x"], 0.10) == ["x"]
-
-    def test_all_missing_flag_skipped(self):
-        t = make_table(
-            {"x": [1, 0, 1, 1], "gap": [None] * 4, "y": [0, 1, 0, 1]},
-            {"x": ColumnKind.BINARY, "gap": ColumnKind.BINARY, "y": ColumnKind.BINARY},
-        )
-        assert occupancy_filter(t, ["gap", "x"], 0.10) == ["x"]
 
     def test_non_binary_rejected(self):
         t = make_table(
@@ -588,6 +568,71 @@ def test_step_refuses_a_column_of_another_kind(binary_target_table, guard, kind)
         step(binary_target_table, name)
 
 
+# A predictor of each kind, in schema order the reverse of the stage that
+# first reads it: the categorical in the IV stage, the multivalued columns
+# in the t stage and the flag in the chi-square stage.
+GAP_COLUMNS = {
+    "group": (ColumnKind.CATEGORICAL, ["a", "b", "a", "b", "a", "b", "a", "b"]),
+    "amount": (ColumnKind.CONTINUOUS, [1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5]),
+    "level": (ColumnKind.LIKELIHOOD, [10, 20, 30, 40, 50, 60, 70, 80]),
+    "flag": (ColumnKind.BINARY, [0, 1, 1, 0, 1, 0, 1, 1]),
+}
+
+
+def run_screening_of(table, _variable):
+    """The whole cascade, under a plan that cuts no column before it is read."""
+    return run_screening(table, StagePlan(4, 3, 2, 1))
+
+
+@pytest.mark.parametrize("gap_rows", [{3}, set(range(8))], ids=["one_gap", "all_missing"])
+@pytest.mark.parametrize(
+    "step, gappy, first",
+    [
+        pytest.param(chi_square_binary, ("flag",), "flag", id="chi_square_binary"),
+        pytest.param(woe_iv, ("flag",), "flag", id="woe_iv_binary"),
+        pytest.param(woe_iv, ("level",), "level", id="woe_iv_likelihood"),
+        pytest.param(woe_iv, ("group",), "group", id="woe_iv_categorical"),
+        pytest.param(
+            lambda table, v: occupancy_filter(table, [v], 0.1), ("flag",), "flag",
+            id="occupancy_filter",
+        ),
+        pytest.param(merge_levels, ("group",), "group", id="merge_levels"),
+        pytest.param(t_test_multivalued, ("level",), "level", id="t_test_likelihood"),
+        pytest.param(t_test_multivalued, ("amount",), "amount", id="t_test_continuous"),
+        pytest.param(
+            run_screening_of, ("group", "amount", "level", "flag"), "flag",
+            id="run_screening_flag_first",
+        ),
+        pytest.param(
+            run_screening_of, ("group", "amount", "level"), "amount",
+            id="run_screening_t_stage_in_schema_order",
+        ),
+        pytest.param(
+            run_screening_of, ("group", "level"), "level", id="run_screening_likelihood"
+        ),
+        pytest.param(
+            run_screening_of, ("group",), "group", id="run_screening_categorical_last"
+        ),
+    ],
+)
+def test_screening_refuses_a_gap(step, gappy, first, gap_rows):
+    """Screening takes an imputed table: every entry refuses a gap in a
+    column it reads, and the cascade names the first gappy predictor in
+    stage order, not in schema order."""
+    columns = {
+        name: [None if name in gappy and i in gap_rows else v for i, v in enumerate(values)]
+        for name, (_, values) in GAP_COLUMNS.items()
+    }
+    kinds = {name: kind for name, (kind, _) in GAP_COLUMNS.items()}
+    table = make_table(
+        columns | {"y": [0, 1] * 4}, kinds | {"y": ColumnKind.BINARY},
+        levels={"group": ("a", "b")},
+    )
+    message = f"variable {first!r} has missing values; impute first"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        step(table, first)
+
+
 # ---------------------------------------------------------------------------
 # The loop versions of chi-square and level merging, kept as reference
 # oracles: the count table must give the same floats and the same merges.
@@ -596,19 +641,15 @@ def test_step_refuses_a_column_of_another_kind(binary_target_table, guard, kind)
 def pearson_2x2_loop(obs):
     col, row = obs.sum(axis=0), obs.sum(axis=1)
     if (col == 0).any() or (row == 0).any():
-        return None
+        return 0.0
     expected = np.outer(row, col) / obs.sum()
     return float(((obs - expected) ** 2 / expected).sum())
 
 
 def chi_square_binary_loop(table, variable):
     """The 2x2 table of a binary column's codes by one bincount of 2x + y."""
-    x = table.codes(variable)
-    keep = x >= 0
-    cell = 2 * x[keep] + table.target_values[keep]
+    cell = 2 * table.codes(variable) + table.target_values
     statistic = pearson_2x2_loop(np.bincount(cell, minlength=4).reshape(2, 2).astype(float))
-    if statistic is None:
-        raise ComputationError(f"degenerate 2x2 table for {variable!r}: a margin is zero")
     return statistic, chi2_sf(statistic, 1)
 
 
@@ -655,9 +696,7 @@ def merge_levels_loop(table, variable, alpha):
                     best = (key, i, j)
         _, i, j = best
         pair = np.array([[counts0[i], counts1[i]], [counts0[j], counts1[j]]], dtype=float)
-        statistic = pearson_2x2_loop(pair)
-        p = 1.0 if statistic is None else chi2_sf(statistic, 1)
-        if p <= alpha:
+        if chi2_sf(pearson_2x2_loop(pair), 1) <= alpha:
             break
         groups[i] = groups[i] + groups[j]
         counts1[i] += counts1[j]
@@ -707,21 +746,16 @@ class TestAgainstTheLoopVersions:
         floats = [float(c) for c in counts]
         assert _pearson_2x2(*floats) == pearson_2x2_loop(np.array(floats).reshape(2, 2))
 
-    @given(
-        cells=st.lists(
-            st.tuples(st.sampled_from([0, 1, None]), st.integers(0, 1)), max_size=40
-        )
-    )
-    def test_chi_square_with_gaps(self, cells):
+    @given(cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=40))
+    def test_chi_square(self, cells):
+        """One-level flags, which have an empty margin, included."""
         t = binary_table([x for x, _ in cells], [y for _, y in cells])
-        try:
-            expected = chi_square_binary_loop(t, "x")
-        except ComputationError as exc:
-            with pytest.raises(ComputationError, match=re.escape(str(exc))):
+        if len({y for _, y in cells}) < 2:
+            with pytest.raises(ComputationError, match="target is constant"):
                 chi_square_binary(t, "x")
-        else:
-            res = chi_square_binary(t, "x")
-            assert (res.statistic, res.p_value, res.df) == (*expected, 1)
+            return
+        res = chi_square_binary(t, "x")
+        assert (res.statistic, res.p_value, res.df) == (*chi_square_binary_loop(t, "x"), 1)
 
     @given(
         # (positives, negatives) per level; small counts make tied rates
@@ -730,17 +764,14 @@ class TestAgainstTheLoopVersions:
         counts=st.lists(
             st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=7
         ),
-        gaps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
         alpha=st.sampled_from([0.0, 0.05, 0.5]),
     )
-    def test_merge_levels(self, counts, gaps, alpha):
+    def test_merge_levels(self, counts, alpha):
         level_counts = {f"l{i}": pair for i, pair in enumerate(counts)}
         c, y = [], []
         for level, (pos, neg) in level_counts.items():
             c += [level] * (pos + neg)
             y += [1] * pos + [0] * neg
-        c += [None] * sum(gaps)
-        y += [1] * gaps[0] + [0] * gaps[1]
         t = make_table(
             {"c": c, "y": y},
             {"c": ColumnKind.CATEGORICAL, "y": ColumnKind.BINARY},
@@ -785,15 +816,14 @@ def t_test_loop(table, variable):
     return diff / np.sqrt(pooled_var * (1.0 / len(g0) + 1.0 / len(g1))), df
 
 
-def t_screen_table(seed, n_numeric, n_rows, gappy=()):
-    """Continuous and likelihood columns x0, x1, ... (those in ``gappy``
-    with gaps, never in rows 0-3), a continuous column z that the target
-    shifts far, and two categoricals that track the target.  Rows 0-1
-    are target 0 and rows 2-3 target 1.
+def t_screen_table(seed, n_numeric, n_rows):
+    """Continuous and likelihood columns x0, x1, ..., a continuous column z
+    that the target shifts far, and two categoricals that track the
+    target.  Rows 0-1 are target 0 and rows 2-3 target 1.
 
     Under ``t_plan`` every multivalued column is t-tested, z has the
     largest |t|, and z and the categoricals take the later stages, so no
-    drawn column reaches the gap-free clustering stage.
+    drawn column reaches the clustering stage.
     """
     rng = np.random.default_rng(seed)
     y = (rng.random(n_rows) < rng.uniform(0.2, 0.8)).astype(int)
@@ -807,8 +837,6 @@ def t_screen_table(seed, n_numeric, n_rows, gappy=()):
             # magnitudes from 1e-3 to 1e6 make rounding differences show
             x = 10.0 ** rng.uniform(-3, 6) * (rng.standard_normal(n_rows) + rng.uniform(-50, 50))
             kinds[f"x{i}"] = ColumnKind.CONTINUOUS
-        if i in gappy:
-            x[4:][rng.random(n_rows - 4) < rng.uniform(0.05, 0.4)] = np.nan
         columns[f"x{i}"] = x
     columns["z"], kinds["z"] = 1e3 * y + rng.standard_normal(n_rows), ColumnKind.CONTINUOUS
     for name in ("c0", "c1"):
@@ -831,12 +859,10 @@ class TestBlockedStages:
         blocks=st.integers(1, 3),
         tail=st.integers(0, _T_BLOCK - 1),
         n_rows=st.integers(6, 300),
-        data=st.data(),
     )
-    def test_t_screen_is_the_one_column_t(self, seed, blocks, tail, n_rows, data):
+    def test_t_screen_is_the_one_column_t(self, seed, blocks, tail, n_rows):
         n_numeric = blocks * _T_BLOCK + tail
-        gappy = data.draw(st.sets(st.integers(0, n_numeric - 1)))
-        table = t_screen_table(seed, n_numeric, n_rows, gappy)
+        table = t_screen_table(seed, n_numeric, n_rows)
         report = run_screening(table, t_plan(table))
         assert list(report.t_test) == [f"x{i}" for i in range(n_numeric)] + ["z"]
         for v, result in report.t_test.items():
@@ -845,39 +871,27 @@ class TestBlockedStages:
             assert (result.t_statistic, result.df) == t_test_loop(table, v)
 
     def test_class_groups_longer_than_a_reduction_buffer(self):
-        """Class groups longer than numpy's 8192-element buffer, with and
-        without gaps."""
-        table = t_screen_table(7, _T_BLOCK + 3, 20_000, gappy={2})
+        """Class groups longer than numpy's 8192-element buffer."""
+        table = t_screen_table(7, _T_BLOCK + 3, 20_000)
         assert min(table.class_counts()) > 8192
         for v, result in run_screening(table, t_plan(table)).t_test.items():
             assert (result.t_statistic, result.df) == t_test_loop(table, v)
 
     @pytest.mark.parametrize(
-        "responders, gappy, separating, first",
+        "responders, separating, first",
         [
-            pytest.param(1, (), (), "x0", id="one_responder"),
-            pytest.param(1, (0,), (), "x0", id="one_responder_first_column_gappy"),
-            pytest.param(None, (), (20,), "x20", id="separating_column_in_a_later_block"),
-            pytest.param(None, (25,), (20,), "x20", id="separating_before_a_starved_gappy"),
-            pytest.param(None, (5,), (20,), "x5", id="starved_gappy_before_separating"),
+            pytest.param(1, (), "x0", id="one_responder"),
+            pytest.param(None, (20,), "x20", id="separating_column_in_a_later_block"),
         ],
     )
-    def test_stage_raises_the_first_column_error(self, responders, gappy, separating, first):
-        """A gappy column here keeps one target-1 row, too few for a t, and
-        loses one target-0 row; a separating column is 1 + target."""
+    def test_stage_raises_the_first_column_error(self, responders, separating, first):
+        """A separating column is 1 + target."""
         table = t_screen_table(3, 2 * _T_BLOCK, 60)
         y = table.target_values.copy()
         if responders is not None:
             y[:] = 0
             y[:responders] = 1
-        columns = {}
-        for i in gappy:
-            x = table.numeric_view(f"x{i}").copy()
-            x[(y == 1) & (np.arange(len(y)) != np.flatnonzero(y == 1)[0])] = np.nan
-            x[np.flatnonzero(y == 0)[-1]] = np.nan
-            columns[f"x{i}"] = x
-        for i in separating:
-            columns[f"x{i}"] = 1.0 + y
+        columns = {f"x{i}": 1.0 + y for i in separating}
         table = table.replace_columns(columns | {"y": y})
         variables = [f"x{i}" for i in range(2 * _T_BLOCK)] + ["z"]
         with pytest.raises((ValidationError, ComputationError)) as loop_error:
